@@ -54,7 +54,6 @@ from .trendfilter import (
     Segment,
     SolverSettings,
     TrendFit,
-    effective_df,
     extract_segments,
     fit_with_target_df,
     lambda_max,
@@ -102,7 +101,6 @@ __all__ = [
     "align_events",
     "classify_changepoints",
     "daily_donation_metrics",
-    "effective_df",
     "extract_segments",
     "fit_with_target_df",
     "lambda_max",

@@ -2,8 +2,9 @@
 
 Subcommands:
     ingest   parse FEC files + poll CSV into a single store.json
-    fit      trend-filter every candidate x metric series at the df budget
-    report   changepoints, falling regions, event alignment, lead/lag
+    fit      trend-filter every candidate x metric series into fits.json
+    report   changepoints, falling regions, event alignment, lead/lag, read
+             from fits.json and the events CSV alone (no store.json, no solve)
     synth    emit a seeded synthetic piecewise-linear series as CSV
 
 Exit codes: 0 clean, 1 completed with warnings (malformed input lines,
@@ -19,6 +20,8 @@ from datetime import date, timedelta
 from pathlib import Path
 from typing import Any, Sequence
 
+import numpy as np
+
 from . import fec, polls, store, synth
 from .analysis import (
     Changepoint,
@@ -33,10 +36,12 @@ from .config import AnalysisConfig, build_config, load_config_file
 from .exceptions import CampaignTrendsError
 from .timeseries import TimeSeries
 from .trendfilter import (
+    Segment,
     SolverSettings,
     TrendFit,
+    _unconstrained_dual,
     fit_with_target_df,
-    solve_tf,
+    solve_tf,  # noqa: F401  kept as cli.solve_tf: perfbench/trace.py wraps that name
     target_df_for_span,
 )
 
@@ -90,7 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="fit raw values or daily cross-candidate shares")
         p.add_argument("--window-days", type=int, help="event alignment window")
         p.add_argument("--max-gap-days", type=int, help="lead/lag pairing gap")
-        p.add_argument("--seed", type=int, help="seed for synthetic data")
         p.add_argument("--out", type=Path, help="output directory")
 
     for name, help_text in [
@@ -130,7 +134,6 @@ def _config_from_args(args: argparse.Namespace) -> AnalysisConfig:
         "normalize": args.normalize,
         "window_days": str(args.window_days) if args.window_days is not None else None,
         "max_gap_days": str(args.max_gap_days) if args.max_gap_days is not None else None,
-        "seed": str(args.seed) if args.seed is not None else None,
         "out": str(args.out) if args.out else None,
     }
     raw.update({k: v for k, v in overrides.items() if v is not None})
@@ -245,18 +248,13 @@ def _share_normalized(
     return out
 
 
-def _solver_settings(config: AnalysisConfig) -> SolverSettings:
-    return SolverSettings(
-        eps_gap=config.eps_gap, max_iter=config.max_iter, tol_knot=config.tol_knot
-    )
-
-
 def _cmd_fit(config: AnalysisConfig) -> int:
     series_map = _load_series_map(config)
     if config.normalize == "share":
         series_map = _share_normalized(series_map)
-    settings = _solver_settings(config)
-
+    settings = SolverSettings(
+        eps_gap=config.eps_gap, max_iter=config.max_iter, tol_knot=config.tol_knot
+    )
     records = []
     long_rows = []
     warnings = False
@@ -306,6 +304,8 @@ def _fit_record(
         "duality_gap": fit.duality_gap,
         "converged": fit.converged,
         "df_warning": fit.df_warning,
+        "tol_knot": fit.tol_knot,
+        "iterations": fit.iterations,
         "start_date": ts.start_date.isoformat(),
         "knots": [ts.date_at(k).isoformat() for k in fit.knots],
         "segments": [
@@ -321,15 +321,45 @@ def _fit_record(
     }
 
 
+def _fit_from_record(record: dict[str, Any]) -> tuple[date, TrendFit]:
+    """Decode a _fit_record record into (start_date, TrendFit), fields as stored.
+
+    The dual is recovered from the residual with one banded solve, which keeps
+    fitted = observed - D^T dual. Malformed records raise KeyError, TypeError
+    or ValueError.
+    """
+    start = date.fromisoformat(record["start_date"])
+
+    def day(text: str) -> int:
+        return (date.fromisoformat(text) - start).days
+
+    lam = record["lambda"]
+    fitted = np.asarray(record["fitted"], dtype=float)
+    residual = np.asarray(record["observed"], dtype=float) - fitted
+    return start, TrendFit(
+        lam=lam,
+        fitted=fitted,
+        knots=tuple(day(k) for k in record["knots"]),
+        segments=tuple(
+            Segment(day(seg["start"]), day(seg["end"]), seg["slope"])
+            for seg in record["segments"]
+        ),
+        df=record["df"],
+        duality_gap=record["duality_gap"],
+        dual=np.clip(_unconstrained_dual(residual), -lam, lam),
+        tol_knot=record["tol_knot"],
+        converged=record["converged"],
+        iterations=record["iterations"],
+        df_warning=record["df_warning"],
+    )
+
+
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------
 
 
 def _cmd_report(config: AnalysisConfig) -> int:
-    series_map = _load_series_map(config)
-    if config.normalize == "share":
-        series_map = _share_normalized(series_map)
     fits_path = config.out_dir / "fits.json"
     if not fits_path.exists():
         raise CampaignTrendsError(f"fits not found: {fits_path} (run fit first)")
@@ -341,18 +371,21 @@ def _cmd_report(config: AnalysisConfig) -> int:
             f"re-run fit or pass --normalize {fits_doc.get('normalize')}"
         )
 
-    settings = _solver_settings(config)
+    try:
+        decoded = [
+            (record["candidate"], record["metric"], *_fit_from_record(record))
+            for record in fits_doc["records"]
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CampaignTrendsError(f"malformed fit record in {fits_path}: {exc!r}") from None
+
     warnings = False
     series_entries = []
     cps_by_series: dict[tuple[str, str], list[Changepoint]] = {}
-    for record in fits_doc["records"]:
-        candidate = record["candidate"]
-        metric = record["metric"]
-        ts = series_map[candidate][metric]
-        fit = _refit_from_record(record, ts, settings)
+    for candidate, metric, start_date, fit in decoded:
         warnings = warnings or not fit.converged or fit.df_warning
-        cps = classify_changepoints(fit, ts.start_date)
-        regions = trend_regions(fit, ts.start_date)
+        cps = classify_changepoints(fit, start_date)
+        regions = trend_regions(fit, start_date)
         cps_by_series[(candidate, metric)] = cps
         series_entries.append(
             {
@@ -412,32 +445,29 @@ def _cmd_report(config: AnalysisConfig) -> int:
             )
 
     lead_lag_entries = []
-    for candidate in sorted(series_map):
+    for candidate, metric in sorted(cps_by_series):
         poll_cps = cps_by_series.get((candidate, POLL_METRIC))
-        if poll_cps is None:
+        if metric == POLL_METRIC or poll_cps is None:
             continue
-        for metric in sorted(series_map[candidate]):
-            if metric == POLL_METRIC or (candidate, metric) not in cps_by_series:
-                continue
-            report = lead_lag(poll_cps, cps_by_series[(candidate, metric)], config.max_gap_days)
-            lead_lag_entries.append(
-                {
-                    "candidate": candidate,
-                    "series_a": POLL_METRIC,
-                    "series_b": metric,
-                    "pairs": [
-                        {
-                            "date_a": p.a.date.isoformat(),
-                            "date_b": p.b.date.isoformat(),
-                            "offset_days": p.offset_days,
-                        }
-                        for p in report.pairs
-                    ],
-                    "unmatched_a": [cp.date.isoformat() for cp in report.unmatched_a],
-                    "unmatched_b": [cp.date.isoformat() for cp in report.unmatched_b],
-                    "median_offset": report.median_offset,
-                }
-            )
+        report = lead_lag(poll_cps, cps_by_series[(candidate, metric)], config.max_gap_days)
+        lead_lag_entries.append(
+            {
+                "candidate": candidate,
+                "series_a": POLL_METRIC,
+                "series_b": metric,
+                "pairs": [
+                    {
+                        "date_a": p.a.date.isoformat(),
+                        "date_b": p.b.date.isoformat(),
+                        "offset_days": p.offset_days,
+                    }
+                    for p in report.pairs
+                ],
+                "unmatched_a": [cp.date.isoformat() for cp in report.unmatched_a],
+                "unmatched_b": [cp.date.isoformat() for cp in report.unmatched_b],
+                "median_offset": report.median_offset,
+            }
+        )
 
     document = {
         "schema_version": store.SCHEMA_VERSION,
@@ -460,17 +490,6 @@ def _cmd_report(config: AnalysisConfig) -> int:
         store.write_store(handle, document)
     print(f"report -> {config.out_dir / 'report.json'}")
     return EXIT_WARNINGS if warnings else EXIT_OK
-
-
-def _refit_from_record(
-    record: dict[str, Any], ts: TimeSeries, settings: SolverSettings
-) -> TrendFit:
-    """Rebuild the TrendFit for a stored record by re-solving at its lambda.
-
-    Solves are deterministic, so this reproduces the recorded fit exactly and
-    keeps the report command independent of any in-memory state.
-    """
-    return solve_tf(ts.values, record["lambda"], settings)
 
 
 # ---------------------------------------------------------------------------

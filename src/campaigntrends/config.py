@@ -18,7 +18,6 @@ Recognized keys::
     normalize     = raw                 # raw | share
     window_days   = 10                  # event alignment window
     max_gap_days  = 14                  # lead/lag pairing gap
-    seed          = 0                   # synthetic-data seed
     out           = out                 # output directory
 """
 
@@ -37,7 +36,7 @@ __all__ = ["AnalysisConfig", "build_config", "load_config_file", "parse_config_l
 _KNOWN_KEYS = {
     "from", "to", "candidates", "committee_map", "fec_files", "poll_csv",
     "events_csv", "df", "df_per_90", "normalize", "window_days",
-    "max_gap_days", "seed", "out", "eps_gap", "max_iter", "tol_knot",
+    "max_gap_days", "out", "eps_gap", "max_iter", "tol_knot",
 }
 
 
@@ -57,7 +56,6 @@ class AnalysisConfig:
     normalize: str = "raw"
     window_days: int = 10
     max_gap_days: int = 14
-    seed: int = 0
     out_dir: Path = Path("out")
     eps_gap: float | None = None
     max_iter: int = 50_000
@@ -171,7 +169,6 @@ def build_config(raw: dict[str, str]) -> AnalysisConfig:
         normalize=raw.get("normalize", "raw"),
         window_days=with_default(parse_opt_int("window_days"), 10),
         max_gap_days=with_default(parse_opt_int("max_gap_days"), 14),
-        seed=with_default(parse_opt_int("seed"), 0),
         out_dir=Path(raw.get("out", "out")),
         eps_gap=parse_opt_float("eps_gap"),
         max_iter=with_default(parse_opt_int("max_iter"), 50_000),

@@ -31,12 +31,11 @@ filtering: df = number of knots + 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded, solveh_banded
-from scipy.optimize import lsq_linear
 
 from .exceptions import InvalidInputError
 
@@ -44,7 +43,6 @@ __all__ = [
     "Segment",
     "SolverSettings",
     "TrendFit",
-    "effective_df",
     "extract_segments",
     "fit_with_target_df",
     "lambda_max",
@@ -282,11 +280,6 @@ def extract_segments(
     return knots, segments
 
 
-def effective_df(fit: TrendFit) -> int:
-    """Effective degrees of freedom of a fit: knots + 2."""
-    return len(fit.knots) + 2
-
-
 def target_df_for_span(n_days: int, df_per_90: float = 12.0) -> int:
     """Degrees-of-freedom budget for a span: max(2, round(rate * n / 90)).
 
@@ -373,19 +366,7 @@ def fit_with_target_df(
 def _flag_df_warning(fit: TrendFit, target_df: int, max_df_seen: int) -> TrendFit:
     if target_df <= max_df_seen:
         return fit
-    return TrendFit(
-        lam=fit.lam,
-        fitted=fit.fitted,
-        knots=fit.knots,
-        segments=fit.segments,
-        df=fit.df,
-        duality_gap=fit.duality_gap,
-        dual=fit.dual,
-        tol_knot=fit.tol_knot,
-        converged=fit.converged,
-        iterations=fit.iterations,
-        df_warning=True,
-    )
+    return replace(fit, df_warning=True)
 
 
 def oracle_solve(y: Sequence[float], lam: float, iters: int) -> np.ndarray:
@@ -409,6 +390,8 @@ def oracle_solve(y: Sequence[float], lam: float, iters: int) -> np.ndarray:
         raise InvalidInputError(f"lambda must be a finite nonnegative real, got {lam}")
     if lam == 0.0:
         return arr.copy()
+    from scipy.optimize import lsq_linear  # only caller; keeps the import off the CLI path
+
     n = arr.shape[0]
     m = n - 2
     dt = np.zeros((n, m))

@@ -1,12 +1,17 @@
+import dataclasses
 import json
 import subprocess
 import sys
+from datetime import date
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from campaigntrends.cli import main
+from campaigntrends import TimeSeries, fit_with_target_df, solve_tf
+from campaigntrends.cli import _fit_from_record, _fit_record, main
 from campaigntrends.store import validate_report
+from conftest import bendy_signal
 
 
 def run_cli(args, **kwargs):
@@ -204,6 +209,99 @@ class TestPipeline:
         flags = base_flags(fixtures_dir, out_dir)
         assert main(["ingest", *flags]) == 0
         assert main(["report", *flags]) == 2
+
+
+class TestReportReadsFits:
+    """report decodes fits.json and never re-solves or reads store.json."""
+
+    def test_df_warnings_reach_report(self, fixtures_dir, tmp_path):
+        # df 48 on a 50-day span is above every df the grid reaches
+        out_dir = tmp_path / "df48"
+        flags = base_flags(fixtures_dir, out_dir) + ["--df", "48"]
+        assert main(["ingest", *flags]) == 0
+        assert main(["fit", *flags]) == 1
+        assert main(["report", *flags]) == 1
+        fits = json.loads((out_dir / "fits.json").read_text())["records"]
+        report = json.loads((out_dir / "report.json").read_text())["series"]
+        assert len(report) == len(fits) == 10
+        for record, entry in zip(fits, report):
+            assert (entry["candidate"], entry["metric"]) == (record["candidate"], record["metric"])
+            assert entry["df"] == record["df"]
+            assert [cp["date"] for cp in entry["changepoints"]] == record["knots"]
+            assert entry["converged"] == record["converged"]
+            assert entry["df_warning"] == record["df_warning"]
+        assert all(record["df_warning"] for record in fits)
+
+    def test_report_without_store_is_unchanged(self, fixtures_dir, tmp_path):
+        out_dir = tmp_path / "no_store"
+        flags = base_flags(fixtures_dir, out_dir)
+        assert main(["ingest", *flags]) == 0
+        assert main(["fit", *flags]) == 0
+        assert main(["report", *flags]) == 0
+        with_store = (out_dir / "report.json").read_bytes()
+        (out_dir / "store.json").unlink()
+        (out_dir / "report.json").unlink()
+        assert main(["report", *flags]) == 0
+        assert (out_dir / "report.json").read_bytes() == with_store
+
+    @pytest.mark.parametrize("target", [12, 80])
+    def test_record_round_trip(self, target):
+        y, _ = bendy_signal(seed=31, n=90, n_knots=10)
+        ts = TimeSeries(date(2019, 6, 1), y, "amount", "ALPHA")
+        fit = fit_with_target_df(ts.values, target)
+        assert fit.df_warning == (target == 80)
+        record = json.loads(json.dumps(_fit_record("ALPHA", "amount", ts, fit, target)))
+        start, back = _fit_from_record(record)
+        assert start == ts.start_date
+        for f in dataclasses.fields(fit):
+            if f.name == "dual":
+                scale = float(np.max(np.abs(fit.dual)))
+                assert float(np.max(np.abs(back.dual - fit.dual))) <= 1e-8 * scale
+            elif f.name == "fitted":
+                assert np.array_equal(back.fitted, fit.fitted)
+            else:
+                assert getattr(back, f.name) == getattr(fit, f.name), f.name
+
+    def test_record_round_trip_keeps_solver_state(self):
+        y, _ = bendy_signal(seed=32, n=40, n_knots=3)
+        ts = TimeSeries(date(2019, 6, 1), y)
+        fit = dataclasses.replace(solve_tf(y, 0.5), converged=False, iterations=123)
+        _, back = _fit_from_record(json.loads(json.dumps(_fit_record("A", "m", ts, fit, 5))))
+        assert (back.converged, back.iterations, back.tol_knot) == (False, 123, fit.tol_knot)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda r: r.pop("df"),
+            lambda r: r.pop("tol_knot"),
+            lambda r: r.update(start_date="2019-13-01"),
+            lambda r: r.update(knots=["not a date"]),
+        ],
+        ids=["missing-df", "missing-tol_knot", "bad-start-date", "bad-knot-date"],
+    )
+    def test_malformed_record_exit_2(self, fixtures_dir, tmp_path, capsys, damage):
+        out_dir = tmp_path / "damaged"
+        flags = base_flags(fixtures_dir, out_dir)
+        assert main(["ingest", *flags]) == 0
+        assert main(["fit", *flags]) == 0
+        fits_path = out_dir / "fits.json"
+        fits = json.loads(fits_path.read_text())
+        damage(fits["records"][3])
+        fits_path.write_text(json.dumps(fits))
+        capsys.readouterr()
+        assert main(["report", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed fit record")
+        assert not (out_dir / "report.json").exists()
+
+    def test_cli_import_skips_scipy_optimize(self):
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, campaigntrends.cli; print('scipy.optimize' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 class TestWarningPaths:

@@ -64,7 +64,6 @@ class TestBuildConfig:
                 normalize="share",
                 window_days="5",
                 max_gap_days="21",
-                seed="3",
                 out="results",
             )
         )
@@ -72,7 +71,6 @@ class TestBuildConfig:
         assert config.df == 8
         assert config.normalize == "share"
         assert config.window_days == 5
-        assert config.seed == 3
         assert config.out_dir == Path("results")
 
     def test_reversed_range_rejected(self):

@@ -6,7 +6,6 @@ import pytest
 from campaigntrends import (
     InvalidInputError,
     SolverSettings,
-    effective_df,
     extract_segments,
     fit_with_target_df,
     lambda_max,
@@ -190,21 +189,21 @@ class TestExtractSegments:
 class TestEffectiveDf:
     def test_straight_line_has_df_two(self):
         fit = solve_tf([1.0, 2.0, 3.0, 4.0], 5.0)
-        assert effective_df(fit) == 2
+        assert fit.df == 2
 
     def test_one_bend_has_df_three(self):
         fit = solve_tf([0.0, 1.0, 0.0], 0.1)
-        assert effective_df(fit) == 3
+        assert fit.df == 3
 
     def test_ten_bends_have_df_twelve(self):
         y, _ = bendy_signal(seed=400, n=90, n_knots=10, noise_frac=0.0)
         fit = fit_with_target_df(y, 12)
-        assert effective_df(fit) == 12
+        assert fit.df == 12
 
     def test_equals_knots_plus_two_generally(self):
         for y, lam in random_panel(seed=303, count=20):
             fit = solve_tf(y, lam)
-            assert effective_df(fit) == len(fit.knots) + 2 == fit.df
+            assert fit.df == len(fit.knots) + 2
 
 
 class TestTargetDfForSpan:
