@@ -49,7 +49,7 @@ from .fec import (
 )
 from .polls import PollPoint, load_poll_series
 from .synth import piecewise_linear, synth_values
-from .timeseries import DateRange, FillPolicy, TimeSeries, resample_daily, restrict
+from .timeseries import DateRange, FillPolicy, TimeSeries, resample_daily
 from .trendfilter import (
     Segment,
     SolverSettings,
@@ -113,7 +113,6 @@ __all__ = [
     "oracle_solve",
     "piecewise_linear",
     "resample_daily",
-    "restrict",
     "second_difference",
     "solve_tf",
     "synth_values",

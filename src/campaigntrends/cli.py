@@ -378,6 +378,20 @@ def _cmd_report(config: AnalysisConfig) -> int:
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise CampaignTrendsError(f"malformed fit record in {fits_path}: {exc!r}") from None
+    spans = sorted(
+        {(start, start + timedelta(days=len(fit.fitted) - 1)) for _, _, start, fit in decoded}
+    )
+    if spans != [(config.date_from, config.date_to)]:
+        shown = ", ".join(f"{first}..{last}" for first, last in spans)
+        raise CampaignTrendsError(
+            f"fits cover {shown}; re-run fit or pass --from and --to to match"
+        )
+    fitted = sorted({candidate for candidate, *_ in decoded})
+    if fitted != sorted(set(config.candidates)):
+        raise CampaignTrendsError(
+            f"fits were produced for candidates {','.join(fitted)}; "
+            f"re-run fit or pass --candidates {','.join(fitted)}"
+        )
 
     warnings = False
     series_entries = []

@@ -19,7 +19,6 @@ from .exceptions import (
     DuplicateDateError,
     EmptyInputError,
     InvalidValueError,
-    MissingDayError,
     RangeTooNarrowError,
 )
 
@@ -28,7 +27,6 @@ __all__ = [
     "FillPolicy",
     "TimeSeries",
     "resample_daily",
-    "restrict",
 ]
 
 
@@ -53,13 +51,6 @@ class DateRange:
         for i in range(len(self)):
             yield self.start + timedelta(days=i)
 
-    def intersect(self, other: "DateRange") -> "DateRange | None":
-        start = max(self.start, other.start)
-        end = min(self.end, other.end)
-        if start > end:
-            return None
-        return DateRange(start, end)
-
 
 class FillPolicy(Enum):
     """How to fill days with no observation when building a daily grid.
@@ -67,12 +58,11 @@ class FillPolicy(Enum):
     ZERO inserts 0.0 (no recorded activity means none happened, the donation
     reading). INTERPOLATE draws a straight line between the nearest observed
     neighbours and extends the first/last observation flat at the edges (the
-    poll reading). STRICT refuses to fill and raises instead.
+    poll reading).
     """
 
     ZERO = "zero"
     INTERPOLATE = "interpolate"
-    STRICT = "strict"
 
 
 @dataclass(frozen=True)
@@ -150,7 +140,6 @@ def resample_daily(
         EmptyInputError: no points were given.
         DuplicateDateError: two points share a date.
         InvalidValueError: a point lies outside the range.
-        MissingDayError: a day is missing under ``FillPolicy.STRICT``.
         RangeTooNarrowError: the range spans fewer than 3 days.
     """
     pts = sorted(points)
@@ -169,12 +158,7 @@ def resample_daily(
         observed[idx] = value
 
     missing = np.isnan(observed)
-    if fill is FillPolicy.STRICT:
-        if missing.any():
-            first = range_.start + timedelta(days=int(np.flatnonzero(missing)[0]))
-            raise MissingDayError(f"no observation for {first} under STRICT fill")
-        values = observed
-    elif fill is FillPolicy.ZERO:
+    if fill is FillPolicy.ZERO:
         values = np.where(missing, 0.0, observed)
     else:
         obs_idx = np.flatnonzero(~missing)
@@ -182,21 +166,3 @@ def resample_daily(
 
     return TimeSeries(range_.start, values, label=label, candidate=candidate)
 
-
-def restrict(ts: TimeSeries, range_: DateRange) -> TimeSeries:
-    """Cut a series down to the intersection of its span with ``range_``.
-
-    Raises RangeTooNarrowError when the intersection is empty or shorter
-    than 3 days.
-    """
-    overlap = ts.range.intersect(range_)
-    if overlap is None or len(overlap) < 3:
-        raise RangeTooNarrowError(
-            f"restricting {ts.start_date}..{ts.end_date} to "
-            f"{range_.start}..{range_.end} leaves fewer than 3 days"
-        )
-    lo = (overlap.start - ts.start_date).days
-    hi = lo + len(overlap)
-    return TimeSeries(
-        overlap.start, ts.values[lo:hi], label=ts.label, candidate=ts.candidate
-    )

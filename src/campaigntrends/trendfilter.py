@@ -20,9 +20,10 @@ returned fit carries the duality-gap certificate
     gap(u) = lam * ||D theta||_1 - u . (D theta)  >= 0,
 
 which vanishes exactly at the optimum. Strategy: closed-form branches for
-lam = 0 and lam >= lambda_max, then a primal-dual active-set iteration
-(each round one banded solve, exact when it verifies), then an ADMM fallback
-with periodic active-set retries until the gap certificate meets tolerance.
+lam = 0 and lam >= lambda_max, otherwise block principal pivoting over a
+free/upper/lower partition of the dual coordinates (each round one banded
+solve, exact when the KKT conditions verify), handing over to an active-set
+iteration that keeps the dual inside the box when the block flips stall.
 
 Degrees of freedom follow the standard unbiased estimate for order-1 trend
 filtering: df = number of knots + 2.
@@ -30,12 +31,11 @@ filtering: df = number of knots + 2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, solveh_banded
+from scipy.linalg import solveh_banded
 
 from .exceptions import InvalidInputError
 
@@ -56,6 +56,10 @@ __all__ = [
 # [1e-4 * lambda_max, lambda_max], lambda_max always included.
 _GRID_SIZE = 200
 _GRID_SPAN = 1e-4
+
+# Block pivoting rounds without a new minimum of infeasible coordinates
+# before the dual solver hands over to _feasible_active_set.
+_PIVOT_PATIENCE = 10
 
 # ---------------------------------------------------------------------------
 # Second-difference operator primitives
@@ -118,24 +122,6 @@ def _gram_submatrix_banded(idx: np.ndarray) -> np.ndarray:
     return ab
 
 
-def _fit_penalty_system(n: int, rho: float) -> np.ndarray:
-    """Upper banded storage of I + rho * D^T D for cholesky_banded.
-
-    The D^T D bands follow from correlating the [1, -2, 1] stencil with
-    itself over the m = n - 2 rows, which handles every boundary (including
-    n = 3 and n = 4) without special cases.
-    """
-    ones = np.ones(n - 2)
-    d0 = np.convolve(ones, [1.0, 4.0, 1.0])
-    d1 = np.convolve(ones, [-2.0, -2.0])
-    d2 = ones
-    ab = np.zeros((3, n))
-    ab[0, 2:] = rho * d2
-    ab[1, 1:] = rho * d1
-    ab[2, :] = 1.0 + rho * d0
-    return ab
-
-
 # ---------------------------------------------------------------------------
 # Results and settings
 # ---------------------------------------------------------------------------
@@ -156,6 +142,7 @@ class SolverSettings:
     ``eps_gap`` and ``tol_knot`` default to None, meaning scale-derived
     values resolved per input series: eps_gap = 1e-8 * 0.5 * ||y||^2 and
     tol_knot = 1e-6 * (max(y) - min(y)). Explicit values must be positive.
+    ``max_iter`` caps the pivoting rounds of each dual solve.
     """
 
     eps_gap: float | None = None
@@ -195,10 +182,12 @@ class TrendFit:
         duality_gap: Certificate value at the returned solution.
         dual: Dual vector u, |u_j| <= lam, with fitted = y - D^T u.
         tol_knot: Knot threshold used to read bends off the fit.
-        converged: False when the iteration cap was hit before the gap
-            tolerance; the fit then holds the best certified iterate.
-        iterations: Fallback iterations spent (0 for closed-form/active-set
-            solves).
+        converged: False when the solve hit SolverSettings.max_iter
+            pivoting rounds before its KKT conditions verified, or its gap
+            exceeds the tolerance; the fit then holds the box-clipped last
+            iterate and its gap.
+        iterations: Pivoting rounds the solve spent (0 for the closed-form
+            branches lam = 0 and lam >= lambda_max).
         df_warning: Set by fit_with_target_df when the requested df exceeded
             every df achievable on its grid.
     """
@@ -299,8 +288,8 @@ def solve_tf(
     """Solve the trend-filter problem at one penalty weight.
 
     Returns a TrendFit whose duality gap is at or below the resolved
-    eps_gap whenever ``converged`` is True. When the iteration cap is hit
-    first, the best certified iterate is returned with converged=False.
+    eps_gap whenever ``converged`` is True. When the round cap is hit
+    first, the box-clipped last iterate is returned with converged=False.
     """
     arr = _validate_series(y)
     if not (np.isfinite(lam) and lam >= 0):
@@ -426,10 +415,10 @@ def _solve_dual(
     y: np.ndarray,
     lam: float,
     eps_gap: float,
-    max_iter: int,
+    max_rounds: int,
     u_warm: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, int, bool]:
-    """Return (u, gap, fallback_iterations, converged) for one penalty."""
+    """Return (u, gap, pivoting_rounds, converged) for one penalty."""
     n = y.shape[0]
     m = n - 2
     if lam == 0.0:
@@ -439,107 +428,110 @@ def _solve_dual(
         _, gap = _gap_value(y, lam, u_free)
         return u_free, max(gap, 0.0), 0, True
 
-    start = np.clip(u_warm if u_warm is not None else u_free, -lam, lam)
-    u = _active_set_solve(y, lam, start)
-    if u is None and u_warm is not None:
-        # a stale warm start can trap the active-set iteration; retry cold
-        u = _active_set_solve(y, lam, np.clip(u_free, -lam, lam))
-    if u is not None:
-        _, gap = _gap_value(y, lam, u)
-        if gap <= eps_gap:
-            return u, max(gap, 0.0), 0, True
+    start = u_warm if u_warm is not None else u_free
+    u, rounds, kkt = _active_set_solve(y, lam, start, max_rounds)
+    _, gap = _gap_value(y, lam, u)
+    return u, max(gap, 0.0), rounds, kkt and gap <= eps_gap
 
-    return _admm_with_retries(y, lam, eps_gap, max_iter, start)
+
+def _pinned_solve(
+    dy: np.ndarray, lam: float, upper: np.ndarray, lower: np.ndarray
+) -> np.ndarray:
+    """Pin the upper/lower coordinates at +-lam and solve the free block exactly."""
+    u = np.where(upper, lam, np.where(lower, -lam, 0.0))
+    free = np.flatnonzero(~(upper | lower))
+    if free.size:
+        rhs = dy[free] - _gram_apply(u)[free]
+        u[free] = solveh_banded(_gram_submatrix_banded(free), rhs, lower=True)
+    return u
 
 
 def _active_set_solve(
-    y: np.ndarray, lam: float, u0: np.ndarray, max_rounds: int | None = None
-) -> np.ndarray | None:
-    """Primal-dual active-set iteration on the dual box problem.
+    y: np.ndarray, lam: float, u0: np.ndarray, max_rounds: int
+) -> tuple[np.ndarray, int, bool]:
+    """Block principal pivoting on the dual box problem.
 
-    Each round pins the coordinates predicted to sit on a bound, solves the
-    free block of the pentadiagonal system exactly, and re-reads the
-    multiplier estimate mu = D y - D D^T u (which equals D theta). Stops as
-    soon as the KKT conditions verify; returns None on a cycle or when the
-    round budget runs out.
+    The first free/upper/lower partition is read off ``u0``. Each round
+    solves the free block with the bound coordinates pinned at +-lam and
+    re-reads mu = D y - D D^T u (which equals D theta). Every infeasible
+    coordinate (free and outside the box, or bound with mu of the wrong
+    sign) flips: free to the bound it crossed, bound to free. D D^T is not
+    an M-matrix, so block flips can cycle; after _PIVOT_PATIENCE rounds
+    without a new minimum of the infeasible count the solve continues in
+    _feasible_active_set. (Judice & Pires, Comput. Oper. Res. 1994, back the
+    block flips with single highest-index flips instead; on integer count
+    series those took tens of thousands of rounds.)
+
+    Returns (u, rounds, kkt_verified) with u box-clipped.
     """
-    m = u0.shape[0]
-    if max_rounds is None:
-        max_rounds = 60 + m // 4
     dy = second_difference(y)
     u = np.clip(u0, -lam, lam)
-    mu = dy - _gram_apply(u)
+    indicator = u + dy - _gram_apply(u)
+    upper = indicator > lam
+    lower = indicator < -lam
     tol = 1e-11 * max(1.0, lam)
-    seen: set[bytes] = set()
-    for _ in range(max_rounds):
-        indicator = u + mu
-        upper = indicator > lam
-        lower = indicator < -lam
-        key = np.packbits(np.concatenate([upper, lower])).tobytes()
-        if key in seen:
-            return None
-        seen.add(key)
-        u = np.where(upper, lam, np.where(lower, -lam, 0.0))
-        free = np.flatnonzero(~(upper | lower))
-        if free.size:
-            rhs = dy[free] - _gram_apply(u)[free]
-            u[free] = solveh_banded(_gram_submatrix_banded(free), rhs, lower=True)
+    bound = lam * (1 + 1e-12)
+    best = u.shape[0] + 1
+    patience = _PIVOT_PATIENCE
+    for rounds in range(1, max_rounds + 1):
+        u = _pinned_solve(dy, lam, upper, lower)
         mu = dy - _gram_apply(u)
-        feasible = not free.size or float(np.max(np.abs(u[free]))) <= lam * (1 + 1e-12)
-        if (
-            feasible
-            and not np.any(mu[upper] < -tol)
-            and not np.any(mu[lower] > tol)
-        ):
-            return np.clip(u, -lam, lam)
-    return None
+        over = u > bound
+        under = u < -bound
+        infeasible = over | under | (upper & (mu < -tol)) | (lower & (mu > tol))
+        count = int(np.count_nonzero(infeasible))
+        if count == 0:
+            return np.clip(u, -lam, lam), rounds, True
+        if count < best:
+            best, patience = count, _PIVOT_PATIENCE
+        elif patience:
+            patience -= 1
+        else:
+            u, more, verified = _feasible_active_set(
+                dy, lam, np.clip(u, -lam, lam), tol, bound, max_rounds - rounds
+            )
+            return u, rounds + more, verified
+        upper = (upper & ~infeasible) | over
+        lower = (lower & ~infeasible) | under
+    return np.clip(u, -lam, lam), max_rounds, False
 
 
-def _admm_with_retries(
-    y: np.ndarray,
-    lam: float,
-    eps_gap: float,
-    max_iter: int,
-    u0: np.ndarray,
-) -> tuple[np.ndarray, float, int, bool]:
-    """Fallback: ADMM on the primal with periodic active-set retries.
+def _feasible_active_set(
+    dy: np.ndarray, lam: float, u: np.ndarray, tol: float, bound: float, max_rounds: int
+) -> tuple[np.ndarray, int, bool]:
+    """Active-set iteration that keeps ``u`` inside the box.
 
-    Splitting min 0.5||y - theta||^2 + lam ||z||_1 over D theta = z with
-    penalty rho = lam; the scaled dual rho * w converges to the dual optimum,
-    so each burst ends with an exactness attempt from the current estimate
-    and a gap-certificate check. Deterministic for fixed inputs.
+    Each round solves the free block with the bound coordinates pinned. A
+    solution outside the box is approached only up to the first bound it
+    crosses, which pins the coordinates that reach it; a solution inside is
+    taken, and every bound coordinate with mu of the wrong sign is freed.
+    The dual objective never rises and falls strictly at each freeing, so
+    no partition repeats short of exact degeneracy.
     """
-    n = y.shape[0]
-    rho = lam
-    factor = cholesky_banded(_fit_penalty_system(n, rho))
-    u = np.clip(u0, -lam, lam)
-    w = u / rho
-    z = second_difference(y - _dt_apply(u, n))
-    iterations = 0
-    burst = 50
-    best_u = u
-    best_gap = math.inf
-    while iterations < max_iter:
-        for _ in range(min(burst, max_iter - iterations)):
-            theta = cho_solve_banded((factor, False), y + rho * _dt_apply(z - w, n))
-            v = second_difference(theta) + w
-            z = np.sign(v) * np.maximum(np.abs(v) - lam / rho, 0.0)
-            w = v - z
-            iterations += 1
-        u = np.clip(rho * w, -lam, lam)
-        exact = _active_set_solve(y, lam, u, max_rounds=40)
-        if exact is not None:
-            _, gap = _gap_value(y, lam, exact)
-            if gap <= eps_gap:
-                return exact, max(gap, 0.0), iterations, True
-        _, gap = _gap_value(y, lam, u)
-        if gap < best_gap:
-            best_gap = gap
-            best_u = u
-        if gap <= eps_gap:
-            return u, max(gap, 0.0), iterations, True
-        burst = min(burst * 2, 2_000)
-    return best_u, max(best_gap, 0.0), iterations, False
+    upper = u >= lam
+    lower = u <= -lam
+    for rounds in range(1, max_rounds + 1):
+        target = _pinned_solve(dy, lam, upper, lower)
+        out = np.flatnonzero(np.abs(target) > bound)
+        if out.size:
+            step = target - u
+            reach = (np.sign(target[out]) * lam - u[out]) / step[out]
+            alpha = max(float(np.min(reach)), 0.0)
+            hit = out[reach <= alpha]
+            u = u + alpha * step
+            upper[hit[target[hit] > 0]] = True
+            lower[hit[target[hit] < 0]] = True
+            u[upper] = lam
+            u[lower] = -lam
+            continue
+        u = target
+        mu = dy - _gram_apply(u)
+        release = (upper & (mu < -tol)) | (lower & (mu > tol))
+        if not release.any():
+            return np.clip(u, -lam, lam), rounds, True
+        upper &= ~release
+        lower &= ~release
+    return np.clip(u, -lam, lam), max_rounds, False
 
 
 def _build_fit(

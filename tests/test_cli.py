@@ -204,6 +204,25 @@ class TestPipeline:
         assert main(["fit", *flags]) == 0
         assert main(["report", *flags, "--normalize", "share"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--from", "2019-06-02"],
+            ["--to", "2019-07-19"],
+            ["--from", "2018-01-01", "--to", "2018-02-01", "--candidates", "ZULU"],
+            ["--candidates", "ALPHA"],
+            ["--candidates", "ALPHA,BRAVO,ZULU"],
+        ],
+        ids=["from", "to", "range-and-candidates", "fewer-candidates", "more-candidates"],
+    )
+    def test_report_flag_mismatch_exit_2(self, pipeline, fixtures_dir, capsys, flags):
+        out_dir, _ = pipeline
+        before = (out_dir / "report.json").read_bytes()
+        capsys.readouterr()
+        assert main(["report", *base_flags(fixtures_dir, out_dir), *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: fits ")
+        assert (out_dir / "report.json").read_bytes() == before
+
     def test_report_without_fits_exit_2(self, fixtures_dir, tmp_path):
         out_dir = tmp_path / "only_store"
         flags = base_flags(fixtures_dir, out_dir)

@@ -11,11 +11,9 @@ from campaigntrends import (
     EmptyInputError,
     FillPolicy,
     InvalidValueError,
-    MissingDayError,
     RangeTooNarrowError,
     TimeSeries,
     resample_daily,
-    restrict,
 )
 
 D0 = date(2019, 6, 1)
@@ -35,13 +33,6 @@ class TestDateRange:
     def test_reversed_range_rejected(self):
         with pytest.raises(InvalidValueError):
             DateRange(D0, D0 - timedelta(days=1))
-
-    def test_intersect(self):
-        a = DateRange(D0, D0 + timedelta(days=10))
-        b = DateRange(D0 + timedelta(days=5), D0 + timedelta(days=20))
-        assert a.intersect(b) == DateRange(D0 + timedelta(days=5), D0 + timedelta(days=10))
-        c = DateRange(D0 + timedelta(days=11), D0 + timedelta(days=12))
-        assert a.intersect(c) is None
 
 
 class TestTimeSeries:
@@ -83,11 +74,6 @@ class TestResampleDaily:
         pts = [(D0 + timedelta(days=1), 2.0), (D0 + timedelta(days=3), 6.0)]
         ts = resample_daily(pts, r, FillPolicy.INTERPOLATE)
         assert list(ts.values) == [2.0, 2.0, 4.0, 6.0, 6.0]
-
-    def test_strict_raises_on_gap(self):
-        r = DateRange(D0, D0 + timedelta(days=1))
-        with pytest.raises(MissingDayError):
-            resample_daily([(D0, 1.0)], r, FillPolicy.STRICT)
 
     def test_duplicate_date_rejected(self):
         r = DateRange(D0, D0 + timedelta(days=2))
@@ -136,52 +122,3 @@ class TestResampleDaily:
         for day, value in pts:
             assert ts.values[(day - D0).days] == value
 
-
-class TestRestrict:
-    def make(self, n=10):
-        return TimeSeries(D0, np.arange(n, dtype=float), label="m", candidate="c")
-
-    def test_identity_on_full_range(self):
-        ts = self.make()
-        out = restrict(ts, ts.range)
-        assert out.start_date == ts.start_date
-        assert np.array_equal(out.values, ts.values)
-
-    def test_interior_window(self):
-        ts = self.make()
-        r = DateRange(D0 + timedelta(days=2), D0 + timedelta(days=5))
-        out = restrict(ts, r)
-        assert out.start_date == D0 + timedelta(days=2)
-        assert list(out.values) == [2.0, 3.0, 4.0, 5.0]
-        assert out.label == "m" and out.candidate == "c"
-
-    def test_disjoint_range_rejected(self):
-        ts = self.make()
-        r = DateRange(D0 + timedelta(days=30), D0 + timedelta(days=40))
-        with pytest.raises(RangeTooNarrowError):
-            restrict(ts, r)
-
-    def test_too_short_overlap_rejected(self):
-        ts = self.make()
-        r = DateRange(D0 + timedelta(days=8), D0 + timedelta(days=40))
-        with pytest.raises(RangeTooNarrowError):
-            restrict(ts, r)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        a1=st.integers(0, 15), b1=st.integers(0, 15),
-        a2=st.integers(0, 15), b2=st.integers(0, 15),
-    )
-    def test_restrict_composes_like_intersection(self, a1, b1, a2, b2):
-        ts = self.make(16)
-        r1 = DateRange(D0 + timedelta(days=min(a1, b1)), D0 + timedelta(days=max(a1, b1)))
-        r2 = DateRange(D0 + timedelta(days=min(a2, b2)), D0 + timedelta(days=max(a2, b2)))
-        both = r1.intersect(r2)
-        try:
-            nested = restrict(restrict(ts, r1), r2)
-        except RangeTooNarrowError:
-            assert both is None or len(both) < 3 or r1.intersect(ts.range) is None or len(r1.intersect(ts.range)) < 3
-            return
-        direct = restrict(ts, both)
-        assert nested.start_date == direct.start_date
-        assert np.array_equal(nested.values, direct.values)

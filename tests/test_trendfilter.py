@@ -14,6 +14,7 @@ from campaigntrends import (
     solve_tf,
     target_df_for_span,
 )
+from campaigntrends.trendfilter import _active_set_solve
 from conftest import bendy_signal, random_panel
 
 
@@ -111,17 +112,67 @@ class TestSolveTf:
             assert scaled.knots == base.knots
             assert np.max(np.abs(scaled.fitted - c * base.fitted)) <= 1e-6 * c
 
+    def test_dual_solver_terminates_from_any_start(self):
+        # block flips alone cycle from some of these starts; the box-feasible
+        # backup must finish each in few rounds at the unique optimum
+        rng = np.random.default_rng(11)
+        for trial in range(40):
+            n = int(rng.integers(5, 301))
+            y = rng.uniform(0, 10, n) if trial % 2 else rng.poisson(2, n).astype(float)
+            lam = float(rng.uniform(0.001, 0.99)) * lambda_max(y)
+            u0 = rng.choice([-1.0, 0.0, 1.0], n - 2) * lam * rng.uniform(0.5, 3.0)
+            u, rounds, verified = _active_set_solve(y, lam, u0, 50_000)
+            assert verified and rounds <= 1_000, (trial, rounds)
+            assert np.max(np.abs(u - solve_tf(y, lam).dual)) <= 1e-6 * lam
+
     def test_nonconvergence_returns_flagged_best_iterate(self):
-        # tiny iteration cap with a tolerance far below reach
+        # a case that needs several pivoting rounds, capped at one
         rng = np.random.default_rng(3)
         y = rng.uniform(0, 10, 40)
         lam = 0.3 * lambda_max(y)
-        settings = SolverSettings(eps_gap=1e-300, max_iter=10)
-        fit = solve_tf(y, lam, settings)
+        assert solve_tf(y, lam).iterations > 1
+        fit = solve_tf(y, lam, SolverSettings(max_iter=1))
         assert not fit.converged
-        assert fit.iterations == 10
+        assert fit.iterations == 1
         assert fit.duality_gap > 0.0
         assert np.all(np.isfinite(fit.fitted))
+        assert np.all(np.abs(fit.dual) <= lam)
+
+
+def degenerate_panel():
+    """Seeded series in the shapes the pipeline fits: counts, zero runs,
+    spikes, near-linear polls, round dollar amounts and the shortest spans."""
+    rng = np.random.default_rng(2024)
+    zero_runs = rng.poisson(2.0, 45).astype(float)
+    zero_runs[5:20] = 0.0
+    zero_runs[30:42] = 0.0
+    spike = rng.poisson(1.0, 30).astype(float)
+    spike[17] += 400.0
+    return {
+        "poisson": rng.poisson(3.0, 40).astype(float),
+        "zero_runs": zero_runs,
+        "spike": spike,
+        "near_linear": 3.0 + 0.25 * np.arange(35) + 1e-3 * rng.standard_normal(35),
+        "multiples_of_2500": 2500.0 * rng.integers(0, 5, 40),
+        "n3": np.array([2.0, 0.0, 5.0]),
+        "n4": np.array([0.0, 2500.0, 0.0, 0.0]),
+    }
+
+
+class TestDegenerateShapes:
+    @pytest.mark.parametrize("shape", sorted(degenerate_panel()))
+    def test_converges_and_matches_oracle(self, shape):
+        y = degenerate_panel()[shape]
+        eps = SolverSettings().resolve_eps_gap(y)
+        lam_hi = lambda_max(y)
+        assert lam_hi > 0.0
+        for frac in (0.01, 0.1, 0.5, 0.99):
+            lam = frac * lam_hi
+            fit = solve_tf(y, lam)
+            assert fit.converged, (shape, frac)
+            assert 0.0 <= fit.duality_gap <= eps, (shape, frac)
+            out = oracle_solve(y, lam, 20_000)
+            assert np.max(np.abs(fit.fitted - out)) <= 1e-4 * np.ptp(y), (shape, frac)
 
 
 class TestLambdaMax:
