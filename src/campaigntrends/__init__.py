@@ -26,7 +26,6 @@ from .config import AnalysisConfig
 from .exceptions import (
     CampaignTrendsError,
     DuplicateDateError,
-    EmptyInputError,
     GridMismatchError,
     InvalidInputError,
     InvalidValueError,
@@ -49,10 +48,9 @@ from .fec import (
 )
 from .polls import PollPoint, load_poll_series
 from .synth import piecewise_linear, synth_values
-from .timeseries import DateRange, FillPolicy, TimeSeries, resample_daily
+from .timeseries import DateRange, TimeSeries
 from .trendfilter import (
     Segment,
-    SolverSettings,
     TrendFit,
     extract_segments,
     fit_with_target_df,
@@ -76,11 +74,9 @@ __all__ = [
     "DonationRecord",
     "DonorKey",
     "DuplicateDateError",
-    "EmptyInputError",
     "EventAlignment",
     "EventMatch",
     "FEC_BULK_COLUMNS",
-    "FillPolicy",
     "GridMismatchError",
     "IngestCounters",
     "InvalidInputError",
@@ -93,7 +89,6 @@ __all__ = [
     "RangeTooNarrowError",
     "Segment",
     "ShareResult",
-    "SolverSettings",
     "TimeSeries",
     "TrendFit",
     "TrendRegions",
@@ -112,7 +107,6 @@ __all__ = [
     "normalize_share",
     "oracle_solve",
     "piecewise_linear",
-    "resample_daily",
     "second_difference",
     "solve_tf",
     "synth_values",

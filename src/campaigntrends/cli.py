@@ -37,7 +37,6 @@ from .exceptions import CampaignTrendsError
 from .timeseries import TimeSeries
 from .trendfilter import (
     Segment,
-    SolverSettings,
     TrendFit,
     _unconstrained_dual,
     fit_with_target_df,
@@ -166,15 +165,19 @@ def _cmd_ingest(config: AnalysisConfig) -> int:
                 if acc is not None:
                     acc.add(record)
 
+    poll_lines: list[str] | None = None
+    if config.poll_csv is not None:
+        with open(config.poll_csv, encoding="utf-8") as handle:
+            poll_lines = handle.readlines()
+
     series: dict[str, dict[str, Any]] = {}
     for candidate in config.candidates:
         metrics = accumulators[candidate].finalize(config.range)
         series[candidate] = {
             label: store.series_to_json(ts) for label, ts in metrics.series().items()
         }
-        if config.poll_csv is not None:
-            with open(config.poll_csv, encoding="utf-8") as handle:
-                poll = polls.load_poll_series(handle, candidate, config.range)
+        if poll_lines is not None:
+            poll = polls.load_poll_series(poll_lines, candidate, config.range)
             series[candidate][POLL_METRIC] = store.series_to_json(poll)
 
     document = {
@@ -213,11 +216,24 @@ def _cmd_ingest(config: AnalysisConfig) -> int:
 
 
 def _load_series_map(config: AnalysisConfig) -> dict[str, dict[str, TimeSeries]]:
+    """Read store.json's series after checking its range and candidates match the flags."""
     path = config.out_dir / "store.json"
     if not path.exists():
         raise CampaignTrendsError(f"store not found: {path} (run ingest first)")
     with open(path, encoding="utf-8") as handle:
         document = store.read_store(handle)
+    span = document["range"]
+    if (span["from"], span["to"]) != (config.date_from.isoformat(), config.date_to.isoformat()):
+        raise CampaignTrendsError(
+            f"store covers {span['from']}..{span['to']}; "
+            "re-run ingest or pass --from and --to to match"
+        )
+    held = sorted(set(document["candidates"]))
+    if held != sorted(set(config.candidates)):
+        raise CampaignTrendsError(
+            f"store holds candidates {','.join(held)}; "
+            f"re-run ingest or pass --candidates {','.join(held)}"
+        )
     out: dict[str, dict[str, TimeSeries]] = {}
     for candidate, metrics in document["series"].items():
         out[candidate] = {
@@ -252,9 +268,6 @@ def _cmd_fit(config: AnalysisConfig) -> int:
     series_map = _load_series_map(config)
     if config.normalize == "share":
         series_map = _share_normalized(series_map)
-    settings = SolverSettings(
-        eps_gap=config.eps_gap, max_iter=config.max_iter, tol_knot=config.tol_knot
-    )
     records = []
     long_rows = []
     warnings = False
@@ -264,7 +277,7 @@ def _cmd_fit(config: AnalysisConfig) -> int:
             target = config.df if config.df is not None else target_df_for_span(
                 len(ts), config.df_per_90
             )
-            fit = fit_with_target_df(ts.values, target, settings)
+            fit = fit_with_target_df(ts.values, target)
             warnings = warnings or not fit.converged or fit.df_warning
             records.append(_fit_record(candidate, metric, ts, fit, target))
             for i, day in enumerate(ts.dates()):

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Iterable
+from typing import Any, Iterable
 
 from .exceptions import InvalidValueError
 from .timeseries import DateRange
@@ -36,7 +36,7 @@ __all__ = ["AnalysisConfig", "build_config", "load_config_file", "parse_config_l
 _KNOWN_KEYS = {
     "from", "to", "candidates", "committee_map", "fec_files", "poll_csv",
     "events_csv", "df", "df_per_90", "normalize", "window_days",
-    "max_gap_days", "out", "eps_gap", "max_iter", "tol_knot",
+    "max_gap_days", "out",
 }
 
 
@@ -57,9 +57,6 @@ class AnalysisConfig:
     window_days: int = 10
     max_gap_days: int = 14
     out_dir: Path = Path("out")
-    eps_gap: float | None = None
-    max_iter: int = 50_000
-    tol_knot: float | None = None
 
     def __post_init__(self) -> None:
         if self.date_from > self.date_to:
@@ -137,40 +134,33 @@ def build_config(raw: dict[str, str]) -> AnalysisConfig:
     def parse_list(value: str) -> tuple[str, ...]:
         return tuple(item.strip() for item in value.split(",") if item.strip())
 
-    def parse_opt_int(key: str) -> int | None:
-        if key not in raw or raw[key] == "":
-            return None
+    def parse_number(key: str, kind: type) -> int | float:
         try:
-            return int(raw[key])
+            return kind(raw[key])
         except ValueError:
-            raise InvalidValueError(f"config {key!r}: bad integer {raw[key]!r}") from None
+            noun = "integer" if kind is int else "number"
+            raise InvalidValueError(f"config {key!r}: bad {noun} {raw[key]!r}") from None
 
-    def parse_opt_float(key: str) -> float | None:
-        if key not in raw or raw[key] == "":
-            return None
-        try:
-            return float(raw[key])
-        except ValueError:
-            raise InvalidValueError(f"config {key!r}: bad number {raw[key]!r}") from None
-
-    def with_default(value, default):
-        return default if value is None else value
-
+    # Only keys given a value are passed; AnalysisConfig holds the defaults.
+    optional: dict[str, Any] = {
+        key: parse_number(key, kind)
+        for key, kind in (
+            ("df", int), ("df_per_90", float), ("window_days", int), ("max_gap_days", int)
+        )
+        if raw.get(key)
+    }
+    for key in ("committee_map", "poll_csv", "events_csv"):
+        if raw.get(key):
+            optional[key] = Path(raw[key])
+    if raw.get("fec_files"):
+        optional["fec_files"] = tuple(Path(p) for p in parse_list(raw["fec_files"]))
+    if "normalize" in raw:
+        optional["normalize"] = raw["normalize"]
+    if "out" in raw:
+        optional["out_dir"] = Path(raw["out"])
     return AnalysisConfig(
         date_from=parse_date("from"),
         date_to=parse_date("to"),
         candidates=parse_list(need("candidates")),
-        committee_map=Path(raw["committee_map"]) if raw.get("committee_map") else None,
-        fec_files=tuple(Path(p) for p in parse_list(raw.get("fec_files", ""))),
-        poll_csv=Path(raw["poll_csv"]) if raw.get("poll_csv") else None,
-        events_csv=Path(raw["events_csv"]) if raw.get("events_csv") else None,
-        df=parse_opt_int("df"),
-        df_per_90=with_default(parse_opt_float("df_per_90"), 12.0),
-        normalize=raw.get("normalize", "raw"),
-        window_days=with_default(parse_opt_int("window_days"), 10),
-        max_gap_days=with_default(parse_opt_int("max_gap_days"), 14),
-        out_dir=Path(raw.get("out", "out")),
-        eps_gap=parse_opt_float("eps_gap"),
-        max_iter=with_default(parse_opt_int("max_iter"), 50_000),
-        tol_knot=parse_opt_float("tol_knot"),
+        **optional,
     )

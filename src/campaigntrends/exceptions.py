@@ -5,16 +5,12 @@ class CampaignTrendsError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class EmptyInputError(CampaignTrendsError):
-    """An operation received no data points."""
-
-
 class DuplicateDateError(CampaignTrendsError):
     """Two observations were supplied for the same calendar date."""
 
 
 class MissingDayError(CampaignTrendsError):
-    """A required day has no observation and the fill policy forbids filling it."""
+    """A required day has no observation and may not be filled (a poll gap over the limit)."""
 
 
 class RangeTooNarrowError(CampaignTrendsError):

@@ -55,9 +55,9 @@ _PLAUSIBLE_MAX = date(2021, 12, 31)
 class ColumnMap:
     """Layout of a delimiter-separated contribution file.
 
-    Positions are 0-based. ``amounts_in_cents`` switches the amount column
-    from whole dollars (the default) to integer cents. Records dated outside
-    [date_min, date_max] are treated as malformed.
+    Positions are 0-based. Amounts are dollars (decimals allowed) and dates
+    MMDDYYYY; records dated outside 2017-01-01..2021-12-31 are treated as
+    malformed.
     """
 
     delimiter: str = "|"
@@ -66,9 +66,6 @@ class ColumnMap:
     zip: int = 2
     date: int = 3
     amount: int = 4
-    amounts_in_cents: bool = False
-    date_min: "date" = _PLAUSIBLE_MIN
-    date_max: "date" = _PLAUSIBLE_MAX
 
 
 # Real FEC bulk layout (itemized individual contributions).
@@ -146,13 +143,11 @@ def _parse_mmddyyyy(text: str) -> date | None:
         return None
 
 
-def _parse_amount_cents(text: str, in_cents: bool) -> int | None:
+def _parse_amount_cents(text: str) -> int | None:
     text = text.strip()
     if not text:
         return None
     try:
-        if in_cents:
-            return int(text)
         return round(float(text) * 100)
     except ValueError:
         return None
@@ -188,8 +183,8 @@ def parse_fec_file(
         committee = fields[column_map.committee].strip()
         candidate = committee_map.get(committee)
         when = _parse_mmddyyyy(fields[column_map.date].strip())
-        cents = _parse_amount_cents(fields[column_map.amount], column_map.amounts_in_cents)
-        if when is None or cents is None or not (column_map.date_min <= when <= column_map.date_max):
+        cents = _parse_amount_cents(fields[column_map.amount])
+        if when is None or cents is None or not (_PLAUSIBLE_MIN <= when <= _PLAUSIBLE_MAX):
             counters.malformed += 1
             continue
         if candidate is None:

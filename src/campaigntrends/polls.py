@@ -22,7 +22,7 @@ from .exceptions import (
     MissingDayError,
     UnknownCandidateError,
 )
-from .timeseries import DateRange, FillPolicy, TimeSeries, resample_daily
+from .timeseries import DateRange, TimeSeries
 
 __all__ = ["MAX_POLL_GAP_DAYS", "PollPoint", "load_poll_series"]
 
@@ -100,12 +100,13 @@ def load_poll_series(
             f"{range_.start}..{range_.end}"
         )
 
-    observed = np.zeros(len(range_), dtype=bool)
-    for day, _ in points:
+    grid = np.full(len(range_), np.nan)
+    for day, pct in points:
         idx = (day - range_.start).days
-        if observed[idx]:
+        if not np.isnan(grid[idx]):
             raise DuplicateDateError(f"duplicate poll row for {candidate!r} on {day}")
-        observed[idx] = True
+        grid[idx] = pct
+    observed = ~np.isnan(grid)
     gap = _longest_missing_run(observed)
     if gap > MAX_POLL_GAP_DAYS:
         raise MissingDayError(
@@ -113,9 +114,9 @@ def load_poll_series(
             f"{candidate!r} (limit {MAX_POLL_GAP_DAYS})"
         )
 
-    return resample_daily(
-        points, range_, FillPolicy.INTERPOLATE, label="poll", candidate=candidate
-    )
+    obs_idx = np.flatnonzero(observed)
+    values = np.interp(np.arange(len(grid)), obs_idx, grid[obs_idx])
+    return TimeSeries(range_.start, values, label="poll", candidate=candidate)
 
 
 def _longest_missing_run(observed: np.ndarray) -> int:

@@ -1,33 +1,23 @@
 """Daily-grid time series and calendar-range utilities.
 
 Every metric in this package lives on a regular daily grid: one float per
-consecutive calendar day, no gaps. Ingestion converts raw observations
-(donation records, poll rows) onto that grid through :func:`resample_daily`,
-after which all downstream code can index by plain day offsets.
+consecutive calendar day, no gaps. Ingestion places raw observations on that
+grid (``fec`` fills days without donations with zero, ``polls`` interpolates
+between poll rows), after which all downstream code can index by plain day
+offsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date, timedelta
-from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .exceptions import (
-    DuplicateDateError,
-    EmptyInputError,
-    InvalidValueError,
-    RangeTooNarrowError,
-)
+from .exceptions import InvalidValueError, RangeTooNarrowError
 
-__all__ = [
-    "DateRange",
-    "FillPolicy",
-    "TimeSeries",
-    "resample_daily",
-]
+__all__ = ["DateRange", "TimeSeries"]
 
 
 @dataclass(frozen=True, order=True)
@@ -50,19 +40,6 @@ class DateRange:
     def days(self) -> Iterator[date]:
         for i in range(len(self)):
             yield self.start + timedelta(days=i)
-
-
-class FillPolicy(Enum):
-    """How to fill days with no observation when building a daily grid.
-
-    ZERO inserts 0.0 (no recorded activity means none happened, the donation
-    reading). INTERPOLATE draws a straight line between the nearest observed
-    neighbours and extends the first/last observation flat at the edges (the
-    poll reading).
-    """
-
-    ZERO = "zero"
-    INTERPOLATE = "interpolate"
 
 
 @dataclass(frozen=True)
@@ -121,48 +98,4 @@ class TimeSeries:
 
     def dates(self) -> Iterator[date]:
         return self.range.days()
-
-
-def resample_daily(
-    points: Iterable[tuple[date, float]],
-    range_: DateRange,
-    fill: FillPolicy,
-    label: str = "",
-    candidate: str = "",
-) -> TimeSeries:
-    """Place scattered (date, value) observations onto the daily grid of ``range_``.
-
-    At most one observation per date is allowed, every observation must fall
-    inside the range, and days without an observation are filled according to
-    ``fill``. The output always covers the range exactly, one value per day.
-
-    Raises:
-        EmptyInputError: no points were given.
-        DuplicateDateError: two points share a date.
-        InvalidValueError: a point lies outside the range.
-        RangeTooNarrowError: the range spans fewer than 3 days.
-    """
-    pts = sorted(points)
-    if not pts:
-        raise EmptyInputError("no observations to resample")
-    n = len(range_)
-    observed = np.full(n, np.nan)
-    for day, value in pts:
-        if day not in range_:
-            raise InvalidValueError(
-                f"observation on {day} outside range {range_.start}..{range_.end}"
-            )
-        idx = (day - range_.start).days
-        if not np.isnan(observed[idx]):
-            raise DuplicateDateError(f"duplicate observation for {day}")
-        observed[idx] = value
-
-    missing = np.isnan(observed)
-    if fill is FillPolicy.ZERO:
-        values = np.where(missing, 0.0, observed)
-    else:
-        obs_idx = np.flatnonzero(~missing)
-        values = np.interp(np.arange(n), obs_idx, observed[obs_idx])
-
-    return TimeSeries(range_.start, values, label=label, candidate=candidate)
 

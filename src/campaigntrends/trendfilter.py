@@ -41,7 +41,6 @@ from .exceptions import InvalidInputError
 
 __all__ = [
     "Segment",
-    "SolverSettings",
     "TrendFit",
     "extract_segments",
     "fit_with_target_df",
@@ -60,6 +59,10 @@ _GRID_SPAN = 1e-4
 # Block pivoting rounds without a new minimum of infeasible coordinates
 # before the dual solver hands over to _feasible_active_set.
 _PIVOT_PATIENCE = 10
+
+# Safety cap on the pivoting rounds of one dual solve; the solves this
+# system sees take at most a few hundred.
+_MAX_ROUNDS = 50_000
 
 # ---------------------------------------------------------------------------
 # Second-difference operator primitives
@@ -123,7 +126,7 @@ def _gram_submatrix_banded(idx: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Results and settings
+# Results
 # ---------------------------------------------------------------------------
 
 
@@ -133,39 +136,6 @@ class Segment(NamedTuple):
     start: int
     end: int
     slope: float
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    """Tolerances for the trend-filter solver.
-
-    ``eps_gap`` and ``tol_knot`` default to None, meaning scale-derived
-    values resolved per input series: eps_gap = 1e-8 * 0.5 * ||y||^2 and
-    tol_knot = 1e-6 * (max(y) - min(y)). Explicit values must be positive.
-    ``max_iter`` caps the pivoting rounds of each dual solve.
-    """
-
-    eps_gap: float | None = None
-    max_iter: int = 50_000
-    tol_knot: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.eps_gap is not None and not self.eps_gap > 0:
-            raise InvalidInputError("eps_gap must be strictly positive")
-        if not self.max_iter > 0:
-            raise InvalidInputError("max_iter must be strictly positive")
-        if self.tol_knot is not None and not self.tol_knot > 0:
-            raise InvalidInputError("tol_knot must be strictly positive")
-
-    def resolve_eps_gap(self, y: np.ndarray) -> float:
-        if self.eps_gap is not None:
-            return self.eps_gap
-        return max(1e-8 * 0.5 * float(y @ y), 1e-15)
-
-    def resolve_tol_knot(self, y: np.ndarray) -> float:
-        if self.tol_knot is not None:
-            return self.tol_knot
-        return max(1e-6 * float(np.ptp(y)), 1e-12)
 
 
 @dataclass(frozen=True)
@@ -181,10 +151,11 @@ class TrendFit:
         df: Effective degrees of freedom, len(knots) + 2.
         duality_gap: Certificate value at the returned solution.
         dual: Dual vector u, |u_j| <= lam, with fitted = y - D^T u.
-        tol_knot: Knot threshold used to read bends off the fit.
-        converged: False when the solve hit SolverSettings.max_iter
-            pivoting rounds before its KKT conditions verified, or its gap
-            exceeds the tolerance; the fit then holds the box-clipped last
+        tol_knot: Knot threshold used to read bends off the fit,
+            1e-6 * (max(y) - min(y)).
+        converged: False when the solve hit the 50,000-round cap before
+            its KKT conditions verified, or its gap exceeds the tolerance
+            1e-8 * 0.5 * ||y||^2; the fit then holds the box-clipped last
             iterate and its gap.
         iterations: Pivoting rounds the solve spent (0 for the closed-form
             branches lam = 0 and lam >= lambda_max).
@@ -241,6 +212,16 @@ def lambda_max(y: Sequence[float]) -> float:
     return float(np.max(np.abs(_unconstrained_dual(arr))))
 
 
+def _eps_gap(y: np.ndarray) -> float:
+    """Duality-gap tolerance of a converged fit: 1e-8 * 0.5 * ||y||^2."""
+    return max(1e-8 * 0.5 * float(y @ y), 1e-15)
+
+
+def _tol_knot(y: np.ndarray) -> float:
+    """Knot threshold on |D theta|: 1e-6 * (max(y) - min(y))."""
+    return max(1e-6 * float(np.ptp(y)), 1e-12)
+
+
 def _unconstrained_dual(y: np.ndarray) -> np.ndarray:
     m = y.shape[0] - 2
     return solveh_banded(_gram_banded(m), second_difference(y), lower=True)
@@ -282,30 +263,22 @@ def target_df_for_span(n_days: int, df_per_90: float = 12.0) -> int:
     return max(2, round(df_per_90 * n_days / 90.0))
 
 
-def solve_tf(
-    y: Sequence[float], lam: float, settings: SolverSettings | None = None
-) -> TrendFit:
+def solve_tf(y: Sequence[float], lam: float) -> TrendFit:
     """Solve the trend-filter problem at one penalty weight.
 
-    Returns a TrendFit whose duality gap is at or below the resolved
-    eps_gap whenever ``converged`` is True. When the round cap is hit
-    first, the box-clipped last iterate is returned with converged=False.
+    Returns a TrendFit whose duality gap is at or below
+    1e-8 * 0.5 * ||y||^2 whenever ``converged`` is True. When the
+    50,000-round cap is hit first, the box-clipped last iterate is returned
+    with converged=False.
     """
     arr = _validate_series(y)
     if not (np.isfinite(lam) and lam >= 0):
         raise InvalidInputError(f"lambda must be a finite nonnegative real, got {lam}")
-    settings = settings or SolverSettings()
-    eps_gap = settings.resolve_eps_gap(arr)
-    tol_knot = settings.resolve_tol_knot(arr)
-    u, gap, iterations, converged = _solve_dual(arr, float(lam), eps_gap, settings.max_iter)
-    return _build_fit(arr, float(lam), u, gap, tol_knot, converged, iterations)
+    u, gap, iterations, converged = _solve_dual(arr, float(lam), _eps_gap(arr))
+    return _build_fit(arr, float(lam), u, gap, _tol_knot(arr), converged, iterations)
 
 
-def fit_with_target_df(
-    y: Sequence[float],
-    target_df: int,
-    settings: SolverSettings | None = None,
-) -> TrendFit:
+def fit_with_target_df(y: Sequence[float], target_df: int) -> TrendFit:
     """Pick the penalty on a geometric grid whose fit df lands closest to target.
 
     Evaluates solve_tf over 200 geometric points spanning
@@ -321,9 +294,8 @@ def fit_with_target_df(
         raise InvalidInputError(
             f"series of length {arr.shape[0]} cannot support df {target_df}"
         )
-    settings = settings or SolverSettings()
-    eps_gap = settings.resolve_eps_gap(arr)
-    tol_knot = settings.resolve_tol_knot(arr)
+    eps_gap = _eps_gap(arr)
+    tol_knot = _tol_knot(arr)
     n = arr.shape[0]
 
     lam_hi = lambda_max(arr)
@@ -338,9 +310,7 @@ def fit_with_target_df(
     u_warm: np.ndarray | None = None
     for lam in grid[::-1]:
         lam = float(lam)
-        u, gap, iterations, converged = _solve_dual(
-            arr, lam, eps_gap, settings.max_iter, u_warm=u_warm
-        )
+        u, gap, iterations, converged = _solve_dual(arr, lam, eps_gap, u_warm=u_warm)
         u_warm = u
         fit = _build_fit(arr, lam, u, gap, tol_knot, converged, iterations)
         max_df_seen = max(max_df_seen, fit.df)
@@ -415,7 +385,6 @@ def _solve_dual(
     y: np.ndarray,
     lam: float,
     eps_gap: float,
-    max_rounds: int,
     u_warm: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, int, bool]:
     """Return (u, gap, pivoting_rounds, converged) for one penalty."""
@@ -429,7 +398,7 @@ def _solve_dual(
         return u_free, max(gap, 0.0), 0, True
 
     start = u_warm if u_warm is not None else u_free
-    u, rounds, kkt = _active_set_solve(y, lam, start, max_rounds)
+    u, rounds, kkt = _active_set_solve(y, lam, start, _MAX_ROUNDS)
     _, gap = _gap_value(y, lam, u)
     return u, max(gap, 0.0), rounds, kkt and gap <= eps_gap
 

@@ -92,6 +92,21 @@ class TestConfigHandling:
     def test_missing_config_keys_exit_2(self, tmp_path):
         assert main(["ingest", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "key",
+        ["eps_gap = 1e-9", "max_iter = 1", "tol_knot = 0.1"],
+        ids=["eps_gap", "max_iter", "tol_knot"],
+    )
+    def test_solver_tolerance_keys_exit_2(self, tmp_path, fixtures_dir, capsys, key):
+        config = tmp_path / "run.conf"
+        config.write_text(f"from = 2019-06-01\n{key}\n", encoding="utf-8")
+        for stage in ("ingest", "fit", "report"):
+            capsys.readouterr()
+            flags = base_flags(fixtures_dir, tmp_path / "out")
+            assert main([stage, "--config", str(config), *flags]) == 2
+            assert capsys.readouterr().err.startswith("error: config line 2: unknown key")
+        assert not (tmp_path / "out").exists()
+
 
 @pytest.fixture(scope="module")
 def pipeline(fixtures_dir, tmp_path_factory):
@@ -222,6 +237,25 @@ class TestPipeline:
         assert main(["report", *base_flags(fixtures_dir, out_dir), *flags]) == 2
         assert capsys.readouterr().err.startswith("error: fits ")
         assert (out_dir / "report.json").read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--from", "2019-06-02"],
+            ["--to", "2019-07-19"],
+            ["--from", "2018-01-01", "--to", "2018-02-01", "--candidates", "ZULU"],
+            ["--candidates", "ALPHA"],
+            ["--candidates", "ALPHA,BRAVO,ZULU"],
+        ],
+        ids=["from", "to", "range-and-candidates", "fewer-candidates", "more-candidates"],
+    )
+    def test_fit_flag_mismatch_exit_2(self, pipeline, fixtures_dir, capsys, flags):
+        out_dir, _ = pipeline
+        before = (out_dir / "fits.json").read_bytes()
+        capsys.readouterr()
+        assert main(["fit", *base_flags(fixtures_dir, out_dir), *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: store ")
+        assert (out_dir / "fits.json").read_bytes() == before
 
     def test_report_without_fits_exit_2(self, fixtures_dir, tmp_path):
         out_dir = tmp_path / "only_store"

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from campaigntrends import InvalidValueError
+from campaigntrends import InvalidValueError, config
 from campaigntrends.config import build_config, parse_config_lines
 
 
@@ -29,8 +29,14 @@ class TestParseConfigLines:
         assert table["df"] == "12"
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(InvalidValueError):
-            parse_config_lines(["bogus = 1"])
+        for line in ["bogus = 1", "max_iter = 1"]:
+            with pytest.raises(InvalidValueError, match="unknown key"):
+                parse_config_lines([line])
+
+    def test_docstring_lists_every_known_key(self):
+        listing = config.__doc__.split("Recognized keys::", 1)[1]
+        documented = {line.split("=", 1)[0].strip() for line in listing.splitlines() if "=" in line}
+        assert documented == config._KNOWN_KEYS
 
     def test_missing_equals_rejected(self):
         with pytest.raises(InvalidValueError):

@@ -105,11 +105,6 @@ class TestParseFecFile:
         records, _ = parse_lines(["C001|SMITH, JOHN|22903|06152019|-50"])
         assert records[0].amount_cents == -5000
 
-    def test_cents_mode(self):
-        cmap = ColumnMap(amounts_in_cents=True)
-        records, _ = parse_lines(["C001|SMITH, JOHN|22903|06152019|50"], column_map=cmap)
-        assert records[0].amount_cents == 50
-
     def test_decimal_dollars(self):
         records, _ = parse_lines(["C001|SMITH, JOHN|22903|06152019|123.45"])
         assert records[0].amount_cents == 12345

@@ -1,7 +1,10 @@
 import io
 from datetime import date, timedelta
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from campaigntrends import (
     DateRange,
@@ -11,6 +14,7 @@ from campaigntrends import (
     UnknownCandidateError,
     load_poll_series,
 )
+from campaigntrends.polls import MAX_POLL_GAP_DAYS
 
 D0 = date(2019, 6, 1)
 
@@ -98,6 +102,26 @@ class TestLoadPollSeries:
         rows = [f"{iso(i)},biden,{v}" for i, v in enumerate(values)]
         ts = load_poll_series(csv_stream(rows), "biden", DateRange(D0, D0 + timedelta(days=3)))
         assert list(ts.values) == values
+
+    def test_interpolate_extends_flat_at_edges(self):
+        rows = [f"{iso(1)},biden,2", f"{iso(3)},biden,6"]
+        ts = load_poll_series(csv_stream(rows), "biden", DateRange(D0, D0 + timedelta(days=4)))
+        assert list(ts.values) == [2.0, 2.0, 4.0, 6.0, 6.0]
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        first=st.integers(0, MAX_POLL_GAP_DAYS),
+        steps=st.lists(st.integers(1, MAX_POLL_GAP_DAYS + 1), min_size=1, max_size=9),
+        pcts=st.lists(st.floats(0.0, 100.0), min_size=10, max_size=10),
+    )
+    def test_interpolate_preserves_observed_values(self, first, steps, pcts):
+        # runs of missing days stay within the limit, so every draw loads
+        offsets = [int(o) for o in np.cumsum([first, *steps])]
+        rows = [f"{iso(o)},biden,{pct!r}" for o, pct in zip(offsets, pcts)]
+        span = max(offsets[-1], 2)
+        ts = load_poll_series(csv_stream(rows), "biden", DateRange(D0, D0 + timedelta(days=span)))
+        for o, pct in zip(offsets, pcts):
+            assert ts.values[o] == pct
 
     def test_output_length_matches_range(self):
         rows = [f"{iso(i)},biden,30" for i in range(0, 12, 2)]

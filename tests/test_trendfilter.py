@@ -5,7 +5,6 @@ import pytest
 
 from campaigntrends import (
     InvalidInputError,
-    SolverSettings,
     extract_segments,
     fit_with_target_df,
     lambda_max,
@@ -14,6 +13,7 @@ from campaigntrends import (
     solve_tf,
     target_df_for_span,
 )
+from campaigntrends import trendfilter
 from campaigntrends.trendfilter import _active_set_solve
 from conftest import bendy_signal, random_panel
 
@@ -45,7 +45,7 @@ class TestSolveTf:
         assert np.allclose(fit.fitted, [0.1, 0.8, 0.1], atol=1e-12)
         assert fit.knots == (1,)
         assert fit.df == 3
-        assert fit.duality_gap <= SolverSettings().resolve_eps_gap(np.array([0.0, 1.0, 0.0]))
+        assert fit.duality_gap <= trendfilter._eps_gap(np.array([0.0, 1.0, 0.0]))
 
     def test_zero_penalty_returns_input(self):
         fit = solve_tf([0.0, 1.0, 0.0], 0.0)
@@ -73,7 +73,7 @@ class TestSolveTf:
         for y, lam in random_panel(seed=101, count=40):
             fit = solve_tf(y, lam)
             assert fit.converged
-            eps = SolverSettings().resolve_eps_gap(y)
+            eps = trendfilter._eps_gap(y)
             assert 0.0 <= fit.duality_gap <= eps
 
     def test_kkt_certificate(self):
@@ -125,13 +125,14 @@ class TestSolveTf:
             assert verified and rounds <= 1_000, (trial, rounds)
             assert np.max(np.abs(u - solve_tf(y, lam).dual)) <= 1e-6 * lam
 
-    def test_nonconvergence_returns_flagged_best_iterate(self):
+    def test_nonconvergence_returns_flagged_best_iterate(self, monkeypatch):
         # a case that needs several pivoting rounds, capped at one
         rng = np.random.default_rng(3)
         y = rng.uniform(0, 10, 40)
         lam = 0.3 * lambda_max(y)
         assert solve_tf(y, lam).iterations > 1
-        fit = solve_tf(y, lam, SolverSettings(max_iter=1))
+        monkeypatch.setattr(trendfilter, "_MAX_ROUNDS", 1)
+        fit = solve_tf(y, lam)
         assert not fit.converged
         assert fit.iterations == 1
         assert fit.duality_gap > 0.0
@@ -163,7 +164,7 @@ class TestDegenerateShapes:
     @pytest.mark.parametrize("shape", sorted(degenerate_panel()))
     def test_converges_and_matches_oracle(self, shape):
         y = degenerate_panel()[shape]
-        eps = SolverSettings().resolve_eps_gap(y)
+        eps = trendfilter._eps_gap(y)
         lam_hi = lambda_max(y)
         assert lam_hi > 0.0
         for frac in (0.01, 0.1, 0.5, 0.99):
