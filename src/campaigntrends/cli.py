@@ -160,10 +160,7 @@ def _cmd_ingest(config: AnalysisConfig) -> int:
     accumulators = {c: fec.MetricsAccumulator(c) for c in config.candidates}
     for path in config.fec_files:
         with open(path, encoding="utf-8", errors="replace") as handle:
-            for record in fec.parse_fec_file(handle, committee_map, counters=counters):
-                acc = accumulators.get(record.candidate_id)
-                if acc is not None:
-                    acc.add(record)
+            fec.accumulate_fec_file(handle, committee_map, accumulators, counters)
 
     poll_lines: list[str] | None = None
     if config.poll_csv is not None:

@@ -3,20 +3,27 @@
 Bulk contribution files are delimiter-separated text with one itemized
 donation per line. Parsing is streaming and never aborts mid-file: lines
 that cannot be parsed, or whose committee has no candidate mapping, are
-counted and skipped. Donor identity is the normalized name plus the first
-five zip digits, and a donor counts as "new" to a candidate on the day of
-their first-ever positive donation to that candidate, no matter how often
-they have given to anyone else.
+counted and skipped. Amounts are dollars; a non-finite amount, or one
+beyond ``MAX_AMOUNT_DOLLARS`` either way, makes its line malformed. Donor
+identity is the normalized name plus the first five zip digits, and a donor
+counts as "new" to a candidate on the day of their first-ever positive
+donation to that candidate, no matter how often they have given to anyone
+else.
 
 Per candidate and day the module produces four series: distinct donors,
 first-time donors, total dollars, and dollars from first-time donors.
+``accumulate_fec_file`` is the ingest kernel: it interns donors to ints as
+lines stream and keeps per-candidate (donor, day) cent sums in NumPy
+arrays, so ingest memory grows with the distinct (donor, day) pairs, not
+with the number of lines.
 """
 
 from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from datetime import date
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
@@ -32,7 +39,9 @@ __all__ = [
     "DonorKey",
     "FEC_BULK_COLUMNS",
     "IngestCounters",
+    "MAX_AMOUNT_DOLLARS",
     "MetricsAccumulator",
+    "accumulate_fec_file",
     "daily_donation_metrics",
     "load_committee_map",
     "normalize_donor_name",
@@ -45,10 +54,31 @@ _NON_ALNUM = re.compile(r"[^0-9A-Z\s]", re.UNICODE)
 _WS = re.compile(r"\s+")
 _DIGITS = re.compile(r"\d")
 _MISSING_ZIP = "00000"
+# normalize_donor_name on ASCII text as one bytes.translate: delete what
+# its regex deletes, upper-case, and turn every str.isspace() character
+# (\x1c-\x1f too, which bytes.split() would keep) into a space.
+_ASCII_DELETE = bytes(c for c in range(128) if not (chr(c).isalnum() or chr(c).isspace()))
+_ASCII_TABLE = bytes(
+    ord(" ") if chr(c).isspace() else ord(chr(c).upper()) for c in range(128)
+) + bytes(range(128, 256))
 
 # Records dated outside this window are treated as malformed input.
 _PLAUSIBLE_MIN = date(2017, 1, 1)
 _PLAUSIBLE_MAX = date(2021, 12, 31)
+
+# Amounts beyond this many dollars either way are malformed. A line then
+# holds at most 1e11 cents, so the int64 cent sums cannot wrap short of
+# about 9e7 maximal gifts from one donor on one day.
+MAX_AMOUNT_DOLLARS = 1e9
+
+# Rows an accumulator buffers before folding them into its pair sums.
+_CHUNK_ROWS = 1 << 16
+# A (donor id, day) pair packs into one int64: donor << _DAY_BITS | ordinal.
+_DAY_BITS = 22  # date.max.toordinal() < 2**22
+_DAY_MASK = (1 << _DAY_BITS) - 1
+# Distinct raw date and amount texts cached per file, each.
+_PARSE_CACHE_MAX = 1 << 16
+_UNSEEN = object()
 
 
 @dataclass(frozen=True)
@@ -56,8 +86,8 @@ class ColumnMap:
     """Layout of a delimiter-separated contribution file.
 
     Positions are 0-based. Amounts are dollars (decimals allowed) and dates
-    MMDDYYYY; records dated outside 2017-01-01..2021-12-31 are treated as
-    malformed.
+    MMDDYYYY; records dated outside 2017-01-01..2021-12-31, and non-finite
+    amounts or amounts beyond ``MAX_AMOUNT_DOLLARS``, are malformed.
     """
 
     delimiter: str = "|"
@@ -96,20 +126,12 @@ class DonationRecord:
 
 @dataclass
 class IngestCounters:
-    """Line accounting for one parse pass; mergeable across file shards."""
+    """Line accounting for one parse pass."""
 
     lines_total: int = 0
     parsed: int = 0
     malformed: int = 0
     unmapped: int = 0
-
-    def merge(self, other: "IngestCounters") -> "IngestCounters":
-        return IngestCounters(
-            lines_total=self.lines_total + other.lines_total,
-            parsed=self.parsed + other.parsed,
-            malformed=self.malformed + other.malformed,
-            unmapped=self.unmapped + other.unmapped,
-        )
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -134,13 +156,31 @@ def zip5(raw: str) -> str:
     return digits[:5]
 
 
-def _parse_mmddyyyy(text: str) -> date | None:
+def _name_key(raw: str) -> bytes:
+    """UTF-8 bytes of ``normalize_donor_name(raw)``; ASCII text skips the regex."""
+    if raw.isascii():
+        return b" ".join(raw.encode().translate(_ASCII_TABLE, _ASCII_DELETE).split())
+    return normalize_donor_name(raw).encode()
+
+
+def _zip_key(raw: str) -> str:
+    """``zip5(raw)``; text that starts with five ASCII digits skips the regex."""
+    head = raw[:5]
+    if len(head) == 5 and head.isascii() and head.isdigit():
+        return head
+    return zip5(raw)
+
+
+def _parse_day(text: str) -> int | None:
+    """Ordinal of an MMDDYYYY date inside the plausible window, else None."""
+    text = text.strip()
     if len(text) != 8 or not text.isdigit():
         return None
     try:
-        return date(int(text[4:8]), int(text[0:2]), int(text[2:4]))
+        when = date(int(text[4:8]), int(text[0:2]), int(text[2:4]))
     except ValueError:
         return None
+    return when.toordinal() if _PLAUSIBLE_MIN <= when <= _PLAUSIBLE_MAX else None
 
 
 def _parse_amount_cents(text: str) -> int | None:
@@ -148,9 +188,66 @@ def _parse_amount_cents(text: str) -> int | None:
     if not text:
         return None
     try:
-        return round(float(text) * 100)
+        dollars = float(text)
     except ValueError:
         return None
+    if not abs(dollars) <= MAX_AMOUNT_DOLLARS:  # also rejects nan
+        return None
+    return round(dollars * 100)
+
+
+def _valid_lines(
+    lines: Iterable[str] | IO[str],
+    committee_map: Mapping[str, str],
+    column_map: ColumnMap,
+    counters: IngestCounters,
+) -> Iterator[tuple[str, list[str], int, int]]:
+    """Yield (candidate, fields, day ordinal, cents) for each parsed line.
+
+    The one home of the line rules, checked in this order: too few fields
+    is malformed; then an unparseable date or amount, or a date outside the
+    plausible window, is malformed; then a committee missing from
+    ``committee_map`` is unmapped. Every non-empty line is tallied in
+    ``counters``.
+    """
+    needed = max(
+        column_map.committee, column_map.name, column_map.zip,
+        column_map.date, column_map.amount,
+    )
+    delimiter = column_map.delimiter
+    committee_at, date_at, amount_at = column_map.committee, column_map.date, column_map.amount
+    days: dict[str, int | None] = {}
+    amounts: dict[str, int | None] = {}
+    for line in lines:
+        line = line.rstrip("\r\n")
+        if not line:
+            continue
+        counters.lines_total += 1
+        fields = line.split(delimiter)
+        if len(fields) <= needed:
+            counters.malformed += 1
+            continue
+        text = fields[date_at]
+        day = days.get(text, _UNSEEN)
+        if day is _UNSEEN:
+            day = _parse_day(text)
+            if len(days) < _PARSE_CACHE_MAX:
+                days[text] = day
+        text = fields[amount_at]
+        cents = amounts.get(text, _UNSEEN)
+        if cents is _UNSEEN:
+            cents = _parse_amount_cents(text)
+            if len(amounts) < _PARSE_CACHE_MAX:
+                amounts[text] = cents
+        if day is None or cents is None:
+            counters.malformed += 1
+            continue
+        candidate = committee_map.get(fields[committee_at].strip())
+        if candidate is None:
+            counters.unmapped += 1
+            continue
+        counters.parsed += 1
+        yield candidate, fields, day, cents
 
 
 def parse_fec_file(
@@ -161,41 +258,19 @@ def parse_fec_file(
 ) -> Iterator[DonationRecord]:
     """Stream DonationRecords out of a bulk contribution file.
 
-    Malformed lines (wrong field count, unparseable date or amount, date
-    outside the plausible window) and lines whose committee is not in
-    ``committee_map`` are skipped and tallied in ``counters``.
+    Malformed lines (wrong field count, unparseable or out-of-bound date or
+    amount) and lines whose committee is not in ``committee_map`` are
+    skipped and tallied in ``counters``.
     """
     if counters is None:
         counters = IngestCounters()
-    needed = max(
-        column_map.committee, column_map.name, column_map.zip,
-        column_map.date, column_map.amount,
-    )
-    for line in lines:
-        line = line.rstrip("\r\n")
-        if not line:
-            continue
-        counters.lines_total += 1
-        fields = line.split(column_map.delimiter)
-        if len(fields) <= needed:
-            counters.malformed += 1
-            continue
-        committee = fields[column_map.committee].strip()
-        candidate = committee_map.get(committee)
-        when = _parse_mmddyyyy(fields[column_map.date].strip())
-        cents = _parse_amount_cents(fields[column_map.amount])
-        if when is None or cents is None or not (_PLAUSIBLE_MIN <= when <= _PLAUSIBLE_MAX):
-            counters.malformed += 1
-            continue
-        if candidate is None:
-            counters.unmapped += 1
-            continue
-        counters.parsed += 1
+    name_at, zip_at = column_map.name, column_map.zip
+    for candidate, fields, day, cents in _valid_lines(lines, committee_map, column_map, counters):
         yield DonationRecord(
             candidate_id=candidate,
-            donor_name_raw=fields[column_map.name],
-            zip=fields[column_map.zip].strip(),
-            date=when,
+            donor_name_raw=fields[name_at],
+            zip=fields[zip_at].strip(),
+            date=date.fromordinal(day),
             amount_cents=cents,
         )
 
@@ -241,77 +316,102 @@ class DailyDonationMetrics:
         }
 
 
-@dataclass
 class MetricsAccumulator:
-    """Order-independent, mergeable accumulation of one candidate's donations.
+    """Columnar, order-independent accumulation of one candidate's donations.
 
-    Refunds and zero amounts are dropped on entry. State is two maps: each
-    donor key's earliest donation date (over all records seen, including
-    dates before any analysis window) and per-day per-donor cent totals.
-    Merging accumulators from stream shards gives the same result as one
-    pass over the concatenated stream.
+    Refunds and zero amounts are dropped on entry. Each donor key is interned
+    to an int as it arrives, and (donor, day, cents) rows are buffered in
+    chunks of ``_CHUNK_ROWS``. A full chunk is folded into the sorted distinct
+    (donor, day) cent sums, so memory holds one row per distinct pair plus
+    one chunk. Gifts dated before any analysis window still decide who is a
+    first-time donor inside it.
     """
 
-    candidate_id: str
-    first_seen: dict[DonorKey, date] = field(default_factory=dict)
-    day_totals: dict[date, dict[DonorKey, int]] = field(default_factory=dict)
+    def __init__(self, candidate_id: str) -> None:
+        self.candidate_id = candidate_id
+        self._donor_ids: dict[tuple[bytes, str], int] = {}
+        self._rows = array("q")  # pending packed (donor, day) pairs
+        self._row_cents = array("q")
+        self._pairs = np.empty(0, np.int64)  # sorted distinct packed pairs
+        self._pair_cents = np.empty(0, np.int64)
 
     def add(self, record: DonationRecord) -> None:
         if record.candidate_id != self.candidate_id or record.amount_cents <= 0:
             return
-        key = record.donor_key
-        prior = self.first_seen.get(key)
-        if prior is None or record.date < prior:
-            self.first_seen[key] = record.date
-        by_donor = self.day_totals.setdefault(record.date, {})
-        by_donor[key] = by_donor.get(key, 0) + record.amount_cents
+        key = (_name_key(record.donor_name_raw), _zip_key(record.zip))
+        self._push(key, record.date.toordinal(), record.amount_cents)
 
-    def merge(self, other: "MetricsAccumulator") -> "MetricsAccumulator":
-        if other.candidate_id != self.candidate_id:
-            raise InvalidValueError(
-                f"cannot merge accumulators for {self.candidate_id!r} and "
-                f"{other.candidate_id!r}"
-            )
-        merged = MetricsAccumulator(self.candidate_id)
-        merged.first_seen = dict(self.first_seen)
-        for key, day in other.first_seen.items():
-            prior = merged.first_seen.get(key)
-            if prior is None or day < prior:
-                merged.first_seen[key] = day
-        merged.day_totals = {d: dict(v) for d, v in self.day_totals.items()}
-        for day, by_donor in other.day_totals.items():
-            target = merged.day_totals.setdefault(day, {})
-            for key, cents in by_donor.items():
-                target[key] = target.get(key, 0) + cents
-        return merged
+    def _push(self, key: tuple[bytes, str], day: int, cents: int) -> None:
+        ids = self._donor_ids
+        self._rows.append(ids.setdefault(key, len(ids)) << _DAY_BITS | day)
+        self._row_cents.append(cents)
+        if len(self._rows) >= _CHUNK_ROWS:
+            self._reduce()
+
+    def _reduce(self) -> None:
+        """Fold the buffered rows into the distinct (donor, day) cent sums."""
+        if not self._rows:
+            return
+        pairs = np.concatenate([self._pairs, np.frombuffer(self._rows, np.int64)])
+        cents = np.concatenate([self._pair_cents, np.frombuffer(self._row_cents, np.int64)])
+        self._rows, self._row_cents = array("q"), array("q")
+        self._pairs, inverse = np.unique(pairs, return_inverse=True)
+        self._pair_cents = np.zeros(len(self._pairs), np.int64)
+        np.add.at(self._pair_cents, inverse, cents)
+
+    @property
+    def first_seen(self) -> np.ndarray:
+        """Ordinal day of each donor's first positive gift, indexed by donor id."""
+        self._reduce()
+        first = np.full(len(self._donor_ids), date.max.toordinal(), np.int64)
+        np.minimum.at(first, self._pairs >> _DAY_BITS, self._pairs & _DAY_MASK)
+        return first
 
     def finalize(self, range_: DateRange) -> DailyDonationMetrics:
         """Collapse the accumulated state into the four daily series."""
+        first = self.first_seen  # folds the pending rows into self._pairs
         n = len(range_)
-        donors = np.zeros(n)
-        new_donors = np.zeros(n)
-        amount = np.zeros(n)
-        new_amount = np.zeros(n)
-        for day, by_donor in self.day_totals.items():
-            if day not in range_:
-                continue
-            i = (day - range_.start).days
-            donors[i] = len(by_donor)
-            amount[i] = sum(by_donor.values()) / 100.0
-            fresh = [k for k in by_donor if self.first_seen[k] == day]
-            new_donors[i] = len(fresh)
-            new_amount[i] = sum(by_donor[k] for k in fresh) / 100.0
+        day = self._pairs & _DAY_MASK
+        offset = day - range_.start.toordinal()
+        inside = (offset >= 0) & (offset < n)
+        fresh = inside & (day == first[self._pairs >> _DAY_BITS])
+
+        def dollars(mask: np.ndarray) -> np.ndarray:
+            cents = np.zeros(n, np.int64)
+            np.add.at(cents, offset[mask], self._pair_cents[mask])
+            return cents / 100.0
 
         def mk(label: str, values: np.ndarray) -> TimeSeries:
             return TimeSeries(range_.start, values, label=label, candidate=self.candidate_id)
 
         return DailyDonationMetrics(
             candidate_id=self.candidate_id,
-            donors=mk("donors", donors),
-            new_donors=mk("new_donors", new_donors),
-            amount=mk("amount", amount),
-            new_donor_amount=mk("new_donor_amount", new_amount),
+            donors=mk("donors", np.bincount(offset[inside], minlength=n).astype(float)),
+            new_donors=mk("new_donors", np.bincount(offset[fresh], minlength=n).astype(float)),
+            amount=mk("amount", dollars(inside)),
+            new_donor_amount=mk("new_donor_amount", dollars(fresh)),
         )
+
+
+def accumulate_fec_file(
+    lines: Iterable[str] | IO[str],
+    committee_map: Mapping[str, str],
+    accumulators: Mapping[str, MetricsAccumulator],
+    counters: IngestCounters,
+) -> None:
+    """Stream a contribution file in the default ``ColumnMap`` layout into
+    per-candidate accumulators.
+
+    The ingest kernel: lines are validated and counted exactly as
+    ``parse_fec_file`` does, but no record objects are built. Parsed lines
+    of candidates without an accumulator are counted and dropped.
+    """
+    column_map = ColumnMap()
+    name_at, zip_at = column_map.name, column_map.zip
+    for candidate, fields, day, cents in _valid_lines(lines, committee_map, column_map, counters):
+        acc = accumulators.get(candidate)
+        if acc is not None and cents > 0:
+            acc._push((_name_key(fields[name_at]), _zip_key(fields[zip_at])), day, cents)
 
 
 def daily_donation_metrics(

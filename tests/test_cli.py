@@ -149,6 +149,12 @@ class TestPipeline:
         assert set(summary) == {"lines_total", "parsed", "malformed", "unmapped"}
         assert summary["lines_total"] == summary["parsed"] + summary["malformed"] + summary["unmapped"]
 
+    @pytest.mark.parametrize("name", ["store.json", "ingest_summary.json"])
+    def test_ingest_outputs_match_golden_bytes(self, pipeline, fixtures_dir, name):
+        out_dir, _ = pipeline
+        golden = fixtures_dir / "golden" / name
+        assert (out_dir / name).read_bytes() == golden.read_bytes()
+
     def test_fits_records(self, pipeline):
         out_dir, _ = pipeline
         fits = json.loads((out_dir / "fits.json").read_text())
@@ -391,6 +397,30 @@ class TestWarningPaths:
             "--out", str(out_dir),
         ])
         assert code == 1
+        summary = json.loads((out_dir / "ingest_summary.json").read_text())
+        assert summary["malformed"] == 1
+        assert summary["parsed"] == 1
+
+    @pytest.mark.parametrize("amount", ["inf", "-inf", "1e400", "nan", "2e9"])
+    def test_non_finite_amount_warns_without_traceback(self, tmp_path, fixtures_dir, amount):
+        dirty = tmp_path / "dirty.txt"
+        dirty.write_text(
+            "C00000101|SMITH, JOHN|22903|06052019|50\n"
+            f"C00000101|SMITH, JOHN|22903|06062019|{amount}\n",
+            encoding="utf-8",
+        )
+        out_dir = tmp_path / "out"
+        result = run_cli([
+            "ingest",
+            "--from", "2019-06-01", "--to", "2019-06-10",
+            "--candidates", "ALPHA",
+            "--committee-map", str(fixtures_dir / "committee_map.csv"),
+            "--fec-file", str(dirty),
+            "--out", str(out_dir),
+        ])
+        assert result.returncode == 1
+        assert "warning: 1 malformed lines skipped" in result.stderr
+        assert "Traceback" not in result.stderr
         summary = json.loads((out_dir / "ingest_summary.json").read_text())
         assert summary["malformed"] == 1
         assert summary["parsed"] == 1

@@ -15,11 +15,12 @@ from campaigntrends import (
     InvalidValueError,
     MetricsAccumulator,
     daily_donation_metrics,
+    fec,
     load_committee_map,
     normalize_donor_name,
     parse_fec_file,
 )
-from campaigntrends.fec import zip5
+from campaigntrends.fec import _name_key, _zip_key, accumulate_fec_file, zip5
 
 D1 = date(2019, 6, 1)
 D2 = date(2019, 6, 2)
@@ -55,6 +56,36 @@ class TestZip5:
     def test_short_zip_becomes_sentinel(self):
         assert zip5("2290") == "00000"
         assert zip5("") == "00000"
+
+
+class TestFastPaths:
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    def test_name_key_matches_normalize_donor_name(self, raw):
+        assert _name_key(raw) == normalize_donor_name(raw).encode()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    def test_zip_key_matches_zip5(self, raw):
+        assert _zip_key(raw) == zip5(raw)
+
+    @pytest.mark.parametrize("raw", [
+        "Smith, John", "SMITH JOHN", "  o'brien,\tmary ", "a\x1cb", "x_y", "José Núñez", "straße",
+    ])
+    def test_name_key_examples(self, raw):
+        assert _name_key(raw) == normalize_donor_name(raw).encode()
+
+    @pytest.mark.parametrize("raw, expected", [
+        ("123", "00000"),
+        ("1234", "00000"),
+        ("22903-1234", "22903"),
+        ("229031234", "22903"),
+        ("\uff12\uff12\uff19\uff10\uff13", "\uff12\uff12\uff19\uff10\uff13"),  # full-width digits
+        ("2290\u0663-1", "2290\u0663"),  # an Arabic-Indic digit in fifth place
+    ])
+    def test_zip_key_examples(self, raw, expected):
+        assert zip5(raw) == expected
+        assert _zip_key(raw) == expected
 
 
 class TestParseFecFile:
@@ -114,6 +145,22 @@ class TestParseFecFile:
         records, _ = parse_lines(["SMITH, JOHN;C001;50;06152019;22903"], column_map=cmap)
         assert records[0].candidate_id == "ALPHA"
         assert records[0].amount_cents == 5000
+
+    @pytest.mark.parametrize("amount", [
+        "inf", "-inf", "Infinity", "1e400", "-1e400", "nan", "1000000000.01", "-1000000000.01",
+    ])
+    def test_non_finite_or_huge_amount_is_malformed(self, amount):
+        records, counters = parse_lines([f"C001|SMITH|22903|06152019|{amount}"])
+        assert records == []
+        assert counters.malformed == 1
+
+    @pytest.mark.parametrize("amount, cents", [("1000000000", 100_000_000_000),
+                                               ("-1e9", -100_000_000_000)])
+    def test_amount_at_bound_is_parsed(self, amount, cents):
+        assert fec.MAX_AMOUNT_DOLLARS == 1e9
+        records, counters = parse_lines([f"C001|SMITH|22903|06152019|{amount}"])
+        assert counters.parsed == 1
+        assert records[0].amount_cents == cents
 
 
 class TestCommitteeMap:
@@ -205,18 +252,26 @@ class TestDailyDonationMetrics:
             for label, series in base.series().items():
                 assert np.array_equal(series.values, again.series()[label].values)
 
-    def test_merge_matches_single_pass(self):
-        split = 2
-        left = MetricsAccumulator("X")
-        right = MetricsAccumulator("X")
-        for r in FIXTURE[:split]:
-            left.add(r)
-        for r in FIXTURE[split:]:
-            right.add(r)
-        merged = left.merge(right).finalize(FIXTURE_RANGE)
-        single = daily_donation_metrics(FIXTURE, "X", FIXTURE_RANGE)
-        for label, series in single.series().items():
-            assert np.array_equal(series.values, merged.series()[label].values)
+    def test_kernel_matches_record_path(self):
+        lines = [
+            "C001|Smith, John|22903-1234|06012019|50",
+            "C001|SMITH JOHN|229035678|06022019|25",
+            "C002|Doe, Jane|10001|06012019|100",
+            "C001|Doe, Jane|10001|05012019|10",
+            "C001|Doe, Jane|10001|06032019|-10",
+            "C001|bad line",
+            "C009|Nobody|10001|06012019|5",
+        ]
+        counters = IngestCounters()
+        accumulators = {c: MetricsAccumulator(c) for c in ("ALPHA", "BRAVO")}
+        accumulate_fec_file(lines, TABLE, accumulators, counters)
+        records, record_counters = parse_lines(lines)
+        assert counters == record_counters
+        for candidate, acc in accumulators.items():
+            kernel = acc.finalize(FIXTURE_RANGE)
+            single = daily_donation_metrics(records, candidate, FIXTURE_RANGE)
+            for label, series in single.series().items():
+                assert np.array_equal(series.values, kernel.series()[label].values)
 
 
 @st.composite
@@ -251,22 +306,6 @@ class TestMetricInvariants:
         expected = sum(1 for day in first.values() if day in range_)
         assert m.new_donors.values.sum() == expected
 
-    @settings(max_examples=40, deadline=None)
-    @given(records=record_streams(), split=st.integers(0, 40))
-    def test_shard_merge_equals_one_pass(self, records, split):
-        split = min(split, len(records))
-        range_ = DateRange(D1, D1 + timedelta(days=9))
-        left = MetricsAccumulator("X")
-        right = MetricsAccumulator("X")
-        for r in records[:split]:
-            left.add(r)
-        for r in records[split:]:
-            right.add(r)
-        merged = left.merge(right).finalize(range_)
-        single = daily_donation_metrics(records, "X", range_)
-        for label, series in single.series().items():
-            assert np.array_equal(series.values, merged.series()[label].values)
-
     @settings(max_examples=30, deadline=None)
     @given(records=record_streams())
     def test_distinct_donor_total_without_lookback(self, records):
@@ -276,3 +315,94 @@ class TestMetricInvariants:
         m = daily_donation_metrics(records, "X", range_)
         keys = {r.donor_key for r in records if r.amount_cents > 0}
         assert m.new_donors.values.sum() == len(keys)
+
+
+NAME_SPELLINGS = [
+    "Smith, John", "SMITH JOHN", " smith,  john. ", "Doe, Jane", "DOE JANE",
+    "José Núñez", "JOSÉ NÚÑEZ", "straße", "STRASSE", "ＳＭＩＴＨ", "",
+]
+ZIP_SPELLINGS = [
+    "22903", "22903-1234", "229035678", " 22903", "123", "1234", "",
+    "２２９０３", "٢٢٩٠٣-0001", "10001",
+]
+LINE_TEXT = st.text(st.characters(blacklist_characters="|\r\n"), max_size=8)
+
+
+@st.composite
+def fec_line_streams(draw):
+    """Contribution lines for two mapped committees and one unmapped one."""
+    lines = []
+    for _ in range(draw(st.integers(0, 30))):
+        committee = draw(st.sampled_from(["C001", "C001", "C002", "C009"]))
+        name = draw(st.sampled_from(NAME_SPELLINGS) | LINE_TEXT)
+        zip_ = draw(st.sampled_from(ZIP_SPELLINGS) | LINE_TEXT)
+        day = D1 + timedelta(days=draw(st.integers(-20, 12)))
+        cents = draw(st.sampled_from([0, -2500]) | st.integers(1, 50_000))
+        lines.append(f"{committee}|{name}|{zip_}|{day:%m%d%Y}|{cents / 100:.2f}")
+    return lines
+
+
+def reference_metrics(records, candidate, range_):
+    """The four series by the former dict-of-dicts accumulation."""
+    first_seen: dict = {}
+    day_totals: dict = {}
+    for r in records:
+        if r.candidate_id != candidate or r.amount_cents <= 0:
+            continue
+        key = r.donor_key
+        if key not in first_seen or r.date < first_seen[key]:
+            first_seen[key] = r.date
+        by_donor = day_totals.setdefault(r.date, {})
+        by_donor[key] = by_donor.get(key, 0) + r.amount_cents
+    out = {label: np.zeros(len(range_)) for label in fec.METRIC_LABELS}
+    for day, by_donor in day_totals.items():
+        if day not in range_:
+            continue
+        i = (day - range_.start).days
+        fresh = [k for k in by_donor if first_seen[k] == day]
+        out["donors"][i] = len(by_donor)
+        out["new_donors"][i] = len(fresh)
+        out["amount"][i] = sum(by_donor.values()) / 100.0
+        out["new_donor_amount"][i] = sum(by_donor[k] for k in fresh) / 100.0
+    return out, len(first_seen)
+
+
+CHUNKS = pytest.mark.parametrize(
+    "chunk_rows", [1, 3, fec._CHUNK_ROWS], ids=["chunk1", "chunk3", "chunk_default"])
+
+
+class TestReferenceEquality:
+    RANGE = DateRange(D1, D1 + timedelta(days=9))
+
+    def assert_matches(self, acc, records):
+        want, distinct = reference_metrics(records, acc.candidate_id, self.RANGE)
+        got = acc.finalize(self.RANGE).series()
+        for label, values in want.items():
+            assert np.array_equal(got[label].values, values), label
+        assert len(acc.first_seen) == distinct
+
+    @CHUNKS
+    @settings(max_examples=60, deadline=None)
+    @given(lines=fec_line_streams())
+    def test_kernel_matches_dict_reference(self, chunk_rows, lines):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fec, "_CHUNK_ROWS", chunk_rows)
+            counters = IngestCounters()
+            accumulators = {c: MetricsAccumulator(c) for c in ("ALPHA", "BRAVO")}
+            accumulate_fec_file(lines, TABLE, accumulators, counters)
+            records, record_counters = parse_lines(lines)
+            assert counters == record_counters
+            for acc in accumulators.values():
+                self.assert_matches(acc, records)
+
+    @CHUNKS
+    @settings(max_examples=30, deadline=None)
+    @given(lines=fec_line_streams())
+    def test_record_path_matches_dict_reference(self, chunk_rows, lines):
+        records, _ = parse_lines(lines)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fec, "_CHUNK_ROWS", chunk_rows)
+            acc = MetricsAccumulator("ALPHA")
+            for r in records:
+                acc.add(r)
+            self.assert_matches(acc, records)
