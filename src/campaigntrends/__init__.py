@@ -34,11 +34,8 @@ from .exceptions import (
     UnknownCandidateError,
 )
 from .fec import (
-    ColumnMap,
     DailyDonationMetrics,
     DonationRecord,
-    DonorKey,
-    FEC_BULK_COLUMNS,
     IngestCounters,
     MetricsAccumulator,
     daily_donation_metrics,
@@ -46,7 +43,7 @@ from .fec import (
     normalize_donor_name,
     parse_fec_file,
 )
-from .polls import PollPoint, load_poll_series
+from .polls import load_poll_series
 from .synth import piecewise_linear, synth_values
 from .timeseries import DateRange, TimeSeries
 from .trendfilter import (
@@ -67,16 +64,13 @@ __all__ = [
     "AnalysisConfig",
     "CampaignTrendsError",
     "Changepoint",
-    "ColumnMap",
     "DailyDonationMetrics",
     "DateRange",
     "Direction",
     "DonationRecord",
-    "DonorKey",
     "DuplicateDateError",
     "EventAlignment",
     "EventMatch",
-    "FEC_BULK_COLUMNS",
     "GridMismatchError",
     "IngestCounters",
     "InvalidInputError",
@@ -85,7 +79,6 @@ __all__ = [
     "MatchedPair",
     "MetricsAccumulator",
     "MissingDayError",
-    "PollPoint",
     "RangeTooNarrowError",
     "Segment",
     "ShareResult",

@@ -14,6 +14,7 @@ non-converged fits, unreachable df targets), 2 unusable input.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from datetime import date, timedelta
@@ -125,7 +126,6 @@ def _config_from_args(args: argparse.Namespace) -> AnalysisConfig:
         "to": args.date_to,
         "candidates": args.candidates,
         "committee_map": str(args.committee_map) if args.committee_map else None,
-        "fec_files": ",".join(str(p) for p in args.fec_file) if args.fec_file else None,
         "poll_csv": str(args.poll_csv) if args.poll_csv else None,
         "events_csv": str(args.events_csv) if args.events_csv else None,
         "df": str(args.df) if args.df is not None else None,
@@ -136,7 +136,11 @@ def _config_from_args(args: argparse.Namespace) -> AnalysisConfig:
         "out": str(args.out) if args.out else None,
     }
     raw.update({k: v for k, v in overrides.items() if v is not None})
-    return build_config(raw)
+    config = build_config(raw)
+    if args.fec_file:
+        # flag paths are taken verbatim; only the config key is comma-separated
+        config = dataclasses.replace(config, fec_files=tuple(args.fec_file))
+    return config
 
 
 # ---------------------------------------------------------------------------

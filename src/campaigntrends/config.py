@@ -2,7 +2,8 @@
 
 The config file is one flat table in TOML-like syntax: one ``key = value``
 per line, ``#`` comments, strings optionally quoted, dates in ISO form and
-lists comma-separated. Command-line flags always win over file values.
+lists comma-separated. An empty value, bare or quoted, is an error.
+Command-line flags always win over file values.
 
 Recognized keys::
 
@@ -79,13 +80,6 @@ class AnalysisConfig:
         return DateRange(self.date_from, self.date_to)
 
 
-def _strip_quotes(value: str) -> str:
-    value = value.strip()
-    if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
-        return value[1:-1]
-    return value
-
-
 def parse_config_lines(lines: Iterable[str]) -> dict[str, str]:
     """Parse flat key = value lines into a raw string table."""
     table: dict[str, str] = {}
@@ -98,7 +92,7 @@ def parse_config_lines(lines: Iterable[str]) -> dict[str, str]:
         key, _, value = stripped.partition("=")
         key = key.strip().lower()
         value = value.strip()
-        if value[:1] in "'\"":
+        if value[:1] in ("'", '"'):
             quote = value[0]
             closing = value.find(quote, 1)
             if closing < 0:
@@ -108,6 +102,8 @@ def parse_config_lines(lines: Iterable[str]) -> dict[str, str]:
             value = value.split("#", 1)[0].strip()
         if key not in _KNOWN_KEYS:
             raise InvalidValueError(f"config line {lineno}: unknown key {key!r}")
+        if not value:
+            raise InvalidValueError(f"config line {lineno}: empty value for {key!r}")
         table[key] = value
     return table
 

@@ -1,14 +1,17 @@
 """FEC individual-contribution ingestion and daily donation metrics.
 
-Bulk contribution files are delimiter-separated text with one itemized
-donation per line. Parsing is streaming and never aborts mid-file: lines
-that cannot be parsed, or whose committee has no candidate mapping, are
-counted and skipped. Amounts are dollars; a non-finite amount, or one
-beyond ``MAX_AMOUNT_DOLLARS`` either way, makes its line malformed. Donor
-identity is the normalized name plus the first five zip digits, and a donor
-counts as "new" to a candidate on the day of their first-ever positive
-donation to that candidate, no matter how often they have given to anyone
-else.
+Contribution files hold one itemized donation per line, in one layout:
+``committee|name|zip|MMDDYYYY|dollars``. A line with fewer than five fields
+is malformed, and fields past the fifth are ignored; a real FEC bulk file
+maps onto the layout with ``cut -d'|' -f1,8,11,14,15``. Parsing is
+streaming and never aborts mid-file: lines that cannot be parsed, or whose
+committee has no candidate mapping, are counted and skipped. Amounts are
+dollars; a non-finite amount, or one beyond ``MAX_AMOUNT_DOLLARS`` either
+way, makes its line malformed. Donor identity is the normalized name plus
+the first five zip digits (``normalize_donor_name`` and ``zip5``), and a
+donor counts as "new" to a candidate on the day of their first-ever
+positive donation to that candidate, no matter how often they have given
+to anyone else.
 
 Per candidate and day the module produces four series: distinct donors,
 first-time donors, total dollars, and dollars from first-time donors.
@@ -25,7 +28,7 @@ import re
 from array import array
 from dataclasses import dataclass
 from datetime import date
-from typing import IO, Iterable, Iterator, Mapping, NamedTuple
+from typing import IO, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -33,11 +36,8 @@ from .exceptions import InvalidValueError
 from .timeseries import DateRange, TimeSeries
 
 __all__ = [
-    "ColumnMap",
     "DailyDonationMetrics",
     "DonationRecord",
-    "DonorKey",
-    "FEC_BULK_COLUMNS",
     "IngestCounters",
     "MAX_AMOUNT_DOLLARS",
     "MetricsAccumulator",
@@ -80,33 +80,9 @@ _DAY_MASK = (1 << _DAY_BITS) - 1
 _PARSE_CACHE_MAX = 1 << 16
 _UNSEEN = object()
 
-
-@dataclass(frozen=True)
-class ColumnMap:
-    """Layout of a delimiter-separated contribution file.
-
-    Positions are 0-based. Amounts are dollars (decimals allowed) and dates
-    MMDDYYYY; records dated outside 2017-01-01..2021-12-31, and non-finite
-    amounts or amounts beyond ``MAX_AMOUNT_DOLLARS``, are malformed.
-    """
-
-    delimiter: str = "|"
-    committee: int = 0
-    name: int = 1
-    zip: int = 2
-    date: int = 3
-    amount: int = 4
-
-
-# Real FEC bulk layout (itemized individual contributions).
-FEC_BULK_COLUMNS = ColumnMap(committee=0, name=7, zip=10, date=13, amount=14)
-
-
-class DonorKey(NamedTuple):
-    """Identity used to tell donors apart: normalized name + 5-digit zip."""
-
-    name_norm: str
-    zip5: str
+# The line layout: field positions of committee|name|zip|MMDDYYYY|dollars.
+_COMMITTEE, _NAME, _ZIP, _DATE, _AMOUNT = range(5)
+_FIELDS = 5
 
 
 @dataclass(frozen=True)
@@ -118,10 +94,6 @@ class DonationRecord:
     zip: str
     date: date
     amount_cents: int
-
-    @property
-    def donor_key(self) -> DonorKey:
-        return DonorKey(normalize_donor_name(self.donor_name_raw), zip5(self.zip))
 
 
 @dataclass
@@ -199,23 +171,16 @@ def _parse_amount_cents(text: str) -> int | None:
 def _valid_lines(
     lines: Iterable[str] | IO[str],
     committee_map: Mapping[str, str],
-    column_map: ColumnMap,
     counters: IngestCounters,
 ) -> Iterator[tuple[str, list[str], int, int]]:
     """Yield (candidate, fields, day ordinal, cents) for each parsed line.
 
-    The one home of the line rules, checked in this order: too few fields
-    is malformed; then an unparseable date or amount, or a date outside the
-    plausible window, is malformed; then a committee missing from
-    ``committee_map`` is unmapped. Every non-empty line is tallied in
+    The one home of the line rules, checked in this order: fewer than five
+    fields is malformed; then an unparseable date or amount, or a date
+    outside the plausible window, is malformed; then a committee missing
+    from ``committee_map`` is unmapped. Every non-empty line is tallied in
     ``counters``.
     """
-    needed = max(
-        column_map.committee, column_map.name, column_map.zip,
-        column_map.date, column_map.amount,
-    )
-    delimiter = column_map.delimiter
-    committee_at, date_at, amount_at = column_map.committee, column_map.date, column_map.amount
     days: dict[str, int | None] = {}
     amounts: dict[str, int | None] = {}
     for line in lines:
@@ -223,17 +188,17 @@ def _valid_lines(
         if not line:
             continue
         counters.lines_total += 1
-        fields = line.split(delimiter)
-        if len(fields) <= needed:
+        fields = line.split("|")
+        if len(fields) < _FIELDS:
             counters.malformed += 1
             continue
-        text = fields[date_at]
+        text = fields[_DATE]
         day = days.get(text, _UNSEEN)
         if day is _UNSEEN:
             day = _parse_day(text)
             if len(days) < _PARSE_CACHE_MAX:
                 days[text] = day
-        text = fields[amount_at]
+        text = fields[_AMOUNT]
         cents = amounts.get(text, _UNSEEN)
         if cents is _UNSEEN:
             cents = _parse_amount_cents(text)
@@ -242,7 +207,7 @@ def _valid_lines(
         if day is None or cents is None:
             counters.malformed += 1
             continue
-        candidate = committee_map.get(fields[committee_at].strip())
+        candidate = committee_map.get(fields[_COMMITTEE].strip())
         if candidate is None:
             counters.unmapped += 1
             continue
@@ -253,23 +218,21 @@ def _valid_lines(
 def parse_fec_file(
     lines: Iterable[str] | IO[str],
     committee_map: Mapping[str, str],
-    column_map: ColumnMap = ColumnMap(),
     counters: IngestCounters | None = None,
 ) -> Iterator[DonationRecord]:
-    """Stream DonationRecords out of a bulk contribution file.
+    """Stream DonationRecords out of a contribution file.
 
-    Malformed lines (wrong field count, unparseable or out-of-bound date or
+    Malformed lines (too few fields, unparseable or out-of-bound date or
     amount) and lines whose committee is not in ``committee_map`` are
     skipped and tallied in ``counters``.
     """
     if counters is None:
         counters = IngestCounters()
-    name_at, zip_at = column_map.name, column_map.zip
-    for candidate, fields, day, cents in _valid_lines(lines, committee_map, column_map, counters):
+    for candidate, fields, day, cents in _valid_lines(lines, committee_map, counters):
         yield DonationRecord(
             candidate_id=candidate,
-            donor_name_raw=fields[name_at],
-            zip=fields[zip_at].strip(),
+            donor_name_raw=fields[_NAME],
+            zip=fields[_ZIP].strip(),
             date=date.fromordinal(day),
             amount_cents=cents,
         )
@@ -399,19 +362,16 @@ def accumulate_fec_file(
     accumulators: Mapping[str, MetricsAccumulator],
     counters: IngestCounters,
 ) -> None:
-    """Stream a contribution file in the default ``ColumnMap`` layout into
-    per-candidate accumulators.
+    """Stream a contribution file into per-candidate accumulators.
 
     The ingest kernel: lines are validated and counted exactly as
     ``parse_fec_file`` does, but no record objects are built. Parsed lines
     of candidates without an accumulator are counted and dropped.
     """
-    column_map = ColumnMap()
-    name_at, zip_at = column_map.name, column_map.zip
-    for candidate, fields, day, cents in _valid_lines(lines, committee_map, column_map, counters):
+    for candidate, fields, day, cents in _valid_lines(lines, committee_map, counters):
         acc = accumulators.get(candidate)
         if acc is not None and cents > 0:
-            acc._push((_name_key(fields[name_at]), _zip_key(fields[zip_at])), day, cents)
+            acc._push((_name_key(fields[_NAME]), _zip_key(fields[_ZIP])), day, cents)
 
 
 def daily_donation_metrics(

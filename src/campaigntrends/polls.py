@@ -10,9 +10,8 @@ MAX_POLL_GAP_DAYS consecutive missing days is treated as broken input.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from datetime import date
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -24,29 +23,15 @@ from .exceptions import (
 )
 from .timeseries import DateRange, TimeSeries
 
-__all__ = ["MAX_POLL_GAP_DAYS", "PollPoint", "load_poll_series"]
+__all__ = ["MAX_POLL_GAP_DAYS", "load_poll_series"]
 
 MAX_POLL_GAP_DAYS = 7
 
 POLL_HEADER = ("date", "candidate", "pct")
 
 
-@dataclass(frozen=True)
-class PollPoint:
-    """One candidate's aggregated national average on one day."""
-
-    date: date
-    candidate: str
-    pct: float
-
-    def __post_init__(self) -> None:
-        if not self.candidate:
-            raise InvalidValueError("poll point has an empty candidate")
-        if not 0.0 <= self.pct <= 100.0:
-            raise InvalidValueError(f"pct {self.pct} outside [0, 100]")
-
-
-def _parse_rows(stream: Iterable[str] | IO[str]) -> Iterable[PollPoint]:
+def _parse_rows(stream: Iterable[str] | IO[str]) -> Iterator[tuple[date, str, float]]:
+    """Yield (date, candidate, pct) per data row; raise on the first bad row."""
     reader = csv.reader(stream)
     try:
         header = next(reader)
@@ -71,7 +56,10 @@ def _parse_rows(stream: Iterable[str] | IO[str]) -> Iterable[PollPoint]:
             raise InvalidValueError(f"line {lineno}: bad pct {row[2]!r}") from None
         if not 0.0 <= pct <= 100.0:
             raise InvalidValueError(f"line {lineno}: pct {pct} outside [0, 100]")
-        yield PollPoint(when, row[1].strip(), pct)
+        candidate = row[1].strip()
+        if not candidate:
+            raise InvalidValueError(f"line {lineno}: empty candidate")
+        yield when, candidate, pct
 
 
 def load_poll_series(
@@ -86,12 +74,12 @@ def load_poll_series(
     """
     seen_candidate = False
     points: list[tuple[date, float]] = []
-    for point in _parse_rows(stream):
-        if point.candidate != candidate:
+    for when, name, pct in _parse_rows(stream):
+        if name != candidate:
             continue
         seen_candidate = True
-        if point.date in range_:
-            points.append((point.date, point.pct))
+        if when in range_:
+            points.append((when, pct))
     if not seen_candidate:
         raise UnknownCandidateError(f"no poll rows for candidate {candidate!r}")
     if not points:

@@ -95,17 +95,6 @@ def _gram_apply(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gram_banded(m: int) -> np.ndarray:
-    """Lower banded storage of D D^T for scipy.linalg.solveh_banded."""
-    ab = np.zeros((3, m))
-    ab[0, :] = 6.0
-    if m > 1:
-        ab[1, : m - 1] = -4.0
-    if m > 2:
-        ab[2, : m - 2] = 1.0
-    return ab
-
-
 def _gram_submatrix_banded(idx: np.ndarray) -> np.ndarray:
     """Banded storage of D D^T restricted to rows/columns ``idx`` (sorted).
 
@@ -223,8 +212,8 @@ def _tol_knot(y: np.ndarray) -> float:
 
 
 def _unconstrained_dual(y: np.ndarray) -> np.ndarray:
-    m = y.shape[0] - 2
-    return solveh_banded(_gram_banded(m), second_difference(y), lower=True)
+    gram = _gram_submatrix_banded(np.arange(y.shape[0] - 2))
+    return solveh_banded(gram, second_difference(y), lower=True)
 
 
 def extract_segments(

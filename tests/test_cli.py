@@ -107,6 +107,17 @@ class TestConfigHandling:
             assert capsys.readouterr().err.startswith("error: config line 2: unknown key")
         assert not (tmp_path / "out").exists()
 
+    def test_empty_config_value_exit_2(self, tmp_path, fixtures_dir):
+        config = tmp_path / "run.conf"
+        config.write_text("from = 2019-06-01\ndf =\n", encoding="utf-8")
+        for stage in ("ingest", "fit", "report"):
+            flags = base_flags(fixtures_dir, tmp_path / "out")
+            result = run_cli([stage, "--config", str(config), *flags])
+            assert result.returncode == 2, result.stderr
+            assert result.stderr.startswith("error: config line 2: empty value for 'df'")
+            assert "Traceback" not in result.stderr
+        assert not (tmp_path / "out").exists()
+
 
 @pytest.fixture(scope="module")
 def pipeline(fixtures_dir, tmp_path_factory):
@@ -154,6 +165,17 @@ class TestPipeline:
         out_dir, _ = pipeline
         golden = fixtures_dir / "golden" / name
         assert (out_dir / name).read_bytes() == golden.read_bytes()
+
+    def test_fec_file_flag_path_with_comma(self, pipeline, fixtures_dir, tmp_path):
+        comma_dir = tmp_path / "c,d"
+        comma_dir.mkdir()
+        fec_file = comma_dir / "fec_sample.txt"
+        fec_file.write_bytes((fixtures_dir / "fec_sample.txt").read_bytes())
+        flags = base_flags(fixtures_dir, tmp_path / "out")
+        flags[flags.index("--fec-file") + 1] = str(fec_file)
+        assert main(["ingest", *flags]) == 0
+        plain = (pipeline[0] / "store.json").read_bytes()
+        assert (tmp_path / "out" / "store.json").read_bytes() == plain
 
     def test_fits_records(self, pipeline):
         out_dir, _ = pipeline

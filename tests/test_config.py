@@ -47,6 +47,18 @@ class TestParseConfigLines:
             parse_config_lines(['out = "no closing quote'])
 
 
+    @pytest.mark.parametrize("line, key", [
+        ("df =", "df"),
+        ("df = ''", "df"),
+        ('out = ""', "out"),
+        ("out = # note", "out"),
+        ("out =   ", "out"),
+    ])
+    def test_empty_value_rejected(self, line, key):
+        with pytest.raises(InvalidValueError, match=f"config line 2: empty value for '{key}'"):
+            parse_config_lines(["# header", line])
+
+
 class TestBuildConfig:
     def test_defaults(self):
         config = build_config(make_raw())

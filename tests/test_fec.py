@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from campaigntrends import (
-    ColumnMap,
     DateRange,
     DonationRecord,
     IngestCounters,
@@ -29,9 +28,9 @@ D3 = date(2019, 6, 3)
 TABLE = {"C001": "ALPHA", "C002": "BRAVO"}
 
 
-def parse_lines(lines, table=TABLE, column_map=ColumnMap()):
+def parse_lines(lines, table=TABLE):
     counters = IngestCounters()
-    records = list(parse_fec_file(lines, table, column_map, counters))
+    records = list(parse_fec_file(lines, table, counters))
     return records, counters
 
 
@@ -103,9 +102,9 @@ class TestParseFecFile:
         assert rec.amount_cents == 5000
 
     def test_short_line_counted_malformed(self):
-        records, counters = parse_lines(["C001|SMITH|22903"])
+        records, counters = parse_lines(["C001|SMITH|22903", "C001|SMITH|22903|06152019"])
         assert records == []
-        assert counters.malformed == 1
+        assert counters.malformed == 2
 
     def test_unmapped_committee_counted(self):
         records, counters = parse_lines(["C999|SMITH, JOHN|22903|06152019|50"])
@@ -140,11 +139,19 @@ class TestParseFecFile:
         records, _ = parse_lines(["C001|SMITH, JOHN|22903|06152019|123.45"])
         assert records[0].amount_cents == 12345
 
-    def test_custom_positions(self):
-        cmap = ColumnMap(delimiter=";", committee=1, name=0, zip=4, date=3, amount=2)
-        records, _ = parse_lines(["SMITH, JOHN;C001;50;06152019;22903"], column_map=cmap)
-        assert records[0].candidate_id == "ALPHA"
-        assert records[0].amount_cents == 5000
+    def test_fields_past_the_fifth_are_ignored(self):
+        line = "C001|SMITH, JOHN|22903|06152019|50|EXTRA"
+        records, counters = parse_lines([line])
+        assert counters.parsed == 1
+        assert (records[0].donor_name_raw, records[0].zip) == ("SMITH, JOHN", "22903")
+        assert (records[0].date, records[0].amount_cents) == (date(2019, 6, 15), 5000)
+        kernel_counters = IngestCounters()
+        acc = MetricsAccumulator("ALPHA")
+        accumulate_fec_file([line], TABLE, {"ALPHA": acc}, kernel_counters)
+        assert kernel_counters == counters
+        metrics = acc.finalize(DateRange(date(2019, 6, 15), date(2019, 6, 17)))
+        assert list(metrics.donors.values) == [1.0, 0.0, 0.0]
+        assert list(metrics.amount.values) == [50.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("amount", [
         "inf", "-inf", "Infinity", "1e400", "-1e400", "nan", "1000000000.01", "-1000000000.01",
@@ -300,7 +307,7 @@ class TestMetricInvariants:
         for r in records:
             if r.amount_cents <= 0:
                 continue
-            key = r.donor_key
+            key = (normalize_donor_name(r.donor_name_raw), zip5(r.zip))
             if key not in first or r.date < first[key]:
                 first[key] = r.date
         expected = sum(1 for day in first.values() if day in range_)
@@ -313,7 +320,10 @@ class TestMetricInvariants:
         # the number of distinct donor keys with any positive gift
         range_ = DateRange(D1 - timedelta(days=5), D1 + timedelta(days=9))
         m = daily_donation_metrics(records, "X", range_)
-        keys = {r.donor_key for r in records if r.amount_cents > 0}
+        keys = {
+            (normalize_donor_name(r.donor_name_raw), zip5(r.zip))
+            for r in records if r.amount_cents > 0
+        }
         assert m.new_donors.values.sum() == len(keys)
 
 
@@ -349,7 +359,7 @@ def reference_metrics(records, candidate, range_):
     for r in records:
         if r.candidate_id != candidate or r.amount_cents <= 0:
             continue
-        key = r.donor_key
+        key = (normalize_donor_name(r.donor_name_raw), zip5(r.zip))
         if key not in first_seen or r.date < first_seen[key]:
             first_seen[key] = r.date
         by_donor = day_totals.setdefault(r.date, {})

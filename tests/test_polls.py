@@ -45,6 +45,11 @@ class TestLoadPollSeries:
         with pytest.raises(InvalidValueError, match="line 3"):
             load_poll_series(stream, "biden", DateRange(D0, D0 + timedelta(days=2)))
 
+    def test_empty_candidate_reports_line(self):
+        stream = csv_stream([f"{iso(0)},biden,30", f"{iso(1)}, ,31"])
+        with pytest.raises(InvalidValueError, match="line 3"):
+            load_poll_series(stream, "biden", DateRange(D0, D0 + timedelta(days=2)))
+
     def test_bad_date_reports_line(self):
         stream = csv_stream(["not-a-date,biden,30"])
         with pytest.raises(InvalidValueError, match="line 2"):
