@@ -33,7 +33,7 @@ from .analysis import (
     normalize_share,
     trend_regions,
 )
-from .config import AnalysisConfig, build_config, load_config_file
+from .config import _KNOWN_KEYS, AnalysisConfig, build_config, load_config_file
 from .exceptions import CampaignTrendsError
 from .timeseries import TimeSeries
 from .trendfilter import (
@@ -64,10 +64,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "fit":
             return _cmd_fit(config)
         return _cmd_report(config)
-    except CampaignTrendsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNUSABLE
-    except OSError as exc:
+    except (CampaignTrendsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNUSABLE
 
@@ -81,21 +78,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_config_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", type=Path, help="flat key = value config file")
-        p.add_argument("--from", dest="date_from", help="range start, ISO date")
-        p.add_argument("--to", dest="date_to", help="range end, ISO date")
+        p.add_argument("--from", help="range start, ISO date")
+        p.add_argument("--to", help="range end, ISO date")
         p.add_argument("--candidates", help="comma-separated candidate ids")
-        p.add_argument("--committee-map", type=Path, help="committee_id,candidate_id CSV")
+        p.add_argument("--committee-map", help="committee_id,candidate_id CSV")
         p.add_argument("--fec-file", action="append", type=Path, default=None,
                        help="bulk contribution file (repeatable)")
-        p.add_argument("--poll-csv", type=Path, help="date,candidate,pct CSV")
-        p.add_argument("--events-csv", type=Path, help="date,label CSV")
-        p.add_argument("--df", type=int, help="absolute df target for every series")
-        p.add_argument("--df-per-90", type=float, help="df budget per 90 days (default 12)")
+        p.add_argument("--poll-csv", help="date,candidate,pct CSV")
+        p.add_argument("--events-csv", help="date,label CSV")
+        p.add_argument("--df", help="absolute df target for every series")
+        p.add_argument("--df-per-90", help="df budget per 90 days (default 12)")
         p.add_argument("--normalize", choices=["raw", "share"],
                        help="fit raw values or daily cross-candidate shares")
-        p.add_argument("--window-days", type=int, help="event alignment window")
-        p.add_argument("--max-gap-days", type=int, help="lead/lag pairing gap")
-        p.add_argument("--out", type=Path, help="output directory")
+        p.add_argument("--window-days", help="event alignment window")
+        p.add_argument("--max-gap-days", help="lead/lag pairing gap")
+        p.add_argument("--out", help="output directory")
 
     for name, help_text in [
         ("ingest", "parse inputs into store.json"),
@@ -121,21 +118,8 @@ def _config_from_args(args: argparse.Namespace) -> AnalysisConfig:
         if not args.config.exists():
             raise CampaignTrendsError(f"config file not found: {args.config}")
         raw.update(load_config_file(args.config))
-    overrides = {
-        "from": args.date_from,
-        "to": args.date_to,
-        "candidates": args.candidates,
-        "committee_map": str(args.committee_map) if args.committee_map else None,
-        "poll_csv": str(args.poll_csv) if args.poll_csv else None,
-        "events_csv": str(args.events_csv) if args.events_csv else None,
-        "df": str(args.df) if args.df is not None else None,
-        "df_per_90": str(args.df_per_90) if args.df_per_90 is not None else None,
-        "normalize": args.normalize,
-        "window_days": str(args.window_days) if args.window_days is not None else None,
-        "max_gap_days": str(args.max_gap_days) if args.max_gap_days is not None else None,
-        "out": str(args.out) if args.out else None,
-    }
-    raw.update({k: v for k, v in overrides.items() if v is not None})
+    # each config flag's dest is its config key; build_config parses the values
+    raw.update({k: v for k, v in vars(args).items() if k in _KNOWN_KEYS and v is not None})
     config = build_config(raw)
     if args.fec_file:
         # flag paths are taken verbatim; only the config key is comma-separated
@@ -199,8 +183,7 @@ def _cmd_ingest(config: AnalysisConfig) -> int:
     with open(config.out_dir / "store.json", "w", encoding="utf-8") as handle:
         store.write_store(handle, document)
     with open(config.out_dir / "ingest_summary.json", "w", encoding="utf-8") as handle:
-        json.dump(counters.as_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        store.write_store(handle, counters.as_dict())
     print(json.dumps(counters.as_dict(), sort_keys=True))
 
     warnings = counters.malformed > 0 or counters.parsed == 0
@@ -229,8 +212,8 @@ def _load_series_map(config: AnalysisConfig) -> dict[str, dict[str, TimeSeries]]
             f"store covers {span['from']}..{span['to']}; "
             "re-run ingest or pass --from and --to to match"
         )
-    held = sorted(set(document["candidates"]))
-    if held != sorted(set(config.candidates)):
+    held = sorted(document["candidates"])
+    if held != sorted(config.candidates):
         raise CampaignTrendsError(
             f"store holds candidates {','.join(held)}; "
             f"re-run ingest or pass --candidates {','.join(held)}"
@@ -401,7 +384,7 @@ def _cmd_report(config: AnalysisConfig) -> int:
             f"fits cover {shown}; re-run fit or pass --from and --to to match"
         )
     fitted = sorted({candidate for candidate, *_ in decoded})
-    if fitted != sorted(set(config.candidates)):
+    if fitted != sorted(config.candidates):
         raise CampaignTrendsError(
             f"fits were produced for candidates {','.join(fitted)}; "
             f"re-run fit or pass --candidates {','.join(fitted)}"

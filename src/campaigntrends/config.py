@@ -2,8 +2,9 @@
 
 The config file is one flat table in TOML-like syntax: one ``key = value``
 per line, ``#`` comments, strings optionally quoted, dates in ISO form and
-lists comma-separated. An empty value, bare or quoted, is an error.
-Command-line flags always win over file values.
+lists comma-separated. An empty value, bare or quoted, is an error, and so
+is anything but a comment after a closing quote. Command-line flags always
+win over file values, and their values are parsed as file values are.
 
 Recognized keys::
 
@@ -66,6 +67,9 @@ class AnalysisConfig:
             )
         if not self.candidates:
             raise InvalidValueError("candidate list must not be empty")
+        twice = [c for i, c in enumerate(self.candidates) if c in self.candidates[:i]]
+        if twice:
+            raise InvalidValueError(f"candidate {twice[0]!r} listed twice")
         if self.df is not None and self.df < 2:
             raise InvalidValueError(f"df override must be >= 2, got {self.df}")
         if self.normalize not in ("raw", "share"):
@@ -97,6 +101,9 @@ def parse_config_lines(lines: Iterable[str]) -> dict[str, str]:
             closing = value.find(quote, 1)
             if closing < 0:
                 raise InvalidValueError(f"config line {lineno}: unterminated string")
+            rest = value[closing + 1 :].lstrip()
+            if rest and not rest.startswith("#"):
+                raise InvalidValueError(f"config line {lineno}: text after closing quote")
             value = value[1:closing]
         else:
             value = value.split("#", 1)[0].strip()
@@ -115,9 +122,12 @@ def load_config_file(path: Path) -> dict[str, str]:
 
 def build_config(raw: dict[str, str]) -> AnalysisConfig:
     """Turn a merged raw table (file values + flag overrides) into a config."""
+    for key, value in raw.items():
+        if not value.strip():
+            raise InvalidValueError(f"empty value for {key!r}")
 
     def need(key: str) -> str:
-        if key not in raw or not raw[key]:
+        if key not in raw:
             raise InvalidValueError(f"missing required config key {key!r}")
         return raw[key]
 
@@ -143,12 +153,12 @@ def build_config(raw: dict[str, str]) -> AnalysisConfig:
         for key, kind in (
             ("df", int), ("df_per_90", float), ("window_days", int), ("max_gap_days", int)
         )
-        if raw.get(key)
+        if key in raw
     }
     for key in ("committee_map", "poll_csv", "events_csv"):
-        if raw.get(key):
+        if key in raw:
             optional[key] = Path(raw[key])
-    if raw.get("fec_files"):
+    if "fec_files" in raw:
         optional["fec_files"] = tuple(Path(p) for p in parse_list(raw["fec_files"]))
     if "normalize" in raw:
         optional["normalize"] = raw["normalize"]

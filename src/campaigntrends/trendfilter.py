@@ -19,11 +19,13 @@ returned fit carries the duality-gap certificate
 
     gap(u) = lam * ||D theta||_1 - u . (D theta)  >= 0,
 
-which vanishes exactly at the optimum. Strategy: closed-form branches for
-lam = 0 and lam >= lambda_max, otherwise block principal pivoting over a
+which vanishes exactly at the optimum. Each series is solved in one
+warm-started sweep over its penalties: lam = 0 and lam >= lambda_max are
+closed forms; every other penalty runs block principal pivoting over a
 free/upper/lower partition of the dual coordinates (each round one banded
 solve, exact when the KKT conditions verify), handing over to an active-set
 iteration that keeps the dual inside the box when the block flips stall.
+fit_with_target_df reads the df of every point and builds one TrendFit.
 
 Degrees of freedom follow the standard unbiased estimate for order-1 trend
 filtering: df = number of knots + 2.
@@ -31,8 +33,8 @@ filtering: df = number of knots + 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import solveh_banded
@@ -263,14 +265,13 @@ def solve_tf(y: Sequence[float], lam: float) -> TrendFit:
     arr = _validate_series(y)
     if not (np.isfinite(lam) and lam >= 0):
         raise InvalidInputError(f"lambda must be a finite nonnegative real, got {lam}")
-    u, gap, iterations, converged = _solve_dual(arr, float(lam), _eps_gap(arr))
-    return _build_fit(arr, float(lam), u, gap, _tol_knot(arr), converged, iterations)
+    return _build_fit(next(_sweep(arr, [lam])), _tol_knot(arr))
 
 
 def fit_with_target_df(y: Sequence[float], target_df: int) -> TrendFit:
     """Pick the penalty on a geometric grid whose fit df lands closest to target.
 
-    Evaluates solve_tf over 200 geometric points spanning
+    Solves at 200 geometric points spanning
     [1e-4 * lambda_max, lambda_max] (lambda_max included) and returns the
     fit with df closest to ``target_df``, ties broken toward the larger
     (smoother) penalty. When the target exceeds every df seen on the grid
@@ -283,38 +284,21 @@ def fit_with_target_df(y: Sequence[float], target_df: int) -> TrendFit:
         raise InvalidInputError(
             f"series of length {arr.shape[0]} cannot support df {target_df}"
         )
-    eps_gap = _eps_gap(arr)
-    tol_knot = _tol_knot(arr)
-    n = arr.shape[0]
-
     lam_hi = lambda_max(arr)
-    if lam_hi == 0.0:
-        # Exactly linear (or constant) input: every penalty returns y itself.
-        fit = _build_fit(arr, 0.0, np.zeros(n - 2), 0.0, tol_knot, True, 0)
-        return _flag_df_warning(fit, target_df, fit.df)
-
-    grid = np.unique(np.concatenate([np.geomspace(_GRID_SPAN * lam_hi, lam_hi, _GRID_SIZE), [lam_hi]]))
-    best: tuple[int, float, TrendFit] | None = None
+    grid = np.zeros(1)  # exactly linear (or constant) input: every penalty returns y itself
+    if lam_hi > 0.0:
+        grid = np.unique(np.concatenate([np.geomspace(_GRID_SPAN * lam_hi, lam_hi, _GRID_SIZE), [lam_hi]]))
+    tol_knot = _tol_knot(arr)
+    best: tuple[int, _Point] | None = None
     max_df_seen = 2
-    u_warm: np.ndarray | None = None
-    for lam in grid[::-1]:
-        lam = float(lam)
-        u, gap, iterations, converged = _solve_dual(arr, lam, eps_gap, u_warm=u_warm)
-        u_warm = u
-        fit = _build_fit(arr, lam, u, gap, tol_knot, converged, iterations)
-        max_df_seen = max(max_df_seen, fit.df)
-        distance = abs(fit.df - target_df)
+    for point in _sweep(arr, grid[::-1]):
+        df = int(np.count_nonzero(np.abs(second_difference(point.theta)) > tol_knot)) + 2
+        max_df_seen = max(max_df_seen, df)
         # strict improvement keeps the largest lambda among ties
-        if best is None or distance < best[0]:
-            best = (distance, lam, fit)
+        if best is None or abs(df - target_df) < best[0]:
+            best = (abs(df - target_df), point)
     assert best is not None
-    return _flag_df_warning(best[2], target_df, max_df_seen)
-
-
-def _flag_df_warning(fit: TrendFit, target_df: int, max_df_seen: int) -> TrendFit:
-    if target_df <= max_df_seen:
-        return fit
-    return replace(fit, df_warning=True)
+    return _build_fit(best[1], tol_knot, df_warning=target_df > max_df_seen)
 
 
 def oracle_solve(y: Sequence[float], lam: float, iters: int) -> np.ndarray:
@@ -362,34 +346,43 @@ def oracle_solve(y: Sequence[float], lam: float, iters: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _gap_value(y: np.ndarray, lam: float, u: np.ndarray) -> tuple[np.ndarray, float]:
-    """Primal recovery and duality gap for a box-feasible dual vector."""
-    theta = y - _dt_apply(u, y.shape[0])
-    dtheta = second_difference(theta)
-    gap = lam * float(np.sum(np.abs(dtheta))) - float(u @ dtheta)
-    return theta, gap
+class _Point(NamedTuple):
+    """One solved penalty of a sweep."""
+
+    lam: float
+    dual: np.ndarray
+    theta: np.ndarray
+    gap: float
+    converged: bool
+    rounds: int
 
 
-def _solve_dual(
-    y: np.ndarray,
-    lam: float,
-    eps_gap: float,
-    u_warm: np.ndarray | None = None,
-) -> tuple[np.ndarray, float, int, bool]:
-    """Return (u, gap, pivoting_rounds, converged) for one penalty."""
-    n = y.shape[0]
-    m = n - 2
-    if lam == 0.0:
-        return np.zeros(m), 0.0, 0, True
+def _sweep(y: np.ndarray, lams: Sequence[float]) -> Iterator[_Point]:
+    """Solve at each penalty of ``lams`` in the order given.
+
+    lam = 0 gives u = 0 and lam >= lambda_max the unconstrained dual, both
+    with 0 rounds and converged. Any other penalty runs _active_set_solve,
+    warm-started from the previous point's dual (the unconstrained dual for
+    the first), and converges when its KKT conditions verify and its gap is
+    at most _eps_gap(y).
+    """
     u_free = _unconstrained_dual(y)
-    if float(np.max(np.abs(u_free))) <= lam:
-        _, gap = _gap_value(y, lam, u_free)
-        return u_free, max(gap, 0.0), 0, True
-
-    start = u_warm if u_warm is not None else u_free
-    u, rounds, kkt = _active_set_solve(y, lam, start, _MAX_ROUNDS)
-    _, gap = _gap_value(y, lam, u)
-    return u, max(gap, 0.0), rounds, kkt and gap <= eps_gap
+    lam_max = float(np.max(np.abs(u_free)))
+    eps_gap = _eps_gap(y)
+    u = u_free
+    for lam in map(float, lams):
+        rounds, verified, gap_tol = 0, True, np.inf  # closed forms are exact
+        if lam == 0.0:
+            u = np.zeros_like(u_free)
+        elif lam >= lam_max:
+            u = u_free
+        else:
+            u, rounds, verified = _active_set_solve(y, lam, u, _MAX_ROUNDS)
+            gap_tol = eps_gap
+        theta = y - _dt_apply(u, y.shape[0])
+        dtheta = second_difference(theta)
+        gap = lam * float(np.sum(np.abs(dtheta))) - float(u @ dtheta)
+        yield _Point(lam, u, theta, max(gap, 0.0), verified and gap <= gap_tol, rounds)
 
 
 def _pinned_solve(
@@ -492,26 +485,18 @@ def _feasible_active_set(
     return np.clip(u, -lam, lam), max_rounds, False
 
 
-def _build_fit(
-    y: np.ndarray,
-    lam: float,
-    u: np.ndarray,
-    gap: float,
-    tol_knot: float,
-    converged: bool,
-    iterations: int,
-) -> TrendFit:
-    theta = y - _dt_apply(u, y.shape[0])
-    knots, segments = extract_segments(theta, tol_knot)
+def _build_fit(point: _Point, tol_knot: float, df_warning: bool = False) -> TrendFit:
+    knots, segments = extract_segments(point.theta, tol_knot)
     return TrendFit(
-        lam=lam,
-        fitted=theta,
+        lam=point.lam,
+        fitted=point.theta,
         knots=tuple(knots),
         segments=tuple(segments),
         df=len(knots) + 2,
-        duality_gap=gap,
-        dual=u,
+        duality_gap=point.gap,
+        dual=point.dual,
         tol_knot=tol_knot,
-        converged=converged,
-        iterations=iterations,
+        converged=point.converged,
+        iterations=point.rounds,
+        df_warning=df_warning,
     )

@@ -119,6 +119,44 @@ class TestConfigHandling:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--df", "abc", "error: config 'df': bad integer 'abc'"),
+            ("--window-days", "x", "error: config 'window_days': bad integer 'x'"),
+            ("--out", "", "error: empty value for 'out'"),
+            ("--out", " ", "error: empty value for 'out'"),
+            ("--candidates", "ALPHA,ALPHA,BRAVO", "error: candidate 'ALPHA' listed twice"),
+        ],
+        ids=["df", "window-days", "empty-out", "blank-out", "duplicate-candidate"],
+    )
+    def test_bad_flag_value_exit_2(self, tmp_path, fixtures_dir, flag, value, message):
+        flags = base_flags(fixtures_dir, tmp_path / "out")
+        for stage in ("ingest", "fit", "report"):
+            result = run_cli([stage, *flags, flag, value])
+            assert result.returncode == 2, result.stderr
+            assert result.stderr.startswith(message)
+            assert "Traceback" not in result.stderr
+        assert not (tmp_path / "out").exists()
+
+
+def assert_matches_golden(got, want, abs_tol, path="$"):
+    """Equal JSON, floats to a relative 1e-9 (or ``abs_tol``), all else exactly."""
+    if isinstance(want, float):
+        assert isinstance(got, (int, float)), path
+        assert got == pytest.approx(want, rel=1e-9, abs=abs_tol), path
+    elif isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for key in want:
+            assert_matches_golden(got[key], want[key], abs_tol, f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches_golden(g, w, abs_tol, f"{path}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, path
+
+
 @pytest.fixture(scope="module")
 def pipeline(fixtures_dir, tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("pipeline")
@@ -165,6 +203,29 @@ class TestPipeline:
         out_dir, _ = pipeline
         golden = fixtures_dir / "golden" / name
         assert (out_dir / name).read_bytes() == golden.read_bytes()
+
+    def test_fits_match_golden(self, pipeline, fixtures_dir):
+        out_dir, _ = pipeline
+        got = json.loads((out_dir / "fits.json").read_text())
+        want = json.loads((fixtures_dir / "golden" / "fits.json").read_text())
+        assert len(got["records"]) == len(want["records"])
+        for g, w in zip(got["records"], want["records"]):
+            # values near zero are rounding: tolerate 1e-9 of the series' scale,
+            # and gaps to the certificate's own tolerance 1e-8 * 0.5 * ||y||^2
+            observed = np.asarray(w["observed"])
+            eps_gap = 1e-8 * 0.5 * float(observed @ observed)
+            assert g.pop("duality_gap") == pytest.approx(w.pop("duality_gap"), abs=eps_gap)
+            assert_matches_golden(g, w, 1e-9 * float(np.max(np.abs(observed))))
+        got.pop("records"), want.pop("records")
+        assert got == want
+
+    def test_report_matches_golden(self, pipeline, fixtures_dir):
+        out_dir, _ = pipeline
+        got = json.loads((out_dir / "report.json").read_text())
+        want = json.loads((fixtures_dir / "golden" / "report.json").read_text())
+        fits = json.loads((fixtures_dir / "golden" / "fits.json").read_text())["records"]
+        scale = max(max(abs(v) for v in record["observed"]) for record in fits)
+        assert_matches_golden(got, want, 1e-9 * scale)
 
     def test_fec_file_flag_path_with_comma(self, pipeline, fixtures_dir, tmp_path):
         comma_dir = tmp_path / "c,d"

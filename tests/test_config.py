@@ -58,6 +58,20 @@ class TestParseConfigLines:
         with pytest.raises(InvalidValueError, match=f"config line 2: empty value for '{key}'"):
             parse_config_lines(["# header", line])
 
+    @pytest.mark.parametrize("line", [
+        'candidates = "ALPHA", BRAVO',
+        'out = "a" b',
+        "out = 'a'b",
+        'out = "a" "b"',
+    ])
+    def test_text_after_closing_quote_rejected(self, line):
+        with pytest.raises(InvalidValueError, match="config line 2: text after closing quote"):
+            parse_config_lines(["# header", line])
+
+    @pytest.mark.parametrize("line", ['out = "a" # note', 'out = "a"#note', "out = 'a'   "])
+    def test_comment_after_closing_quote_allowed(self, line):
+        assert parse_config_lines([line]) == {"out": "a"}
+
 
 class TestBuildConfig:
     def test_defaults(self):
@@ -110,3 +124,13 @@ class TestBuildConfig:
     def test_bad_date_rejected(self):
         with pytest.raises(InvalidValueError):
             build_config(make_raw(**{"from": "June 1st"}))
+
+    def test_duplicate_candidate_rejected(self):
+        with pytest.raises(InvalidValueError, match="candidate 'ALPHA' listed twice"):
+            build_config(make_raw(candidates="ALPHA,BRAVO, ALPHA"))
+
+    @pytest.mark.parametrize("value", ["", "  "])
+    @pytest.mark.parametrize("key", ["candidates", "out", "df", "committee_map", "fec_files"])
+    def test_empty_value_rejected(self, key, value):
+        with pytest.raises(InvalidValueError, match=f"empty value for '{key}'"):
+            build_config(make_raw(**{key: value}))

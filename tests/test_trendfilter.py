@@ -176,6 +176,37 @@ class TestDegenerateShapes:
             assert np.max(np.abs(fit.fitted - out)) <= 1e-4 * np.ptp(y), (shape, frac)
 
 
+class TestSweep:
+    def test_one_fit_solves_unconstrained_twice_and_builds_one_fit(self, monkeypatch):
+        calls = {"_unconstrained_dual": 0, "extract_segments": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(trendfilter, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(trendfilter, name, counted)
+        y, _ = bendy_signal(seed=55, n=90, n_knots=10)
+        fit_with_target_df(y, 12)
+        assert calls["_unconstrained_dual"] <= 2
+        assert calls["extract_segments"] == 1
+
+    @pytest.mark.parametrize("shape", ["bendy", "poisson"])
+    def test_warm_points_match_cold_solves(self, shape):
+        y = bendy_signal(seed=56, n=90)[0] if shape == "bendy" else degenerate_panel()["poisson"]
+        lam_hi = lambda_max(y)
+        grid = np.unique(np.concatenate([
+            np.geomspace(trendfilter._GRID_SPAN * lam_hi, lam_hi, trendfilter._GRID_SIZE), [lam_hi],
+        ]))[::-1]
+        tol_knot = trendfilter._tol_knot(y)
+        points = list(trendfilter._sweep(y, grid))
+        assert [p.lam for p in points] == grid.tolist()
+        for point in points:
+            cold = solve_tf(y, point.lam)
+            assert point.converged and cold.converged, point.lam
+            df = int(np.count_nonzero(np.abs(second_difference(point.theta)) > tol_knot)) + 2
+            assert df == cold.df, point.lam
+            assert np.max(np.abs(point.dual - cold.dual)) <= 1e-6 * point.lam
+
+
 class TestLambdaMax:
     def test_hand_computed_small_cases(self):
         # n=3: single row [1,-2,1], gram = 6, D y = -2 -> |u| = 1/3
