@@ -39,7 +39,6 @@ from .timeseries import TimeSeries
 from .trendfilter import (
     Segment,
     TrendFit,
-    _unconstrained_dual,
     fit_with_target_df,
     solve_tf,  # noqa: F401  kept as cli.solve_tf: perfbench/trace.py wraps that name
     target_df_for_span,
@@ -321,9 +320,10 @@ def _fit_record(
 def _fit_from_record(record: dict[str, Any]) -> tuple[date, TrendFit]:
     """Decode a _fit_record record into (start_date, TrendFit), fields as stored.
 
-    The dual is recovered from the residual with one banded solve, which keeps
-    fitted = observed - D^T dual. Malformed records raise KeyError, TypeError
-    or ValueError.
+    The dual is recovered from the residual r = observed - fitted = D^T dual,
+    a lower-triangular recurrence in the dual: a double cumulative sum of r
+    (its first n - 2 entries) inverts it, clipped to the box |u| <= lambda.
+    Malformed records raise KeyError, TypeError or ValueError.
     """
     start = date.fromisoformat(record["start_date"])
 
@@ -343,7 +343,7 @@ def _fit_from_record(record: dict[str, Any]) -> tuple[date, TrendFit]:
         ),
         df=record["df"],
         duality_gap=record["duality_gap"],
-        dual=np.clip(_unconstrained_dual(residual), -lam, lam),
+        dual=np.clip(np.cumsum(np.cumsum(residual))[:-2], -lam, lam),
         tol_knot=record["tol_knot"],
         converged=record["converged"],
         iterations=record["iterations"],

@@ -26,6 +26,9 @@ free/upper/lower partition of the dual coordinates (each round one banded
 solve, exact when the KKT conditions verify), handing over to an active-set
 iteration that keeps the dual inside the box when the block flips stall.
 fit_with_target_df reads the df of every point and builds one TrendFit.
+SciPy is loaded at the first solve, not at import: the banded solves call
+LAPACK dpbsv through scipy.linalg.lapack, so importing this module costs
+only NumPy.
 
 Degrees of freedom follow the standard unbiased estimate for order-1 trend
 filtering: df = number of knots + 2.
@@ -37,7 +40,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .exceptions import InvalidInputError
 
@@ -104,7 +106,7 @@ def _gram_submatrix_banded(idx: np.ndarray) -> np.ndarray:
     the restriction stays pentadiagonal in compacted indexing.
     """
     k = idx.shape[0]
-    ab = np.zeros((3, k))
+    ab = np.zeros((3, k), order="F")  # LAPACK's layout: dpbsv takes it without a copy
     ab[0, :] = 6.0
     if k > 1:
         step = np.diff(idx)
@@ -214,8 +216,27 @@ def _tol_knot(y: np.ndarray) -> float:
 
 
 def _unconstrained_dual(y: np.ndarray) -> np.ndarray:
-    gram = _gram_submatrix_banded(np.arange(y.shape[0] - 2))
-    return solveh_banded(gram, second_difference(y), lower=True)
+    return _banded_solve(_gram_submatrix_banded(np.arange(y.shape[0] - 2)), second_difference(y))
+
+
+def _banded_solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the positive definite banded system (lower storage ``ab``) for ``rhs``.
+
+    Calls LAPACK dpbsv directly, with the checks SciPy's banded Hermitian
+    solver makes around it: non-finite input raises ValueError and a block
+    that is not positive definite raises np.linalg.LinAlgError. Both
+    arguments are overwritten.
+    """
+    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    from scipy.linalg.lapack import dpbsv  # first solve loads SciPy; keeps it off the import path
+
+    _, x, info = dpbsv(ab, rhs, lower=1, overwrite_ab=1, overwrite_b=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal pbsv")
+    return x
 
 
 def extract_segments(
@@ -265,7 +286,7 @@ def solve_tf(y: Sequence[float], lam: float) -> TrendFit:
     arr = _validate_series(y)
     if not (np.isfinite(lam) and lam >= 0):
         raise InvalidInputError(f"lambda must be a finite nonnegative real, got {lam}")
-    return _build_fit(next(_sweep(arr, [lam])), _tol_knot(arr))
+    return _build_fit(next(_sweep(arr, [lam], _unconstrained_dual(arr))), _tol_knot(arr))
 
 
 def fit_with_target_df(y: Sequence[float], target_df: int) -> TrendFit:
@@ -284,14 +305,15 @@ def fit_with_target_df(y: Sequence[float], target_df: int) -> TrendFit:
         raise InvalidInputError(
             f"series of length {arr.shape[0]} cannot support df {target_df}"
         )
-    lam_hi = lambda_max(arr)
+    u_free = _unconstrained_dual(arr)
+    lam_hi = float(np.max(np.abs(u_free)))
     grid = np.zeros(1)  # exactly linear (or constant) input: every penalty returns y itself
     if lam_hi > 0.0:
         grid = np.unique(np.concatenate([np.geomspace(_GRID_SPAN * lam_hi, lam_hi, _GRID_SIZE), [lam_hi]]))
     tol_knot = _tol_knot(arr)
     best: tuple[int, _Point] | None = None
     max_df_seen = 2
-    for point in _sweep(arr, grid[::-1]):
+    for point in _sweep(arr, grid[::-1], u_free):
         df = int(np.count_nonzero(np.abs(second_difference(point.theta)) > tol_knot)) + 2
         max_df_seen = max(max_df_seen, df)
         # strict improvement keeps the largest lambda among ties
@@ -357,16 +379,17 @@ class _Point(NamedTuple):
     rounds: int
 
 
-def _sweep(y: np.ndarray, lams: Sequence[float]) -> Iterator[_Point]:
+def _sweep(y: np.ndarray, lams: Sequence[float], u_free: np.ndarray) -> Iterator[_Point]:
     """Solve at each penalty of ``lams`` in the order given.
 
-    lam = 0 gives u = 0 and lam >= lambda_max the unconstrained dual, both
-    with 0 rounds and converged. Any other penalty runs _active_set_solve,
-    warm-started from the previous point's dual (the unconstrained dual for
-    the first), and converges when its KKT conditions verify and its gap is
-    at most _eps_gap(y).
+    ``u_free`` is the unconstrained dual of ``y`` (_unconstrained_dual),
+    whose largest |u_j| is lambda_max; the caller solves it once per
+    series. lam = 0 gives u = 0 and lam >= lambda_max the unconstrained
+    dual, both with 0 rounds and converged. Any other penalty runs
+    _active_set_solve, warm-started from the previous point's dual (the
+    unconstrained dual for the first), and converges when its KKT
+    conditions verify and its gap is at most _eps_gap(y).
     """
-    u_free = _unconstrained_dual(y)
     lam_max = float(np.max(np.abs(u_free)))
     eps_gap = _eps_gap(y)
     u = u_free
@@ -393,7 +416,7 @@ def _pinned_solve(
     free = np.flatnonzero(~(upper | lower))
     if free.size:
         rhs = dy[free] - _gram_apply(u)[free]
-        u[free] = solveh_banded(_gram_submatrix_banded(free), rhs, lower=True)
+        u[free] = _banded_solve(_gram_submatrix_banded(free), rhs)
     return u
 
 

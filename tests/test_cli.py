@@ -23,6 +23,25 @@ def run_cli(args, **kwargs):
     )
 
 
+def run_stages_fresh(stages, flags):
+    """Run ``stages`` through cli.main in one fresh interpreter.
+
+    Returns their exit codes and the scipy modules loaded by the end.
+    """
+    code = (
+        "import json, sys\n"
+        "from campaigntrends.cli import main\n"
+        "codes = [main([stage, *json.loads(sys.argv[2])]) for stage in sys.argv[1].split(',')]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, ",".join(stages), json.dumps(flags)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
 def base_flags(fixtures_dir, out_dir):
     return [
         "--from", "2019-06-01",
@@ -404,6 +423,17 @@ class TestReportReadsFits:
             else:
                 assert getattr(back, f.name) == getattr(fit, f.name), f.name
 
+    def test_decoded_dual_reproduces_residual(self, fixtures_dir):
+        records = json.loads((fixtures_dir / "golden" / "fits.json").read_text())["records"]
+        for record in records:
+            _, fit = _fit_from_record(record)
+            observed = np.asarray(record["observed"], dtype=float)
+            label = (record["candidate"], record["metric"])
+            assert np.all(np.abs(fit.dual) <= fit.lam), label
+            # D^T u as a full convolution with the stencil [1, -2, 1]
+            residual = observed - fit.fitted - np.convolve(fit.dual, [1.0, -2.0, 1.0])
+            assert np.max(np.abs(residual)) <= 1e-9 * np.max(np.abs(observed)), label
+
     def test_record_round_trip_keeps_solver_state(self):
         y, _ = bendy_signal(seed=32, n=40, n_knots=3)
         ts = TimeSeries(date(2019, 6, 1), y)
@@ -444,6 +474,15 @@ class TestReportReadsFits:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+    def test_ingest_and_report_never_import_scipy(self, fixtures_dir, tmp_path):
+        flags = base_flags(fixtures_dir, tmp_path / "out")
+        codes, loaded = run_stages_fresh(["ingest", "fit"], flags)
+        assert codes == [0, 0]
+        assert "scipy.linalg" in loaded  # the fit process solves
+        codes, loaded = run_stages_fresh(["ingest", "report"], flags)
+        assert codes == [0, 0]
+        assert loaded == []
 
 
 class TestWarningPaths:

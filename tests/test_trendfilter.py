@@ -177,7 +177,7 @@ class TestDegenerateShapes:
 
 
 class TestSweep:
-    def test_one_fit_solves_unconstrained_twice_and_builds_one_fit(self, monkeypatch):
+    def test_one_fit_solves_unconstrained_once_and_builds_one_fit(self, monkeypatch):
         calls = {"_unconstrained_dual": 0, "extract_segments": 0}
         for name in calls:
             def counted(*args, _name=name, _original=getattr(trendfilter, name)):
@@ -186,7 +186,7 @@ class TestSweep:
             monkeypatch.setattr(trendfilter, name, counted)
         y, _ = bendy_signal(seed=55, n=90, n_knots=10)
         fit_with_target_df(y, 12)
-        assert calls["_unconstrained_dual"] <= 2
+        assert calls["_unconstrained_dual"] == 1
         assert calls["extract_segments"] == 1
 
     @pytest.mark.parametrize("shape", ["bendy", "poisson"])
@@ -197,7 +197,7 @@ class TestSweep:
             np.geomspace(trendfilter._GRID_SPAN * lam_hi, lam_hi, trendfilter._GRID_SIZE), [lam_hi],
         ]))[::-1]
         tol_knot = trendfilter._tol_knot(y)
-        points = list(trendfilter._sweep(y, grid))
+        points = list(trendfilter._sweep(y, grid, trendfilter._unconstrained_dual(y)))
         assert [p.lam for p in points] == grid.tolist()
         for point in points:
             cold = solve_tf(y, point.lam)
@@ -205,6 +205,43 @@ class TestSweep:
             df = int(np.count_nonzero(np.abs(second_difference(point.theta)) > tol_knot)) + 2
             assert df == cold.df, point.lam
             assert np.max(np.abs(point.dual - cold.dual)) <= 1e-6 * point.lam
+
+
+def random_free_set(rng, size, layout):
+    """Sorted free set of ``size`` dual indices: contiguous, single gaps or sparse."""
+    if layout == "contiguous":
+        start = int(rng.integers(0, 50))
+        return np.arange(start, start + size)
+    if layout == "single-gaps":
+        return np.cumsum(rng.integers(1, 3, size))
+    return np.sort(rng.choice(4 * size, size, replace=False))
+
+
+class TestBandedSolve:
+    @pytest.mark.parametrize("layout", ["contiguous", "single-gaps", "sparse"])
+    def test_matches_solveh_banded(self, layout):
+        from scipy.linalg import solveh_banded
+
+        rng = np.random.default_rng(90)
+        for size in [1, 2, 3, 4, 5, *rng.integers(6, 401, 25)]:
+            ab = trendfilter._gram_submatrix_banded(random_free_set(rng, int(size), layout))
+            rhs = rng.normal(0.0, 10.0, int(size))
+            want = solveh_banded(ab, rhs, lower=True)
+            got = trendfilter._banded_solve(ab.copy(order="F"), rhs.copy())
+            assert np.array_equal(got, want), (layout, size)
+
+    def test_not_positive_definite_raises(self):
+        ab = trendfilter._gram_submatrix_banded(np.arange(10))
+        ab[0, 4] = -1.0
+        with pytest.raises(np.linalg.LinAlgError):
+            trendfilter._banded_solve(ab, np.ones(10))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rhs_raises(self, bad):
+        rhs = np.ones(10)
+        rhs[3] = bad
+        with pytest.raises(ValueError):
+            trendfilter._banded_solve(trendfilter._gram_submatrix_banded(np.arange(10)), rhs)
 
 
 class TestLambdaMax:
