@@ -3,12 +3,13 @@
 This is where fits turn into statements about a campaign: which way each
 joinpoint bends, when a trend is falling, which external events sit close
 to which changepoints, and how the changepoints of two metrics line up in
-time against each other.
+time against each other. The events CSV (date,label) is read through
+``store.read_csv_table``; the event window and the lead/lag gap have no
+defaults here, since ``AnalysisConfig`` holds them.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from datetime import date, timedelta
 from enum import Enum
@@ -18,6 +19,7 @@ from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .exceptions import GridMismatchError, InvalidValueError
+from .store import read_csv_table
 from .timeseries import DateRange, TimeSeries
 from .trendfilter import TrendFit
 
@@ -37,10 +39,6 @@ __all__ = [
     "normalize_share",
     "trend_regions",
 ]
-
-DEFAULT_EVENT_WINDOW_DAYS = 10
-DEFAULT_LEAD_LAG_MAX_GAP_DAYS = 14
-
 
 class Direction(Enum):
     """Which way the slope moves across a changepoint (UP = steeper after)."""
@@ -191,7 +189,7 @@ def trend_regions(fit: TrendFit, start_date: date) -> TrendRegions:
 def align_events(
     labeled_changepoints: Iterable[tuple[str, Changepoint]],
     events: Sequence[tuple[date, str]],
-    window_days: int = DEFAULT_EVENT_WINDOW_DAYS,
+    window_days: int,
 ) -> list[EventAlignment]:
     """For each event, collect changepoints within the window, nearest first.
 
@@ -218,7 +216,7 @@ def align_events(
 def lead_lag(
     cps_a: Sequence[Changepoint],
     cps_b: Sequence[Changepoint],
-    max_gap_days: int = DEFAULT_LEAD_LAG_MAX_GAP_DAYS,
+    max_gap_days: int,
 ) -> LeadLagReport:
     """Pair changepoints of two series by greedy closest-date matching.
 
@@ -259,19 +257,8 @@ def lead_lag(
 
 def load_events(stream: Iterable[str] | IO[str]) -> list[tuple[date, str]]:
     """Read a date,label CSV of external events (ISO dates)."""
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InvalidValueError("events CSV is empty") from None
-    if tuple(h.strip().lower() for h in header) != ("date", "label"):
-        raise InvalidValueError(
-            f"events CSV must have header 'date,label', got {','.join(header)!r}"
-        )
     events = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or not any(cell.strip() for cell in row):
-            continue
+    for lineno, row in read_csv_table(stream, "events CSV", ("date", "label")):
         if len(row) < 2:
             raise InvalidValueError(f"line {lineno}: expected date,label")
         try:

@@ -21,8 +21,6 @@ from datetime import date, timedelta
 from pathlib import Path
 from typing import Any, Sequence
 
-import numpy as np
-
 from . import fec, polls, store, synth
 from .analysis import (
     Changepoint,
@@ -37,8 +35,6 @@ from .config import _KNOWN_KEYS, AnalysisConfig, build_config, load_config_file
 from .exceptions import CampaignTrendsError
 from .timeseries import TimeSeries
 from .trendfilter import (
-    Segment,
-    TrendFit,
     fit_with_target_df,
     solve_tf,  # noqa: F401  kept as cli.solve_tf: perfbench/trace.py wraps that name
     target_df_for_span,
@@ -252,7 +248,6 @@ def _cmd_fit(config: AnalysisConfig) -> int:
     if config.normalize == "share":
         series_map = _share_normalized(series_map)
     records = []
-    long_rows = []
     warnings = False
     for candidate in sorted(series_map):
         for metric in sorted(series_map[candidate]):
@@ -262,17 +257,7 @@ def _cmd_fit(config: AnalysisConfig) -> int:
             )
             fit = fit_with_target_df(ts.values, target)
             warnings = warnings or not fit.converged or fit.df_warning
-            records.append(_fit_record(candidate, metric, ts, fit, target))
-            for i, day in enumerate(ts.dates()):
-                long_rows.append(
-                    {
-                        "date": day.isoformat(),
-                        "candidate": candidate,
-                        "metric": metric,
-                        "observed": repr(float(ts.values[i])),
-                        "fitted": repr(float(fit.fitted[i])),
-                    }
-                )
+            records.append(store.fit_to_record(candidate, metric, ts, fit, target))
 
     document = {
         "schema_version": store.SCHEMA_VERSION,
@@ -283,72 +268,9 @@ def _cmd_fit(config: AnalysisConfig) -> int:
     with open(config.out_dir / "fits.json", "w", encoding="utf-8") as handle:
         store.write_store(handle, document)
     with open(config.out_dir / "fits_long.csv", "w", encoding="utf-8") as handle:
-        store.write_fits_long_csv(handle, long_rows)
+        store.write_fits_long_csv(handle, records)
     print(f"fitted {len(records)} series -> {config.out_dir / 'fits.json'}")
     return EXIT_WARNINGS if warnings else EXIT_OK
-
-
-def _fit_record(
-    candidate: str, metric: str, ts: TimeSeries, fit: TrendFit, target: int
-) -> dict[str, Any]:
-    return {
-        "candidate": candidate,
-        "metric": metric,
-        "lambda": fit.lam,
-        "df": fit.df,
-        "target_df": target,
-        "duality_gap": fit.duality_gap,
-        "converged": fit.converged,
-        "df_warning": fit.df_warning,
-        "tol_knot": fit.tol_knot,
-        "iterations": fit.iterations,
-        "start_date": ts.start_date.isoformat(),
-        "knots": [ts.date_at(k).isoformat() for k in fit.knots],
-        "segments": [
-            {
-                "start": ts.date_at(seg.start).isoformat(),
-                "end": ts.date_at(seg.end).isoformat(),
-                "slope": seg.slope,
-            }
-            for seg in fit.segments
-        ],
-        "fitted": [float(v) for v in fit.fitted],
-        "observed": [float(v) for v in ts.values],
-    }
-
-
-def _fit_from_record(record: dict[str, Any]) -> tuple[date, TrendFit]:
-    """Decode a _fit_record record into (start_date, TrendFit), fields as stored.
-
-    The dual is recovered from the residual r = observed - fitted = D^T dual,
-    a lower-triangular recurrence in the dual: a double cumulative sum of r
-    (its first n - 2 entries) inverts it, clipped to the box |u| <= lambda.
-    Malformed records raise KeyError, TypeError or ValueError.
-    """
-    start = date.fromisoformat(record["start_date"])
-
-    def day(text: str) -> int:
-        return (date.fromisoformat(text) - start).days
-
-    lam = record["lambda"]
-    fitted = np.asarray(record["fitted"], dtype=float)
-    residual = np.asarray(record["observed"], dtype=float) - fitted
-    return start, TrendFit(
-        lam=lam,
-        fitted=fitted,
-        knots=tuple(day(k) for k in record["knots"]),
-        segments=tuple(
-            Segment(day(seg["start"]), day(seg["end"]), seg["slope"])
-            for seg in record["segments"]
-        ),
-        df=record["df"],
-        duality_gap=record["duality_gap"],
-        dual=np.clip(np.cumsum(np.cumsum(residual))[:-2], -lam, lam),
-        tol_knot=record["tol_knot"],
-        converged=record["converged"],
-        iterations=record["iterations"],
-        df_warning=record["df_warning"],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +292,7 @@ def _cmd_report(config: AnalysisConfig) -> int:
 
     try:
         decoded = [
-            (record["candidate"], record["metric"], *_fit_from_record(record))
+            (record["candidate"], record["metric"], *store.fit_from_record(record))
             for record in fits_doc["records"]
         ]
     except (KeyError, TypeError, ValueError) as exc:

@@ -25,6 +25,7 @@ Recognized keys::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -70,6 +71,8 @@ class AnalysisConfig:
         twice = [c for i, c in enumerate(self.candidates) if c in self.candidates[:i]]
         if twice:
             raise InvalidValueError(f"candidate {twice[0]!r} listed twice")
+        if not (math.isfinite(self.df_per_90) and self.df_per_90 > 0):
+            raise InvalidValueError(f"df_per_90 must be finite and > 0, got {self.df_per_90!r}")
         if self.df is not None and self.df < 2:
             raise InvalidValueError(f"df override must be >= 2, got {self.df}")
         if self.normalize not in ("raw", "share"):

@@ -18,12 +18,12 @@ first-time donors, total dollars, and dollars from first-time donors.
 ``accumulate_fec_file`` is the ingest kernel: it interns donors to ints as
 lines stream and keeps per-candidate (donor, day) cent sums in NumPy
 arrays, so ingest memory grows with the distinct (donor, day) pairs, not
-with the number of lines.
+with the number of lines. The committee_id,candidate_id map that assigns
+committees to candidates is a CSV read through ``store.read_csv_table``.
 """
 
 from __future__ import annotations
 
-import csv
 import re
 from array import array
 from dataclasses import dataclass
@@ -33,6 +33,7 @@ from typing import IO, Iterable, Iterator, Mapping
 import numpy as np
 
 from .exceptions import InvalidValueError
+from .store import read_csv_table
 from .timeseries import DateRange, TimeSeries
 
 __all__ = [
@@ -240,20 +241,8 @@ def parse_fec_file(
 
 def load_committee_map(stream: Iterable[str] | IO[str]) -> dict[str, str]:
     """Read a committee_id,candidate_id CSV into a lookup table."""
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InvalidValueError("committee map is empty") from None
-    if [h.strip().lower() for h in header] != ["committee_id", "candidate_id"]:
-        raise InvalidValueError(
-            "committee map must have header 'committee_id,candidate_id', "
-            f"got {','.join(header)!r}"
-        )
     table: dict[str, str] = {}
-    for row in reader:
-        if not row or not any(cell.strip() for cell in row):
-            continue
+    for _, row in read_csv_table(stream, "committee map", ("committee_id", "candidate_id")):
         if len(row) < 2:
             raise InvalidValueError(f"committee map row has no candidate: {row!r}")
         table[row[0].strip()] = row[1].strip()

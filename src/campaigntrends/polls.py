@@ -1,6 +1,7 @@
 """Ingestion of pre-aggregated daily national polling averages.
 
-Input is a curated CSV (date,candidate,pct with ISO dates), so unlike the
+Input is a curated CSV (date,candidate,pct with ISO dates), framed by
+``store.read_csv_table`` (header, blank rows, line numbers), so unlike the
 bulk donation parser this loader raises on the first bad row instead of
 skipping. Missing days are linearly interpolated because an aggregated
 national average is expected to be near-daily; a run of more than
@@ -9,7 +10,6 @@ MAX_POLL_GAP_DAYS consecutive missing days is treated as broken input.
 
 from __future__ import annotations
 
-import csv
 from datetime import date
 from typing import IO, Iterable, Iterator
 
@@ -21,6 +21,7 @@ from .exceptions import (
     MissingDayError,
     UnknownCandidateError,
 )
+from .store import read_csv_table
 from .timeseries import DateRange, TimeSeries
 
 __all__ = ["MAX_POLL_GAP_DAYS", "load_poll_series"]
@@ -32,18 +33,7 @@ POLL_HEADER = ("date", "candidate", "pct")
 
 def _parse_rows(stream: Iterable[str] | IO[str]) -> Iterator[tuple[date, str, float]]:
     """Yield (date, candidate, pct) per data row; raise on the first bad row."""
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InvalidValueError("poll CSV is empty") from None
-    if tuple(h.strip().lower() for h in header) != POLL_HEADER:
-        raise InvalidValueError(
-            f"poll CSV must have header 'date,candidate,pct', got {','.join(header)!r}"
-        )
-    for lineno, row in enumerate(reader, start=2):
-        if not row or not any(cell.strip() for cell in row):
-            continue
+    for lineno, row in read_csv_table(stream, "poll CSV", POLL_HEADER):
         if len(row) != 3:
             raise InvalidValueError(f"line {lineno}: expected 3 fields, got {len(row)}")
         try:

@@ -1,31 +1,66 @@
-"""On-disk formats: the ingest store, fit records, and the analysis report.
+"""File formats: the CSV inputs, the ingest store, fit records and the report.
 
-Everything is a single self-describing JSON document with a schema_version
-field; daily data reduces to at most a few thousand points per series, so
-no database is needed. Fit output additionally includes a long-form CSV
-(date, candidate, metric, observed, fitted) ready for any plotting tool.
+Every file the pipeline reads or writes is framed here. The three CSV
+inputs (committee map, poll CSV, events CSV) share one reader,
+``read_csv_table``: a fixed header, blank rows skipped, line numbers for the
+caller's row checks. Outputs are single self-describing JSON documents with
+a schema_version field; daily data reduces to at most a few thousand points
+per series, so no database is needed. Each fit is one fits.json record
+(``fit_to_record`` / ``fit_from_record``), and ``fits_long.csv`` is the
+per-day view of those records (date, candidate, metric, observed, fitted),
+ready for any plotting tool.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from datetime import date
-from typing import IO, Any
+from datetime import date, timedelta
+from typing import IO, Any, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .exceptions import InvalidValueError
 from .timeseries import TimeSeries
+from .trendfilter import Segment, TrendFit
 
 __all__ = [
     "SCHEMA_VERSION",
+    "fit_from_record",
+    "fit_to_record",
+    "read_csv_table",
     "read_store",
     "series_from_json",
     "series_to_json",
     "validate_report",
+    "write_fits_long_csv",
     "write_store",
 ]
 
 SCHEMA_VERSION = 1
+
+
+def read_csv_table(
+    stream: Iterable[str] | IO[str], what: str, header: Sequence[str]
+) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, cells) for each non-blank data row of a CSV input.
+
+    The first row must equal ``header`` (cells compared stripped and
+    lower-cased); ``what`` names the file in the errors. Rows whose cells
+    are all blank are skipped but still counted as lines.
+    """
+    reader = csv.reader(stream)
+    try:
+        first = next(reader)
+    except StopIteration:
+        raise InvalidValueError(f"{what} is empty") from None
+    if [h.strip().lower() for h in first] != list(header):
+        raise InvalidValueError(
+            f"{what} must have header '{','.join(header)}', got {','.join(first)!r}"
+        )
+    for lineno, row in enumerate(reader, start=2):
+        if any(cell.strip() for cell in row):
+            yield lineno, row
 
 
 def series_to_json(ts: TimeSeries) -> dict[str, Any]:
@@ -61,14 +96,79 @@ def read_store(handle: IO[str]) -> dict[str, Any]:
     return store
 
 
-def write_fits_long_csv(handle: IO[str], rows: list[dict[str, Any]]) -> None:
-    """Long-form observed/fitted table: date, candidate, metric, observed, fitted."""
+def fit_to_record(
+    candidate: str, metric: str, ts: TimeSeries, fit: TrendFit, target: int
+) -> dict[str, Any]:
+    """One fits.json record: the fit of ``ts`` with dates in place of day indices."""
+    return {
+        "candidate": candidate,
+        "metric": metric,
+        "lambda": fit.lam,
+        "df": fit.df,
+        "target_df": target,
+        "duality_gap": fit.duality_gap,
+        "converged": fit.converged,
+        "df_warning": fit.df_warning,
+        "tol_knot": fit.tol_knot,
+        "iterations": fit.iterations,
+        "start_date": ts.start_date.isoformat(),
+        "knots": [ts.date_at(k).isoformat() for k in fit.knots],
+        "segments": [
+            {
+                "start": ts.date_at(seg.start).isoformat(),
+                "end": ts.date_at(seg.end).isoformat(),
+                "slope": seg.slope,
+            }
+            for seg in fit.segments
+        ],
+        "fitted": [float(v) for v in fit.fitted],
+        "observed": [float(v) for v in ts.values],
+    }
+
+
+def fit_from_record(record: dict[str, Any]) -> tuple[date, TrendFit]:
+    """Decode a fit_to_record record into (start_date, TrendFit), fields as stored.
+
+    The dual is recovered from the residual r = observed - fitted = D^T dual,
+    a lower-triangular recurrence in the dual: a double cumulative sum of r
+    (its first n - 2 entries) inverts it, clipped to the box |u| <= lambda.
+    Malformed records raise KeyError, TypeError or ValueError.
+    """
+    start = date.fromisoformat(record["start_date"])
+
+    def day(text: str) -> int:
+        return (date.fromisoformat(text) - start).days
+
+    lam = record["lambda"]
+    fitted = np.asarray(record["fitted"], dtype=float)
+    residual = np.asarray(record["observed"], dtype=float) - fitted
+    return start, TrendFit(
+        lam=lam,
+        fitted=fitted,
+        knots=tuple(day(k) for k in record["knots"]),
+        segments=tuple(
+            Segment(day(seg["start"]), day(seg["end"]), seg["slope"])
+            for seg in record["segments"]
+        ),
+        df=record["df"],
+        duality_gap=record["duality_gap"],
+        dual=np.clip(np.cumsum(np.cumsum(residual))[:-2], -lam, lam),
+        tol_knot=record["tol_knot"],
+        converged=record["converged"],
+        iterations=record["iterations"],
+        df_warning=record["df_warning"],
+    )
+
+
+def write_fits_long_csv(handle: IO[str], records: list[dict[str, Any]]) -> None:
+    """Per-day view of fit records: date, candidate, metric, observed, fitted."""
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(["date", "candidate", "metric", "observed", "fitted"])
-    for row in rows:
-        writer.writerow(
-            [row["date"], row["candidate"], row["metric"], row["observed"], row["fitted"]]
-        )
+    for record in records:
+        start = date.fromisoformat(record["start_date"])
+        for i, (observed, fitted) in enumerate(zip(record["observed"], record["fitted"])):
+            day = (start + timedelta(days=i)).isoformat()
+            writer.writerow([day, record["candidate"], record["metric"], repr(observed), repr(fitted)])
 
 
 def validate_report(report: dict[str, Any]) -> list[str]:

@@ -162,19 +162,17 @@ class TrendFit:
     segments: tuple[Segment, ...]
     df: int
     duality_gap: float
-    dual: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
-    tol_knot: float = 0.0
-    converged: bool = True
-    iterations: int = 0
-    df_warning: bool = False
+    dual: np.ndarray = field(repr=False)
+    tol_knot: float
+    converged: bool
+    iterations: int
+    df_warning: bool
 
     def __post_init__(self) -> None:
         fitted = np.asarray(self.fitted, dtype=float).copy()
         fitted.setflags(write=False)
         object.__setattr__(self, "fitted", fitted)
-        dual = np.asarray(
-            self.dual if self.dual is not None else np.zeros(len(fitted) - 2), dtype=float
-        ).copy()
+        dual = np.asarray(self.dual, dtype=float).copy()
         dual.setflags(write=False)
         object.__setattr__(self, "dual", dual)
 
@@ -239,6 +237,11 @@ def _banded_solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+def _bends(theta: np.ndarray, tol_knot: float) -> np.ndarray:
+    """Interior indices where theta bends: |second_difference(theta)| > tol_knot."""
+    return np.flatnonzero(np.abs(second_difference(theta)) > tol_knot) + 1
+
+
 def extract_segments(
     theta: Sequence[float], tol_knot: float
 ) -> tuple[list[int], list[Segment]]:
@@ -252,8 +255,7 @@ def extract_segments(
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError("fitted sequence contains non-finite values")
     n = arr.shape[0]
-    bends = np.flatnonzero(np.abs(second_difference(arr)) > tol_knot) + 1
-    knots = [int(k) for k in bends]
+    knots = [int(k) for k in _bends(arr, tol_knot)]
     boundaries = [0, *knots, n - 1]
     segments = [
         Segment(a, b, float((arr[b] - arr[a]) / (b - a)))
@@ -270,9 +272,12 @@ def target_df_for_span(n_days: int, df_per_90: float = 12.0) -> int:
     """
     if n_days < 3:
         raise InvalidInputError(f"span must be at least 3 days, got {n_days}")
-    if not df_per_90 > 0:
-        raise InvalidInputError("df_per_90 must be strictly positive")
-    return max(2, round(df_per_90 * n_days / 90.0))
+    if not (np.isfinite(df_per_90) and df_per_90 > 0):
+        raise InvalidInputError(f"df_per_90 must be finite and > 0, got {df_per_90!r}")
+    target = df_per_90 * n_days / 90.0
+    if not np.isfinite(target):
+        raise InvalidInputError(f"df target {df_per_90!r} * {n_days} / 90 is not finite")
+    return max(2, round(target))
 
 
 def solve_tf(y: Sequence[float], lam: float) -> TrendFit:
@@ -314,7 +319,7 @@ def fit_with_target_df(y: Sequence[float], target_df: int) -> TrendFit:
     best: tuple[int, _Point] | None = None
     max_df_seen = 2
     for point in _sweep(arr, grid[::-1], u_free):
-        df = int(np.count_nonzero(np.abs(second_difference(point.theta)) > tol_knot)) + 2
+        df = _bends(point.theta, tol_knot).size + 2
         max_df_seen = max(max_df_seen, df)
         # strict improvement keeps the largest lambda among ties
         if best is None or abs(df - target_df) < best[0]:

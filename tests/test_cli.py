@@ -1,16 +1,17 @@
+import csv
 import dataclasses
 import json
 import subprocess
 import sys
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from campaigntrends import TimeSeries, fit_with_target_df, solve_tf
-from campaigntrends.cli import _fit_from_record, _fit_record, main
-from campaigntrends.store import validate_report
+from campaigntrends.cli import main
+from campaigntrends.store import fit_from_record, fit_to_record, validate_report
 from conftest import bendy_signal
 
 
@@ -146,8 +147,13 @@ class TestConfigHandling:
             ("--out", "", "error: empty value for 'out'"),
             ("--out", " ", "error: empty value for 'out'"),
             ("--candidates", "ALPHA,ALPHA,BRAVO", "error: candidate 'ALPHA' listed twice"),
+            ("--df-per-90", "inf", "error: df_per_90 must be finite and > 0, got inf"),
+            ("--df-per-90", "nan", "error: df_per_90 must be finite and > 0, got nan"),
+            ("--df-per-90", "0", "error: df_per_90 must be finite and > 0, got 0.0"),
+            ("--df-per-90", "-1", "error: df_per_90 must be finite and > 0, got -1.0"),
         ],
-        ids=["df", "window-days", "empty-out", "blank-out", "duplicate-candidate"],
+        ids=["df", "window-days", "empty-out", "blank-out", "duplicate-candidate",
+             "df-per-90-inf", "df-per-90-nan", "df-per-90-zero", "df-per-90-negative"],
     )
     def test_bad_flag_value_exit_2(self, tmp_path, fixtures_dir, flag, value, message):
         flags = base_flags(fixtures_dir, tmp_path / "out")
@@ -157,6 +163,14 @@ class TestConfigHandling:
             assert result.stderr.startswith(message)
             assert "Traceback" not in result.stderr
         assert not (tmp_path / "out").exists()
+
+    def test_overflowing_df_target_exit_2(self, tmp_path, fixtures_dir):
+        flags = base_flags(fixtures_dir, tmp_path / "out")
+        assert main(["ingest", *flags]) == 0
+        result = run_cli(["fit", *flags, "--df-per-90", "1e308"])
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: df target 1e+308 * 50 / 90 is not finite")
+        assert not (tmp_path / "out" / "fits.json").exists()
 
 
 def assert_matches_golden(got, want, abs_tol, path="$"):
@@ -273,6 +287,22 @@ class TestPipeline:
         lines = (out_dir / "fits_long.csv").read_text().strip().splitlines()
         assert lines[0] == "date,candidate,metric,observed,fitted"
         assert len(lines) == 1 + 10 * 50
+
+    @pytest.mark.parametrize("normalize", ["raw", "share"])
+    def test_fits_long_csv_matches_records(self, fixtures_dir, tmp_path, normalize):
+        out_dir = tmp_path / normalize
+        flags = base_flags(fixtures_dir, out_dir) + ["--normalize", normalize]
+        assert main(["ingest", *flags]) == 0
+        assert main(["fit", *flags]) == 0
+        records = json.loads((out_dir / "fits.json").read_text())["records"]
+        want = [["date", "candidate", "metric", "observed", "fitted"]]
+        for record in records:
+            start = date.fromisoformat(record["start_date"])
+            for i, (observed, fitted) in enumerate(zip(record["observed"], record["fitted"])):
+                day = (start + timedelta(days=i)).isoformat()
+                want.append([day, record["candidate"], record["metric"], repr(observed), repr(fitted)])
+        with open(out_dir / "fits_long.csv", newline="", encoding="utf-8") as handle:
+            assert list(csv.reader(handle)) == want
 
     def test_report_structure_and_schema(self, pipeline):
         out_dir, _ = pipeline
@@ -411,8 +441,8 @@ class TestReportReadsFits:
         ts = TimeSeries(date(2019, 6, 1), y, "amount", "ALPHA")
         fit = fit_with_target_df(ts.values, target)
         assert fit.df_warning == (target == 80)
-        record = json.loads(json.dumps(_fit_record("ALPHA", "amount", ts, fit, target)))
-        start, back = _fit_from_record(record)
+        record = json.loads(json.dumps(fit_to_record("ALPHA", "amount", ts, fit, target)))
+        start, back = fit_from_record(record)
         assert start == ts.start_date
         for f in dataclasses.fields(fit):
             if f.name == "dual":
@@ -426,7 +456,7 @@ class TestReportReadsFits:
     def test_decoded_dual_reproduces_residual(self, fixtures_dir):
         records = json.loads((fixtures_dir / "golden" / "fits.json").read_text())["records"]
         for record in records:
-            _, fit = _fit_from_record(record)
+            _, fit = fit_from_record(record)
             observed = np.asarray(record["observed"], dtype=float)
             label = (record["candidate"], record["metric"])
             assert np.all(np.abs(fit.dual) <= fit.lam), label
@@ -438,7 +468,7 @@ class TestReportReadsFits:
         y, _ = bendy_signal(seed=32, n=40, n_knots=3)
         ts = TimeSeries(date(2019, 6, 1), y)
         fit = dataclasses.replace(solve_tf(y, 0.5), converged=False, iterations=123)
-        _, back = _fit_from_record(json.loads(json.dumps(_fit_record("A", "m", ts, fit, 5))))
+        _, back = fit_from_record(json.loads(json.dumps(fit_to_record("A", "m", ts, fit, 5))))
         assert (back.converged, back.iterations, back.tol_knot) == (False, 123, fit.tol_knot)
 
     @pytest.mark.parametrize(

@@ -340,6 +340,15 @@ class TestTargetDfForSpan:
         assert target_df_for_span(90, df_per_90=6.0) == 6
         assert target_df_for_span(45, df_per_90=6.0) == 3
 
+    @pytest.mark.parametrize(
+        "n_days, rate",
+        [(90, float("inf")), (90, float("nan")), (90, 0.0), (50, 1e308)],
+        ids=["inf", "nan", "zero", "overflow"],
+    )
+    def test_non_finite_or_non_positive_rate_rejected(self, n_days, rate):
+        with pytest.raises(InvalidInputError):
+            target_df_for_span(n_days, df_per_90=rate)
+
 
 class TestOracleSolve:
     def test_single_bump(self):
