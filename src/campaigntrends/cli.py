@@ -7,6 +7,10 @@ Subcommands:
              from fits.json and the events CSV alone (no store.json, no solve)
     synth    emit a seeded synthetic piecewise-linear series as CSV
 
+Stage flags come from ``config.KEYS`` (dest = key), so build_config parses flag
+and file values alike; only ``--config`` and ``--fec-file`` are declared here.
+fit and report share one check that their upstream file was made for this run.
+
 Exit codes: 0 clean, 1 completed with warnings (malformed input lines,
 non-converged fits, unreachable df targets), 2 unusable input.
 """
@@ -19,7 +23,7 @@ import json
 import sys
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from . import fec, polls, store, synth
 from .analysis import (
@@ -31,7 +35,7 @@ from .analysis import (
     normalize_share,
     trend_regions,
 )
-from .config import _KNOWN_KEYS, AnalysisConfig, build_config, load_config_file
+from .config import KEYS, AnalysisConfig, build_config, load_config_file
 from .exceptions import CampaignTrendsError
 from .timeseries import TimeSeries
 from .trendfilter import (
@@ -73,21 +77,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_config_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", type=Path, help="flat key = value config file")
-        p.add_argument("--from", help="range start, ISO date")
-        p.add_argument("--to", help="range end, ISO date")
-        p.add_argument("--candidates", help="comma-separated candidate ids")
-        p.add_argument("--committee-map", help="committee_id,candidate_id CSV")
-        p.add_argument("--fec-file", action="append", type=Path, default=None,
-                       help="bulk contribution file (repeatable)")
-        p.add_argument("--poll-csv", help="date,candidate,pct CSV")
-        p.add_argument("--events-csv", help="date,label CSV")
-        p.add_argument("--df", help="absolute df target for every series")
-        p.add_argument("--df-per-90", help="df budget per 90 days (default 12)")
-        p.add_argument("--normalize", choices=["raw", "share"],
-                       help="fit raw values or daily cross-candidate shares")
-        p.add_argument("--window-days", help="event alignment window")
-        p.add_argument("--max-gap-days", help="lead/lag pairing gap")
-        p.add_argument("--out", help="output directory")
+        for key, (_, _, help_text) in KEYS.items():
+            if key == "fec_files":
+                # one verbatim path per flag; only the config value is comma-separated
+                p.add_argument("--fec-file", action="append", type=Path,
+                               help=f"{help_text} (repeatable)")
+            else:
+                p.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text)
 
     for name, help_text in [
         ("ingest", "parse inputs into store.json"),
@@ -114,10 +110,9 @@ def _config_from_args(args: argparse.Namespace) -> AnalysisConfig:
             raise CampaignTrendsError(f"config file not found: {args.config}")
         raw.update(load_config_file(args.config))
     # each config flag's dest is its config key; build_config parses the values
-    raw.update({k: v for k, v in vars(args).items() if k in _KNOWN_KEYS and v is not None})
+    raw.update({k: v for k, v in vars(args).items() if k in KEYS and v is not None})
     config = build_config(raw)
     if args.fec_file:
-        # flag paths are taken verbatim; only the config key is comma-separated
         config = dataclasses.replace(config, fec_files=tuple(args.fec_file))
     return config
 
@@ -194,31 +189,29 @@ def _cmd_ingest(config: AnalysisConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_series_map(config: AnalysisConfig) -> dict[str, dict[str, TimeSeries]]:
-    """Read store.json's series after checking its range and candidates match the flags."""
-    path = config.out_dir / "store.json"
+def _read_upstream(path: Path, stage: str) -> dict[str, Any]:
+    """Read the pipeline file at ``path``, which ``stage`` writes."""
     if not path.exists():
-        raise CampaignTrendsError(f"store not found: {path} (run ingest first)")
+        raise CampaignTrendsError(f"{path.stem} not found: {path} (run {stage} first)")
     with open(path, encoding="utf-8") as handle:
-        document = store.read_store(handle)
-    span = document["range"]
-    if (span["from"], span["to"]) != (config.date_from.isoformat(), config.date_to.isoformat()):
+        return store.read_store(handle)
+
+
+def _check_upstream(
+    config: AnalysisConfig, name: str, stage: str, spans: set[str], candidates: Iterable[str]
+) -> None:
+    """Reject an upstream file whose 'from..to' spans or candidates are not this run's."""
+    if spans != {f"{config.date_from}..{config.date_to}"}:
         raise CampaignTrendsError(
-            f"store covers {span['from']}..{span['to']}; "
-            "re-run ingest or pass --from and --to to match"
+            f"{name} range is {', '.join(sorted(spans))}; "
+            f"re-run {stage} or pass --from and --to to match"
         )
-    held = sorted(document["candidates"])
+    held = sorted(candidates)
     if held != sorted(config.candidates):
         raise CampaignTrendsError(
-            f"store holds candidates {','.join(held)}; "
-            f"re-run ingest or pass --candidates {','.join(held)}"
+            f"{name} candidates are {','.join(held)}; "
+            f"re-run {stage} or pass --candidates {','.join(held)}"
         )
-    out: dict[str, dict[str, TimeSeries]] = {}
-    for candidate, metrics in document["series"].items():
-        out[candidate] = {
-            metric: store.series_from_json(obj) for metric, obj in metrics.items()
-        }
-    return out
 
 
 def _share_normalized(
@@ -244,7 +237,13 @@ def _share_normalized(
 
 
 def _cmd_fit(config: AnalysisConfig) -> int:
-    series_map = _load_series_map(config)
+    document = _read_upstream(config.out_dir / "store.json", "ingest")
+    span = f"{document['range']['from']}..{document['range']['to']}"
+    _check_upstream(config, "store", "ingest", {span}, document["candidates"])
+    series_map = {
+        candidate: {metric: store.series_from_json(obj) for metric, obj in metrics.items()}
+        for candidate, metrics in document["series"].items()
+    }
     if config.normalize == "share":
         series_map = _share_normalized(series_map)
     records = []
@@ -280,10 +279,7 @@ def _cmd_fit(config: AnalysisConfig) -> int:
 
 def _cmd_report(config: AnalysisConfig) -> int:
     fits_path = config.out_dir / "fits.json"
-    if not fits_path.exists():
-        raise CampaignTrendsError(f"fits not found: {fits_path} (run fit first)")
-    with open(fits_path, encoding="utf-8") as handle:
-        fits_doc = store.read_store(handle)
+    fits_doc = _read_upstream(fits_path, "fit")
     if fits_doc.get("normalize") != config.normalize:
         raise CampaignTrendsError(
             f"fits were produced with normalize={fits_doc.get('normalize')!r}; "
@@ -297,20 +293,8 @@ def _cmd_report(config: AnalysisConfig) -> int:
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise CampaignTrendsError(f"malformed fit record in {fits_path}: {exc!r}") from None
-    spans = sorted(
-        {(start, start + timedelta(days=len(fit.fitted) - 1)) for _, _, start, fit in decoded}
-    )
-    if spans != [(config.date_from, config.date_to)]:
-        shown = ", ".join(f"{first}..{last}" for first, last in spans)
-        raise CampaignTrendsError(
-            f"fits cover {shown}; re-run fit or pass --from and --to to match"
-        )
-    fitted = sorted({candidate for candidate, *_ in decoded})
-    if fitted != sorted(config.candidates):
-        raise CampaignTrendsError(
-            f"fits were produced for candidates {','.join(fitted)}; "
-            f"re-run fit or pass --candidates {','.join(fitted)}"
-        )
+    spans = {f"{start}..{start + timedelta(days=len(fit.fitted) - 1)}" for *_, start, fit in decoded}
+    _check_upstream(config, "fits", "fit", spans, {candidate for candidate, *_ in decoded})
 
     warnings = False
     series_entries = []

@@ -3,8 +3,11 @@
 The config file is one flat table in TOML-like syntax: one ``key = value``
 per line, ``#`` comments, strings optionally quoted, dates in ISO form and
 lists comma-separated. An empty value, bare or quoted, is an error, and so
-is anything but a comment after a closing quote. Command-line flags always
-win over file values, and their values are parsed as file values are.
+is anything but a comment after a closing quote.
+
+``KEYS`` declares each key once: its ``AnalysisConfig`` field, its parser
+and the help of its flag ``--key`` (``_`` written ``-``). Flags win over file
+values, and their values are parsed and checked exactly as file values are.
 
 Recognized keys::
 
@@ -26,20 +29,47 @@ Recognized keys::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from datetime import date
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from .exceptions import InvalidValueError
 from .timeseries import DateRange
 
-__all__ = ["AnalysisConfig", "build_config", "load_config_file", "parse_config_lines"]
+__all__ = ["KEYS", "AnalysisConfig", "build_config", "load_config_file", "parse_config_lines"]
 
-_KNOWN_KEYS = {
-    "from", "to", "candidates", "committee_map", "fec_files", "poll_csv",
-    "events_csv", "df", "df_per_90", "normalize", "window_days",
-    "max_gap_days", "out",
+
+def _parser(convert: Callable[[str], Any], noun: str) -> Callable[[str], Any]:
+    """A value parser that reports what ``convert`` rejects as a bad ``noun``."""
+    def parse(value: str) -> Any:
+        try:
+            return convert(value)
+        except ValueError:
+            raise ValueError(f"bad {noun} {value!r}") from None
+    return parse
+
+
+def _items(value: str) -> tuple[str, ...]:
+    return tuple(item.strip() for item in value.split(",") if item.strip())
+
+
+# key -> (AnalysisConfig field, value parser, flag help); a key whose field
+# has no default is required
+KEYS: dict[str, tuple[str, Callable[[str], Any], str]] = {
+    "from": ("date_from", _parser(date.fromisoformat, "date"), "range start, ISO date"),
+    "to": ("date_to", _parser(date.fromisoformat, "date"), "range end, ISO date"),
+    "candidates": ("candidates", _items, "comma-separated candidate ids"),
+    "committee_map": ("committee_map", Path, "committee_id,candidate_id CSV"),
+    "fec_files": ("fec_files", lambda v: tuple(map(Path, _items(v))), "bulk contribution file"),
+    "poll_csv": ("poll_csv", Path, "date,candidate,pct CSV"),
+    "events_csv": ("events_csv", Path, "date,label CSV"),
+    "df": ("df", _parser(int, "integer"), "absolute df target for every series"),
+    "df_per_90": ("df_per_90", _parser(float, "number"), "df budget per 90 days (default 12)"),
+    "normalize": ("normalize", str, "fit raw values or daily cross-candidate shares"),
+    "window_days": ("window_days", _parser(int, "integer"), "event alignment window"),
+    "max_gap_days": ("max_gap_days", _parser(int, "integer"), "lead/lag pairing gap"),
+    "out": ("out_dir", Path, "output directory"),
 }
 
 
@@ -110,7 +140,7 @@ def parse_config_lines(lines: Iterable[str]) -> dict[str, str]:
             value = value[1:closing]
         else:
             value = value.split("#", 1)[0].strip()
-        if key not in _KNOWN_KEYS:
+        if key not in KEYS:
             raise InvalidValueError(f"config line {lineno}: unknown key {key!r}")
         if not value:
             raise InvalidValueError(f"config line {lineno}: empty value for {key!r}")
@@ -124,52 +154,22 @@ def load_config_file(path: Path) -> dict[str, str]:
 
 
 def build_config(raw: dict[str, str]) -> AnalysisConfig:
-    """Turn a merged raw table (file values + flag overrides) into a config."""
+    """Turn a merged raw table (file values + flag overrides) into a config.
+
+    Reports an empty value first, then a missing required key, then a bad value.
+    """
     for key, value in raw.items():
         if not value.strip():
             raise InvalidValueError(f"empty value for {key!r}")
-
-    def need(key: str) -> str:
-        if key not in raw:
+    required = {f.name for f in fields(AnalysisConfig) if f.default is MISSING}
+    for key, (field, _, _) in KEYS.items():
+        if field in required and key not in raw:
             raise InvalidValueError(f"missing required config key {key!r}")
-        return raw[key]
-
-    def parse_date(key: str) -> date:
-        try:
-            return date.fromisoformat(need(key))
-        except ValueError:
-            raise InvalidValueError(f"config {key!r}: bad date {raw[key]!r}") from None
-
-    def parse_list(value: str) -> tuple[str, ...]:
-        return tuple(item.strip() for item in value.split(",") if item.strip())
-
-    def parse_number(key: str, kind: type) -> int | float:
-        try:
-            return kind(raw[key])
-        except ValueError:
-            noun = "integer" if kind is int else "number"
-            raise InvalidValueError(f"config {key!r}: bad {noun} {raw[key]!r}") from None
-
-    # Only keys given a value are passed; AnalysisConfig holds the defaults.
-    optional: dict[str, Any] = {
-        key: parse_number(key, kind)
-        for key, kind in (
-            ("df", int), ("df_per_90", float), ("window_days", int), ("max_gap_days", int)
-        )
-        if key in raw
-    }
-    for key in ("committee_map", "poll_csv", "events_csv"):
+    values: dict[str, Any] = {}
+    for key, (field, parse, _) in KEYS.items():
         if key in raw:
-            optional[key] = Path(raw[key])
-    if "fec_files" in raw:
-        optional["fec_files"] = tuple(Path(p) for p in parse_list(raw["fec_files"]))
-    if "normalize" in raw:
-        optional["normalize"] = raw["normalize"]
-    if "out" in raw:
-        optional["out_dir"] = Path(raw["out"])
-    return AnalysisConfig(
-        date_from=parse_date("from"),
-        date_to=parse_date("to"),
-        candidates=parse_list(need("candidates")),
-        **optional,
-    )
+            try:
+                values[field] = parse(raw[key])
+            except ValueError as exc:
+                raise InvalidValueError(f"config {key!r}: {exc}") from None
+    return AnalysisConfig(**values)

@@ -242,9 +242,9 @@ def parse_fec_file(
 def load_committee_map(stream: Iterable[str] | IO[str]) -> dict[str, str]:
     """Read a committee_id,candidate_id CSV into a lookup table."""
     table: dict[str, str] = {}
-    for _, row in read_csv_table(stream, "committee map", ("committee_id", "candidate_id")):
+    for lineno, row in read_csv_table(stream, "committee map", ("committee_id", "candidate_id")):
         if len(row) < 2:
-            raise InvalidValueError(f"committee map row has no candidate: {row!r}")
+            raise InvalidValueError(f"line {lineno}: committee map row has no candidate: {row!r}")
         table[row[0].strip()] = row[1].strip()
     return table
 

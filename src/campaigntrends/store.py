@@ -47,7 +47,8 @@ def read_csv_table(
 
     The first row must equal ``header`` (cells compared stripped and
     lower-cased); ``what`` names the file in the errors. Rows whose cells
-    are all blank are skipped but still counted as lines.
+    are all blank are skipped but still counted as lines. Rows are numbered
+    by the physical line they start on.
     """
     reader = csv.reader(stream)
     try:
@@ -58,9 +59,11 @@ def read_csv_table(
         raise InvalidValueError(
             f"{what} must have header '{','.join(header)}', got {','.join(first)!r}"
         )
-    for lineno, row in enumerate(reader, start=2):
+    lineno = reader.line_num + 1
+    for row in reader:
         if any(cell.strip() for cell in row):
             yield lineno, row
+        lineno = reader.line_num + 1
 
 
 def series_to_json(ts: TimeSeries) -> dict[str, Any]:

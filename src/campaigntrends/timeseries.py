@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date, timedelta
-from typing import Iterator
 
 import numpy as np
 
@@ -36,10 +35,6 @@ class DateRange:
 
     def __len__(self) -> int:
         return (self.end - self.start).days + 1
-
-    def days(self) -> Iterator[date]:
-        for i in range(len(self)):
-            yield self.start + timedelta(days=i)
 
 
 @dataclass(frozen=True)
@@ -77,25 +72,8 @@ class TimeSeries:
     def __len__(self) -> int:
         return int(self.values.shape[0])
 
-    @property
-    def end_date(self) -> date:
-        return self.start_date + timedelta(days=len(self) - 1)
-
-    @property
-    def range(self) -> DateRange:
-        return DateRange(self.start_date, self.end_date)
-
     def date_at(self, index: int) -> date:
         if not 0 <= index < len(self):
             raise IndexError(f"day index {index} outside series of length {len(self)}")
         return self.start_date + timedelta(days=index)
-
-    def index_of(self, day: date) -> int:
-        offset = (day - self.start_date).days
-        if not 0 <= offset < len(self):
-            raise IndexError(f"{day} outside series span {self.start_date}..{self.end_date}")
-        return offset
-
-    def dates(self) -> Iterator[date]:
-        return self.range.days()
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 from campaigntrends import TimeSeries, fit_with_target_df, solve_tf
-from campaigntrends.cli import main
+from campaigntrends import config
+from campaigntrends.cli import _build_parser, main
 from campaigntrends.store import fit_from_record, fit_to_record, validate_report
 from conftest import bendy_signal
 
@@ -151,9 +153,11 @@ class TestConfigHandling:
             ("--df-per-90", "nan", "error: df_per_90 must be finite and > 0, got nan"),
             ("--df-per-90", "0", "error: df_per_90 must be finite and > 0, got 0.0"),
             ("--df-per-90", "-1", "error: df_per_90 must be finite and > 0, got -1.0"),
+            ("--normalize", "bogus", "error: normalize must be 'raw' or 'share', got 'bogus'"),
         ],
         ids=["df", "window-days", "empty-out", "blank-out", "duplicate-candidate",
-             "df-per-90-inf", "df-per-90-nan", "df-per-90-zero", "df-per-90-negative"],
+             "df-per-90-inf", "df-per-90-nan", "df-per-90-zero", "df-per-90-negative",
+             "normalize"],
     )
     def test_bad_flag_value_exit_2(self, tmp_path, fixtures_dir, flag, value, message):
         flags = base_flags(fixtures_dir, tmp_path / "out")
@@ -163,6 +167,19 @@ class TestConfigHandling:
             assert result.stderr.startswith(message)
             assert "Traceback" not in result.stderr
         assert not (tmp_path / "out").exists()
+
+    def test_every_config_key_has_a_flag(self):
+        stages = next(
+            action for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ).choices
+        for stage in ("ingest", "fit", "report"):
+            flags = {action.dest: action.option_strings for action in stages[stage]._actions}
+            for key in config.KEYS:
+                if key == "fec_files":
+                    assert flags["fec_file"] == ["--fec-file"], stage
+                else:
+                    assert flags[key] == ["--" + key.replace("_", "-")], (stage, key)
 
     def test_overflowing_df_target_exit_2(self, tmp_path, fixtures_dir):
         flags = base_flags(fixtures_dir, tmp_path / "out")

@@ -36,7 +36,7 @@ class TestParseConfigLines:
     def test_docstring_lists_every_known_key(self):
         listing = config.__doc__.split("Recognized keys::", 1)[1]
         documented = {line.split("=", 1)[0].strip() for line in listing.splitlines() if "=" in line}
-        assert documented == config._KNOWN_KEYS
+        assert documented == set(config.KEYS)
 
     def test_missing_equals_rejected(self):
         with pytest.raises(InvalidValueError):

@@ -120,14 +120,14 @@ class TestValidateReport:
 
 POLL_RANGE = DateRange(date(2019, 6, 1), date(2019, 6, 3))
 
-# name -> (loader, header line, a short row, its message at line 5, two
-# valid rows with the loaded result)
+# name -> (loader, header line, a short row, its message with the line number
+# left open, two valid rows with the loaded result)
 CSV_READERS = {
     "committee map": (
         load_committee_map,
         "committee_id,candidate_id",
         "C001",
-        "committee map row has no candidate: ['C001']",
+        "line {}: committee map row has no candidate: ['C001']",
         ("C001,ALPHA", "C002,BRAVO"),
         {"C001": "ALPHA", "C002": "BRAVO"},
     ),
@@ -135,7 +135,7 @@ CSV_READERS = {
         lambda stream: list(load_poll_series(stream, "ALPHA", POLL_RANGE).values),
         "date,candidate,pct",
         "2019-06-01,ALPHA",
-        "line 5: expected 3 fields, got 2",
+        "line {}: expected 3 fields, got 2",
         ("2019-06-01,ALPHA,40", "2019-06-03,ALPHA,42"),
         [40.0, 41.0, 42.0],
     ),
@@ -143,7 +143,7 @@ CSV_READERS = {
         load_events,
         "date,label",
         "2019-06-27",
-        "line 5: expected date,label",
+        "line {}: expected date,label",
         ("2019-06-27,first debate", "2019-07-10,rally"),
         [(date(2019, 6, 27), "first debate"), (date(2019, 7, 10), "rally")],
     ),
@@ -152,19 +152,28 @@ CSV_READERS = {
 
 @pytest.mark.parametrize("what", sorted(CSV_READERS))
 @pytest.mark.parametrize(
-    "case", ["empty", "wrong-header", "blank-first-line", "blank-rows-skipped", "short-row"]
+    "case",
+    ["empty", "wrong-header", "blank-first-line", "blank-rows-skipped", "short-row",
+     "short-row-after-multi-line-cell"],
 )
 def test_csv_reader_errors(what, case):
     """Every CSV input frames its file alike: empty file, header, blank rows, line numbers."""
     load, header, short, short_message, valid, loaded = CSV_READERS[what]
     # blank and whitespace-only rows are skipped but still counted as lines
     padded = f"{header}\n\n   \n , \n"
+    # a valid row whose quoted second cell spans two physical lines
+    cells = valid[0].split(",")
+    cells[1] = '"two\nlines"'
+    multi_line = ",".join(cells)
     text, message = {
         "empty": ("", f"{what} is empty"),
         "wrong-header": (f"when,what\n{valid[0]}\n", f"{what} must have header '{header}', got 'when,what'"),
         "blank-first-line": (f"\n{header}\n{valid[0]}\n", f"{what} must have header '{header}', got ''"),
         "blank-rows-skipped": (f"{padded}{valid[0]}\n\t\n{valid[1]}\n", None),
-        "short-row": (f"{padded}{short}\n", short_message),
+        "short-row": (f"{padded}{short}\n", short_message.format(5)),
+        "short-row-after-multi-line-cell": (
+            f"{padded}{multi_line}\n{short}\n", short_message.format(7)
+        ),
     }[case]
     if message is None:
         assert load(io.StringIO(text)) == loaded

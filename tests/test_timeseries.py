@@ -36,6 +36,7 @@ class TestTimeSeries:
 
     def test_date_index_round_trip(self):
         ts = TimeSeries(D0, [1.0, 2.0, 3.0, 4.0])
-        assert ts.end_date == D0 + timedelta(days=3)
         assert ts.date_at(2) == D0 + timedelta(days=2)
-        assert ts.index_of(D0 + timedelta(days=2)) == 2
+        assert ts.date_at(3) == D0 + timedelta(days=3)
+        with pytest.raises(IndexError):
+            ts.date_at(4)

@@ -2,6 +2,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from campaigntrends import (
     InvalidInputError,
@@ -160,6 +162,41 @@ def degenerate_panel():
     }
 
 
+def paper_window_panel():
+    """degenerate_panel's longer shapes at n = 277, the paper's 2019-05-15..2020-02-15 window."""
+    n = 277
+    rng = np.random.default_rng(277)
+    zero_runs = rng.poisson(2.0, n).astype(float)
+    zero_runs[20:90] = 0.0
+    zero_runs[150:200] = 0.0
+    spike = rng.poisson(1.0, n).astype(float)
+    spike[140] += 400.0
+    return {
+        "poisson": rng.poisson(3.0, n).astype(float),
+        "zero_runs": zero_runs,
+        "spike": spike,
+        "near_linear": 3.0 + 0.05 * np.arange(n) + 1e-3 * rng.standard_normal(n),
+        "multiples_of_2500": 2500.0 * rng.integers(0, 5, n),
+    }
+
+
+@st.composite
+def pipeline_shaped_series(draw):
+    """Integer counts (with a zero run or a single-day spike), exactly linear
+    series, and the shortest spans n = 3 and 4."""
+    kind = draw(st.sampled_from(["counts", "zero_run", "spike", "linear", "shortest"]))
+    n = draw(st.integers(3, 4) if kind == "shortest" else st.integers(5, 50))
+    if kind == "linear":
+        return draw(st.integers(-100, 100)) + draw(st.integers(-10, 10)) * np.arange(n, dtype=float)
+    y = np.array(draw(st.lists(st.integers(0, 30), min_size=n, max_size=n)), dtype=float)
+    if kind == "zero_run":
+        start = draw(st.integers(0, n - 1))
+        y[start : start + draw(st.integers(1, n))] = 0.0
+    elif kind == "spike":
+        y[draw(st.integers(0, n - 1))] += draw(st.integers(100, 5000))
+    return y
+
+
 class TestDegenerateShapes:
     @pytest.mark.parametrize("shape", sorted(degenerate_panel()))
     def test_converges_and_matches_oracle(self, shape):
@@ -174,6 +211,33 @@ class TestDegenerateShapes:
             assert 0.0 <= fit.duality_gap <= eps, (shape, frac)
             out = oracle_solve(y, lam, 20_000)
             assert np.max(np.abs(fit.fitted - out)) <= 1e-4 * np.ptp(y), (shape, frac)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        y=pipeline_shaped_series(),
+        frac=st.floats(0.01, 1.2),
+        offset=st.floats(-50.0, 50.0),
+        slope=st.floats(-5.0, 5.0),
+    )
+    def test_certified_oracle_agreeing_and_shift_equivariant(self, y, frac, offset, slope):
+        lam_hi = lambda_max(y)
+        lam = frac * lam_hi if lam_hi > 0.0 else frac
+        fit = solve_tf(y, lam)
+        assert fit.converged
+        assert 0.0 <= fit.duality_gap <= trendfilter._eps_gap(y)
+        out = oracle_solve(y, lam, 20_000)
+        assert np.max(np.abs(fit.fitted - out)) <= 1e-4 * np.ptp(y) + 1e-9
+        shift = offset + slope * np.arange(y.shape[0])
+        moved = solve_tf(y + shift, lam)
+        assert np.max(np.abs(moved.fitted - (fit.fitted + shift))) <= 1e-8 * (1.0 + np.ptp(y))
+
+
+def sweep_grid(y):
+    """fit_with_target_df's penalty grid for ``y``, largest penalty first."""
+    lam_hi = lambda_max(y)
+    return np.unique(np.concatenate([
+        np.geomspace(trendfilter._GRID_SPAN * lam_hi, lam_hi, trendfilter._GRID_SIZE), [lam_hi],
+    ]))[::-1]
 
 
 class TestSweep:
@@ -192,10 +256,7 @@ class TestSweep:
     @pytest.mark.parametrize("shape", ["bendy", "poisson"])
     def test_warm_points_match_cold_solves(self, shape):
         y = bendy_signal(seed=56, n=90)[0] if shape == "bendy" else degenerate_panel()["poisson"]
-        lam_hi = lambda_max(y)
-        grid = np.unique(np.concatenate([
-            np.geomspace(trendfilter._GRID_SPAN * lam_hi, lam_hi, trendfilter._GRID_SIZE), [lam_hi],
-        ]))[::-1]
+        grid = sweep_grid(y)
         tol_knot = trendfilter._tol_knot(y)
         points = list(trendfilter._sweep(y, grid, trendfilter._unconstrained_dual(y)))
         assert [p.lam for p in points] == grid.tolist()
@@ -205,6 +266,17 @@ class TestSweep:
             df = int(np.count_nonzero(np.abs(second_difference(point.theta)) > tol_knot)) + 2
             assert df == cold.df, point.lam
             assert np.max(np.abs(point.dual - cold.dual)) <= 1e-6 * point.lam
+
+    @pytest.mark.parametrize("shape", sorted(paper_window_panel()))
+    def test_paper_window_shapes_converge_in_bounded_rounds(self, shape):
+        y = paper_window_panel()[shape]
+        grid = sweep_grid(y)
+        points = list(trendfilter._sweep(y, grid, trendfilter._unconstrained_dual(y)))
+        assert len(points) == grid.size
+        for point in points:
+            assert point.converged, (shape, point.lam)
+            assert point.gap <= trendfilter._eps_gap(y), (shape, point.lam)
+            assert point.rounds <= 500, (shape, point.lam, point.rounds)
 
 
 def random_free_set(rng, size, layout):
