@@ -37,7 +37,6 @@ from .analysis import (
 )
 from .config import KEYS, AnalysisConfig, build_config, load_config_file
 from .exceptions import CampaignTrendsError
-from .timeseries import TimeSeries
 from .trendfilter import (
     fit_with_target_df,
     solve_tf,  # noqa: F401  kept as cli.solve_tf: perfbench/trace.py wraps that name
@@ -194,7 +193,10 @@ def _read_upstream(path: Path, stage: str) -> dict[str, Any]:
     if not path.exists():
         raise CampaignTrendsError(f"{path.stem} not found: {path} (run {stage} first)")
     with open(path, encoding="utf-8") as handle:
-        return store.read_store(handle)
+        try:
+            return store.read_store(handle)
+        except ValueError as exc:  # json.JSONDecodeError, UnicodeDecodeError
+            raise CampaignTrendsError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _check_upstream(
@@ -214,38 +216,27 @@ def _check_upstream(
         )
 
 
-def _share_normalized(
-    series_map: dict[str, dict[str, TimeSeries]]
-) -> dict[str, dict[str, TimeSeries]]:
-    """Replace each donation metric with its daily cross-candidate share.
-
-    Poll averages are already population shares, so they pass through
-    untouched.
-    """
-    out: dict[str, dict[str, TimeSeries]] = {c: {} for c in series_map}
-    metrics = sorted({m for per_candidate in series_map.values() for m in per_candidate})
-    for metric in metrics:
-        holders = {c: m[metric] for c, m in series_map.items() if metric in m}
-        if metric == POLL_METRIC:
-            for candidate, ts in holders.items():
-                out[candidate][metric] = ts
-            continue
-        result = normalize_share(holders)
-        for candidate, ts in result.shares.items():
-            out[candidate][metric] = ts
-    return out
-
-
 def _cmd_fit(config: AnalysisConfig) -> int:
-    document = _read_upstream(config.out_dir / "store.json", "ingest")
-    span = f"{document['range']['from']}..{document['range']['to']}"
-    _check_upstream(config, "store", "ingest", {span}, document["candidates"])
-    series_map = {
-        candidate: {metric: store.series_from_json(obj) for metric, obj in metrics.items()}
-        for candidate, metrics in document["series"].items()
-    }
+    store_path = config.out_dir / "store.json"
+    document = _read_upstream(store_path, "ingest")
+    try:
+        span = f"{document['range']['from']}..{document['range']['to']}"
+        candidates = sorted(document["candidates"])
+        series_map = {
+            candidate: {metric: store.series_from_json(obj) for metric, obj in metrics.items()}
+            for candidate, metrics in document["series"].items()
+        }
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CampaignTrendsError(f"malformed store in {store_path}: {exc!r}") from None
+    _check_upstream(config, "store", "ingest", {span}, candidates)
     if config.normalize == "share":
-        series_map = _share_normalized(series_map)
+        # each donation metric becomes its daily cross-candidate share;
+        # poll averages are already population shares
+        metrics = {m for per_candidate in series_map.values() for m in per_candidate}
+        for metric in sorted(metrics - {POLL_METRIC}):
+            holders = {c: m[metric] for c, m in series_map.items() if metric in m}
+            for candidate, ts in normalize_share(holders).shares.items():
+                series_map[candidate][metric] = ts
     records = []
     warnings = False
     for candidate in sorted(series_map):

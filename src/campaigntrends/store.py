@@ -91,7 +91,7 @@ def write_store(handle: IO[str], store: dict[str, Any]) -> None:
 
 def read_store(handle: IO[str]) -> dict[str, Any]:
     store = json.load(handle)
-    version = store.get("schema_version")
+    version = store.get("schema_version") if isinstance(store, dict) else None
     if version != SCHEMA_VERSION:
         raise InvalidValueError(
             f"store schema_version {version!r} is not supported (expected {SCHEMA_VERSION})"

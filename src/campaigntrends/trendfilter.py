@@ -21,10 +21,10 @@ returned fit carries the duality-gap certificate
 
 which vanishes exactly at the optimum. Each series is solved in one
 warm-started sweep over its penalties: lam = 0 and lam >= lambda_max are
-closed forms; every other penalty runs block principal pivoting over a
+closed forms; every other penalty runs one active-set loop over a
 free/upper/lower partition of the dual coordinates (each round one banded
-solve, exact when the KKT conditions verify), handing over to an active-set
-iteration that keeps the dual inside the box when the block flips stall.
+solve, exact when the KKT conditions verify) whose step rule is block
+principal pivoting and turns box-feasible when the block flips stall.
 fit_with_target_df reads the df of every point and builds one TrendFit.
 SciPy is loaded at the first solve, not at import: the banded solves call
 LAPACK dpbsv through scipy.linalg.lapack, so importing this module costs
@@ -60,12 +60,12 @@ __all__ = [
 _GRID_SIZE = 200
 _GRID_SPAN = 1e-4
 
-# Block pivoting rounds without a new minimum of infeasible coordinates
-# before the dual solver hands over to _feasible_active_set.
+# Block pivoting rounds without a new minimum of failing coordinates
+# before the dual solve's step rule turns box-feasible.
 _PIVOT_PATIENCE = 10
 
-# Safety cap on the pivoting rounds of one dual solve; the solves this
-# system sees take at most a few hundred.
+# Safety cap on the rounds of one dual solve, both step rules together;
+# the solves this system sees take at most a few hundred.
 _MAX_ROUNDS = 50_000
 
 # ---------------------------------------------------------------------------
@@ -150,8 +150,8 @@ class TrendFit:
             its KKT conditions verified, or its gap exceeds the tolerance
             1e-8 * 0.5 * ||y||^2; the fit then holds the box-clipped last
             iterate and its gap.
-        iterations: Pivoting rounds the solve spent (0 for the closed-form
-            branches lam = 0 and lam >= lambda_max).
+        iterations: Dual-solve rounds, both step rules together (0 for the
+            closed-form branches lam = 0 and lam >= lambda_max).
         df_warning: Set by fit_with_target_df when the requested df exceeded
             every df achievable on its grid.
     """
@@ -314,7 +314,7 @@ def fit_with_target_df(y: Sequence[float], target_df: int) -> TrendFit:
     lam_hi = float(np.max(np.abs(u_free)))
     grid = np.zeros(1)  # exactly linear (or constant) input: every penalty returns y itself
     if lam_hi > 0.0:
-        grid = np.unique(np.concatenate([np.geomspace(_GRID_SPAN * lam_hi, lam_hi, _GRID_SIZE), [lam_hi]]))
+        grid = np.geomspace(_GRID_SPAN * lam_hi, lam_hi, _GRID_SIZE)  # both ends exact
     tol_knot = _tol_knot(arr)
     best: tuple[int, _Point] | None = None
     max_df_seen = 2
@@ -413,33 +413,27 @@ def _sweep(y: np.ndarray, lams: Sequence[float], u_free: np.ndarray) -> Iterator
         yield _Point(lam, u, theta, max(gap, 0.0), verified and gap <= gap_tol, rounds)
 
 
-def _pinned_solve(
-    dy: np.ndarray, lam: float, upper: np.ndarray, lower: np.ndarray
-) -> np.ndarray:
-    """Pin the upper/lower coordinates at +-lam and solve the free block exactly."""
-    u = np.where(upper, lam, np.where(lower, -lam, 0.0))
-    free = np.flatnonzero(~(upper | lower))
-    if free.size:
-        rhs = dy[free] - _gram_apply(u)[free]
-        u[free] = _banded_solve(_gram_submatrix_banded(free), rhs)
-    return u
-
-
 def _active_set_solve(
     y: np.ndarray, lam: float, u0: np.ndarray, max_rounds: int
 ) -> tuple[np.ndarray, int, bool]:
-    """Block principal pivoting on the dual box problem.
+    """Active-set solve of the dual box problem.
 
     The first free/upper/lower partition is read off ``u0``. Each round
-    solves the free block with the bound coordinates pinned at +-lam and
-    re-reads mu = D y - D D^T u (which equals D theta). Every infeasible
-    coordinate (free and outside the box, or bound with mu of the wrong
-    sign) flips: free to the bound it crossed, bound to free. D D^T is not
-    an M-matrix, so block flips can cycle; after _PIVOT_PATIENCE rounds
-    without a new minimum of the infeasible count the solve continues in
-    _feasible_active_set. (Judice & Pires, Comput. Oper. Res. 1994, back the
-    block flips with single highest-index flips instead; on integer count
-    series those took tens of thousands of rounds.)
+    pins the bound coordinates at +-lam, solves the free block exactly and
+    reads mu = D y - D D^T u (which equals D theta). A coordinate fails the
+    KKT test when it is free and outside the box, or bound with mu of the
+    wrong sign; the solve is done when none fails. The step rule is block
+    principal pivoting: every failing coordinate flips, free to the bound
+    it crossed, bound to free. D D^T is not an M-matrix, so block flips can
+    cycle; after _PIVOT_PATIENCE rounds without a new minimum of the
+    failing count the partition is re-read off the box-clipped dual and the
+    rule turns box-feasible: a solve outside the box is approached only up
+    to the first bound it crosses, which pins the coordinates that reach
+    it. That never raises the dual objective and each freeing lowers it, so
+    no partition repeats short of exact degeneracy. (Judice & Pires,
+    Comput. Oper. Res. 1994, back the block flips with single highest-index
+    flips instead; on integer count series those took tens of thousands of
+    rounds.)
 
     Returns (u, rounds, kkt_verified) with u box-clipped.
     """
@@ -452,64 +446,45 @@ def _active_set_solve(
     bound = lam * (1 + 1e-12)
     best = u.shape[0] + 1
     patience = _PIVOT_PATIENCE
+    feasible = False
     for rounds in range(1, max_rounds + 1):
-        u = _pinned_solve(dy, lam, upper, lower)
-        mu = dy - _gram_apply(u)
-        over = u > bound
-        under = u < -bound
-        infeasible = over | under | (upper & (mu < -tol)) | (lower & (mu > tol))
-        count = int(np.count_nonzero(infeasible))
-        if count == 0:
-            return np.clip(u, -lam, lam), rounds, True
-        if count < best:
-            best, patience = count, _PIVOT_PATIENCE
-        elif patience:
-            patience -= 1
-        else:
-            u, more, verified = _feasible_active_set(
-                dy, lam, np.clip(u, -lam, lam), tol, bound, max_rounds - rounds
-            )
-            return u, rounds + more, verified
-        upper = (upper & ~infeasible) | over
-        lower = (lower & ~infeasible) | under
-    return np.clip(u, -lam, lam), max_rounds, False
-
-
-def _feasible_active_set(
-    dy: np.ndarray, lam: float, u: np.ndarray, tol: float, bound: float, max_rounds: int
-) -> tuple[np.ndarray, int, bool]:
-    """Active-set iteration that keeps ``u`` inside the box.
-
-    Each round solves the free block with the bound coordinates pinned. A
-    solution outside the box is approached only up to the first bound it
-    crosses, which pins the coordinates that reach it; a solution inside is
-    taken, and every bound coordinate with mu of the wrong sign is freed.
-    The dual objective never rises and falls strictly at each freeing, so
-    no partition repeats short of exact degeneracy.
-    """
-    upper = u >= lam
-    lower = u <= -lam
-    for rounds in range(1, max_rounds + 1):
-        target = _pinned_solve(dy, lam, upper, lower)
-        out = np.flatnonzero(np.abs(target) > bound)
-        if out.size:
+        target = np.where(upper, lam, np.where(lower, -lam, 0.0))
+        free = np.flatnonzero(~(upper | lower))
+        if free.size:
+            rhs = dy[free] - _gram_apply(target)[free]
+            target[free] = _banded_solve(_gram_submatrix_banded(free), rhs)
+        over = target > bound
+        under = target < -bound
+        if feasible and (over | under).any():
+            out = np.flatnonzero(over | under)
             step = target - u
             reach = (np.sign(target[out]) * lam - u[out]) / step[out]
             alpha = max(float(np.min(reach)), 0.0)
             hit = out[reach <= alpha]
             u = u + alpha * step
-            upper[hit[target[hit] > 0]] = True
-            lower[hit[target[hit] < 0]] = True
+            upper[hit] |= over[hit]
+            lower[hit] |= under[hit]
             u[upper] = lam
             u[lower] = -lam
             continue
         u = target
         mu = dy - _gram_apply(u)
         release = (upper & (mu < -tol)) | (lower & (mu > tol))
-        if not release.any():
+        count = int(np.count_nonzero(over | under | release))
+        if count == 0:
             return np.clip(u, -lam, lam), rounds, True
-        upper &= ~release
-        lower &= ~release
+        if count < best:
+            best, patience = count, _PIVOT_PATIENCE
+        elif patience:
+            patience -= 1
+        elif not feasible:
+            feasible = True
+            u = np.clip(u, -lam, lam)
+            upper = u >= lam
+            lower = u <= -lam
+            continue
+        upper = (upper & ~release) | over
+        lower = (lower & ~release) | under
     return np.clip(u, -lam, lam), max_rounds, False
 
 

@@ -418,6 +418,33 @@ class TestPipeline:
         assert main(["ingest", *flags]) == 0
         assert main(["report", *flags]) == 2
 
+    @pytest.mark.parametrize(
+        "stage, upstream, output, damage",
+        [
+            ("fit", "store.json", "fits.json", lambda text: text[: len(text) // 2]),
+            ("fit", "store.json", "fits.json",
+             lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "range"})),
+            ("fit", "store.json", "fits.json",
+             lambda text: text.replace('"values": [', '"values": "x", "was": [', 1)),
+            ("report", "fits.json", "report.json", lambda text: text[: len(text) // 2]),
+            ("report", "fits.json", "report.json", lambda text: "[]"),
+        ],
+        ids=["truncated-store", "store-without-range", "store-values-not-numbers", "truncated-fits",
+             "fits-not-an-object"],
+    )
+    def test_damaged_upstream_exit_2(self, pipeline, fixtures_dir, tmp_path, stage, upstream, output, damage):
+        out_dir = tmp_path / "damaged"
+        out_dir.mkdir()
+        for name in ("store.json", "fits.json", "report.json"):
+            (out_dir / name).write_bytes((pipeline[0] / name).read_bytes())
+        (out_dir / upstream).write_text(damage((out_dir / upstream).read_text()))
+        before = (out_dir / output).read_bytes()
+        result = run_cli([stage, *base_flags(fixtures_dir, out_dir)])
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
+        assert (out_dir / output).read_bytes() == before
+
 
 class TestReportReadsFits:
     """report decodes fits.json and never re-solves or reads store.json."""

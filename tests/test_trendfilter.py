@@ -183,12 +183,20 @@ def paper_window_panel():
 @st.composite
 def pipeline_shaped_series(draw):
     """Integer counts (with a zero run or a single-day spike), exactly linear
-    series, and the shortest spans n = 3 and 4."""
-    kind = draw(st.sampled_from(["counts", "zero_run", "spike", "linear", "shortest"]))
+    series, daily shares a / (a + b) of two counts with common zero days
+    (0 where the total is 0), and the shortest spans n = 3 and 4."""
+    kind = draw(st.sampled_from(["counts", "zero_run", "spike", "linear", "share", "shortest"]))
     n = draw(st.integers(3, 4) if kind == "shortest" else st.integers(5, 50))
     if kind == "linear":
         return draw(st.integers(-100, 100)) + draw(st.integers(-10, 10)) * np.arange(n, dtype=float)
-    y = np.array(draw(st.lists(st.integers(0, 30), min_size=n, max_size=n)), dtype=float)
+    counts = st.lists(st.integers(0, 30), min_size=n, max_size=n)
+    y = np.array(draw(counts), dtype=float)
+    if kind == "share":
+        other = np.array(draw(counts), dtype=float)
+        zero_days = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+        y[zero_days] = other[zero_days] = 0.0
+        total = y + other
+        return np.divide(y, total, out=np.zeros(n), where=total > 0)
     if kind == "zero_run":
         start = draw(st.integers(0, n - 1))
         y[start : start + draw(st.integers(1, n))] = 0.0
@@ -218,8 +226,9 @@ class TestDegenerateShapes:
         frac=st.floats(0.01, 1.2),
         offset=st.floats(-50.0, 50.0),
         slope=st.floats(-5.0, 5.0),
+        scale=st.floats(0.1, 20.0),
     )
-    def test_certified_oracle_agreeing_and_shift_equivariant(self, y, frac, offset, slope):
+    def test_certified_oracle_agreeing_and_shift_equivariant(self, y, frac, offset, slope, scale):
         lam_hi = lambda_max(y)
         lam = frac * lam_hi if lam_hi > 0.0 else frac
         fit = solve_tf(y, lam)
@@ -230,14 +239,15 @@ class TestDegenerateShapes:
         shift = offset + slope * np.arange(y.shape[0])
         moved = solve_tf(y + shift, lam)
         assert np.max(np.abs(moved.fitted - (fit.fitted + shift))) <= 1e-8 * (1.0 + np.ptp(y))
+        scaled = solve_tf(scale * y, scale * lam)
+        assert scaled.knots == fit.knots
+        assert np.max(np.abs(scaled.fitted - scale * fit.fitted)) <= 1e-8 * scale * (1.0 + np.ptp(y))
 
 
 def sweep_grid(y):
     """fit_with_target_df's penalty grid for ``y``, largest penalty first."""
     lam_hi = lambda_max(y)
-    return np.unique(np.concatenate([
-        np.geomspace(trendfilter._GRID_SPAN * lam_hi, lam_hi, trendfilter._GRID_SIZE), [lam_hi],
-    ]))[::-1]
+    return np.geomspace(trendfilter._GRID_SPAN * lam_hi, lam_hi, trendfilter._GRID_SIZE)[::-1]
 
 
 class TestSweep:
@@ -277,6 +287,20 @@ class TestSweep:
             assert point.converged, (shape, point.lam)
             assert point.gap <= trendfilter._eps_gap(y), (shape, point.lam)
             assert point.rounds <= 500, (shape, point.lam, point.rounds)
+
+    @pytest.mark.parametrize("shape", sorted(paper_window_panel()))
+    def test_backup_phase_reaches_the_same_optimum(self, shape, monkeypatch):
+        # patience 0: every solve whose failing count stalls for one round
+        # finishes with box-feasible steps
+        y = paper_window_panel()[shape]
+        grid = sweep_grid(y)
+        u_free = trendfilter._unconstrained_dual(y)
+        default = list(trendfilter._sweep(y, grid, u_free))
+        monkeypatch.setattr(trendfilter, "_PIVOT_PATIENCE", 0)
+        for point, ref in zip(trendfilter._sweep(y, grid, u_free), default, strict=True):
+            assert point.converged, (shape, point.lam)
+            assert point.gap <= trendfilter._eps_gap(y), (shape, point.lam)
+            assert np.max(np.abs(point.dual - ref.dual)) <= 1e-6 * point.lam, (shape, point.lam)
 
 
 def random_free_set(rng, size, layout):
