@@ -130,7 +130,7 @@ def _cmd_ingest(config: AnalysisConfig) -> int:
     if config.poll_csv is not None and not config.poll_csv.exists():
         raise CampaignTrendsError(f"input file not found: {config.poll_csv}")
 
-    with open(config.committee_map, encoding="utf-8") as handle:
+    with open(config.committee_map, encoding="utf-8-sig") as handle:
         committee_map = fec.load_committee_map(handle)
 
     counters = fec.IngestCounters()
@@ -141,7 +141,7 @@ def _cmd_ingest(config: AnalysisConfig) -> int:
 
     poll_lines: list[str] | None = None
     if config.poll_csv is not None:
-        with open(config.poll_csv, encoding="utf-8") as handle:
+        with open(config.poll_csv, encoding="utf-8-sig") as handle:
             poll_lines = handle.readlines()
 
     series: dict[str, dict[str, Any]] = {}
@@ -328,7 +328,7 @@ def _cmd_report(config: AnalysisConfig) -> int:
     if config.events_csv is not None:
         if not config.events_csv.exists():
             raise CampaignTrendsError(f"input file not found: {config.events_csv}")
-        with open(config.events_csv, encoding="utf-8") as handle:
+        with open(config.events_csv, encoding="utf-8-sig") as handle:
             event_list = load_events(handle)
         labeled = [
             (f"{candidate}/{metric}", cp)

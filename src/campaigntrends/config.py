@@ -3,7 +3,8 @@
 The config file is one flat table in TOML-like syntax: one ``key = value``
 per line, ``#`` comments, strings optionally quoted, dates in ISO form and
 lists comma-separated. An empty value, bare or quoted, is an error, and so
-is anything but a comment after a closing quote.
+is anything but a comment after a closing quote. A leading UTF-8
+byte-order mark is skipped.
 
 ``KEYS`` declares each key once: its ``AnalysisConfig`` field, its parser
 and the help of its flag ``--key`` (``_`` written ``-``). Flags win over file
@@ -149,7 +150,7 @@ def parse_config_lines(lines: Iterable[str]) -> dict[str, str]:
 
 
 def load_config_file(path: Path) -> dict[str, str]:
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         return parse_config_lines(handle)
 
 

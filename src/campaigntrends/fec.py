@@ -49,6 +49,7 @@ __all__ = [
     "parse_fec_file",
 ]
 
+# The four donation metrics, in output order; each names a DailyDonationMetrics field.
 METRIC_LABELS = ("donors", "new_donors", "amount", "new_donor_amount")
 
 _NON_ALNUM = re.compile(r"[^0-9A-Z\s]", re.UNICODE)
@@ -260,12 +261,8 @@ class DailyDonationMetrics:
     new_donor_amount: TimeSeries
 
     def series(self) -> dict[str, TimeSeries]:
-        return {
-            "donors": self.donors,
-            "new_donors": self.new_donors,
-            "amount": self.amount,
-            "new_donor_amount": self.new_donor_amount,
-        }
+        """The four series by metric name, in METRIC_LABELS order."""
+        return {label: getattr(self, label) for label in METRIC_LABELS}
 
 
 class MetricsAccumulator:

@@ -135,7 +135,9 @@ def fit_from_record(record: dict[str, Any]) -> tuple[date, TrendFit]:
     The dual is recovered from the residual r = observed - fitted = D^T dual,
     a lower-triangular recurrence in the dual: a double cumulative sum of r
     (its first n - 2 entries) inverts it, clipped to the box |u| <= lambda.
-    Malformed records raise KeyError, TypeError or ValueError.
+    Malformed records raise KeyError, TypeError or ValueError; a non-finite
+    lambda, duality_gap, tol_knot, slope, fitted or observed value is
+    malformed.
     """
     start = date.fromisoformat(record["start_date"])
 
@@ -144,15 +146,19 @@ def fit_from_record(record: dict[str, Any]) -> tuple[date, TrendFit]:
 
     lam = record["lambda"]
     fitted = np.asarray(record["fitted"], dtype=float)
-    residual = np.asarray(record["observed"], dtype=float) - fitted
+    observed = np.asarray(record["observed"], dtype=float)
+    segments = tuple(
+        Segment(day(seg["start"]), day(seg["end"]), seg["slope"]) for seg in record["segments"]
+    )
+    scalars = [lam, record["duality_gap"], record["tol_knot"], *(seg.slope for seg in segments)]
+    if not all(np.isfinite(v).all() for v in (np.asarray(scalars, dtype=float), fitted, observed)):
+        raise ValueError("fit record holds a non-finite number")
+    residual = observed - fitted
     return start, TrendFit(
         lam=lam,
         fitted=fitted,
         knots=tuple(day(k) for k in record["knots"]),
-        segments=tuple(
-            Segment(day(seg["start"]), day(seg["end"]), seg["slope"])
-            for seg in record["segments"]
-        ),
+        segments=segments,
         df=record["df"],
         duality_gap=record["duality_gap"],
         dual=np.clip(np.cumsum(np.cumsum(residual))[:-2], -lam, lam),

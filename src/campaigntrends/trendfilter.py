@@ -22,9 +22,10 @@ returned fit carries the duality-gap certificate
 which vanishes exactly at the optimum. Each series is solved in one
 warm-started sweep over its penalties: lam = 0 and lam >= lambda_max are
 closed forms; every other penalty runs one active-set loop over a
-free/upper/lower partition of the dual coordinates (each round one banded
-solve, exact when the KKT conditions verify) whose step rule is block
-principal pivoting and turns box-feasible when the block flips stall.
+partition of the dual coordinates held as one sign each (+1 upper, -1
+lower, 0 free; each round one banded solve, exact when the KKT conditions
+verify) whose step rule is block principal pivoting and turns
+box-feasible when the block flips stall.
 fit_with_target_df reads the df of every point and builds one TrendFit.
 SciPy is loaded at the first solve, not at import: the banded solves call
 LAPACK dpbsv through scipy.linalg.lapack, so importing this module costs
@@ -68,6 +69,9 @@ _PIVOT_PATIENCE = 10
 # the solves this system sees take at most a few hundred.
 _MAX_ROUNDS = 50_000
 
+# D D^T = toeplitz(6, -4, 1): its entry at index distance 0, 1, 2 and >= 3.
+_STENCIL = np.array([6.0, -4.0, 1.0, 0.0])
+
 # ---------------------------------------------------------------------------
 # Second-difference operator primitives
 # ---------------------------------------------------------------------------
@@ -102,19 +106,16 @@ def _gram_apply(u: np.ndarray) -> np.ndarray:
 def _gram_submatrix_banded(idx: np.ndarray) -> np.ndarray:
     """Banded storage of D D^T restricted to rows/columns ``idx`` (sorted).
 
-    Removing indices never increases the distance between the survivors, so
-    the restriction stays pentadiagonal in compacted indexing.
+    Entry (i, j) of D D^T is the stencil value at index distance |i - j|,
+    _STENCIL[min(|i - j|, 3)]. Entries k places apart in ``idx`` are at
+    least k apart in the full index, so the restriction stays pentadiagonal
+    and its two sub-diagonals are read off the gaps idx[i+1] - idx[i] and
+    idx[i+2] - idx[i].
     """
-    k = idx.shape[0]
-    ab = np.zeros((3, k), order="F")  # LAPACK's layout: dpbsv takes it without a copy
-    ab[0, :] = 6.0
-    if k > 1:
-        step = np.diff(idx)
-        sub = ab[1, : k - 1]
-        sub[step == 1] = -4.0
-        sub[step == 2] = 1.0
-    if k > 2:
-        ab[2, : k - 2][idx[2:] - idx[:-2] == 2] = 1.0
+    ab = np.zeros((3, idx.shape[0]), order="F")  # LAPACK's layout: dpbsv takes it without a copy
+    ab[0] = _STENCIL[0]
+    ab[1, :-1] = _STENCIL[np.minimum(np.diff(idx), 3)]
+    ab[2, :-2] = _STENCIL[np.minimum(idx[2:] - idx[:-2], 3)]
     return ab
 
 
@@ -418,11 +419,13 @@ def _active_set_solve(
 ) -> tuple[np.ndarray, int, bool]:
     """Active-set solve of the dual box problem.
 
-    The first free/upper/lower partition is read off ``u0``. Each round
-    pins the bound coordinates at +-lam, solves the free block exactly and
-    reads mu = D y - D D^T u (which equals D theta). A coordinate fails the
-    KKT test when it is free and outside the box, or bound with mu of the
-    wrong sign; the solve is done when none fails. The step rule is block
+    The partition is one sign per dual coordinate, ``side``: +1 pinned at
+    the upper bound, -1 at the lower, 0 free; the first is read off ``u0``.
+    Each round pins the bound coordinates at lam * side, solves the free
+    block exactly and reads mu = D y - D D^T u (which equals D theta). A
+    coordinate fails the KKT test when it is free and outside the box
+    (``crossed``, the sign of the bound it crossed) or bound with
+    side * mu < 0; the solve is done when none fails. The step rule is block
     principal pivoting: every failing coordinate flips, free to the bound
     it crossed, bound to free. D D^T is not an M-matrix, so block flips can
     cycle; after _PIVOT_PATIENCE rounds without a new minimum of the
@@ -440,37 +443,31 @@ def _active_set_solve(
     dy = second_difference(y)
     u = np.clip(u0, -lam, lam)
     indicator = u + dy - _gram_apply(u)
-    upper = indicator > lam
-    lower = indicator < -lam
+    side = (indicator > lam) * 1.0 - (indicator < -lam)  # from comparisons: no -0.0
     tol = 1e-11 * max(1.0, lam)
     bound = lam * (1 + 1e-12)
     best = u.shape[0] + 1
     patience = _PIVOT_PATIENCE
     feasible = False
     for rounds in range(1, max_rounds + 1):
-        target = np.where(upper, lam, np.where(lower, -lam, 0.0))
-        free = np.flatnonzero(~(upper | lower))
+        target = lam * side
+        free = np.flatnonzero(side == 0)
         if free.size:
             rhs = dy[free] - _gram_apply(target)[free]
             target[free] = _banded_solve(_gram_submatrix_banded(free), rhs)
-        over = target > bound
-        under = target < -bound
-        if feasible and (over | under).any():
-            out = np.flatnonzero(over | under)
+        crossed = (target > bound) * 1.0 - (target < -bound)  # non-zero only on free ones
+        if feasible and crossed.any():
+            out = np.flatnonzero(crossed)
             step = target - u
-            reach = (np.sign(target[out]) * lam - u[out]) / step[out]
+            reach = (crossed[out] * lam - u[out]) / step[out]
             alpha = max(float(np.min(reach)), 0.0)
             hit = out[reach <= alpha]
-            u = u + alpha * step
-            upper[hit] |= over[hit]
-            lower[hit] |= under[hit]
-            u[upper] = lam
-            u[lower] = -lam
+            side[hit] = crossed[hit]
+            u = np.where(side == 0, u + alpha * step, lam * side)
             continue
         u = target
-        mu = dy - _gram_apply(u)
-        release = (upper & (mu < -tol)) | (lower & (mu > tol))
-        count = int(np.count_nonzero(over | under | release))
+        release = side * (dy - _gram_apply(u)) < -tol  # true only on bound coordinates
+        count = np.count_nonzero(crossed) + np.count_nonzero(release)
         if count == 0:
             return np.clip(u, -lam, lam), rounds, True
         if count < best:
@@ -480,11 +477,10 @@ def _active_set_solve(
         elif not feasible:
             feasible = True
             u = np.clip(u, -lam, lam)
-            upper = u >= lam
-            lower = u <= -lam
+            side = (u >= lam) * 1.0 - (u <= -lam)
             continue
-        upper = (upper & ~release) | over
-        lower = (lower & ~release) | under
+        side[release] = 0.0
+        side += crossed
     return np.clip(u, -lam, lam), max_rounds, False
 
 

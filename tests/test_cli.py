@@ -86,6 +86,24 @@ class TestSynthCommand:
                           "--slopes", "1,-1", "--seed", "0"])
         assert result.returncode == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--noise-sd", "nan"],
+            ["--noise-sd", "inf"],
+            ["--slopes", "1,nan"],
+            ["--slopes", "1,1e308"],
+            ["--seed", "-1"],
+        ],
+        ids=["noise-nan", "noise-inf", "slope-nan", "slopes-overflow", "negative-seed"],
+    )
+    def test_bad_values_exit_2(self, flags):
+        result = run_cli(["synth", "--n-days", "5", "--knots", "2", "--slopes", "1,-1", *flags])
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
 
 class TestConfigHandling:
     def test_flags_override_config_file(self, tmp_path, fixtures_dir):
@@ -412,6 +430,32 @@ class TestPipeline:
         assert capsys.readouterr().err.startswith("error: store ")
         assert (out_dir / "fits.json").read_bytes() == before
 
+    def test_utf8_bom_inputs_match_plain_run(self, pipeline, fixtures_dir, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with a byte-order mark
+        bom = "\ufeff"
+        inputs = tmp_path / "bom_inputs"
+        inputs.mkdir()
+        for name in ("committee_map.csv", "polls.csv", "events.csv"):
+            text = (fixtures_dir / name).read_text(encoding="utf-8")
+            (inputs / name).write_text(bom + text, encoding="utf-8")
+        out_dir = tmp_path / "bom_out"
+        config_file = tmp_path / "run.conf"
+        config_file.write_text(
+            bom + "from = 2019-06-01\n"
+            "to = 2019-07-20\n"
+            "candidates = ALPHA,BRAVO\n"
+            f"committee_map = {inputs / 'committee_map.csv'}\n"
+            f"fec_files = {fixtures_dir / 'fec_sample.txt'}\n"
+            f"poll_csv = {inputs / 'polls.csv'}\n"
+            f"events_csv = {inputs / 'events.csv'}\n"
+            f"out = {out_dir}\n",
+            encoding="utf-8",
+        )
+        codes = [main([stage, "--config", str(config_file)]) for stage in ("ingest", "fit", "report")]
+        assert codes == pipeline[1]
+        for name in ("store.json", "report.json"):
+            assert (out_dir / name).read_bytes() == (pipeline[0] / name).read_bytes(), name
+
     def test_report_without_fits_exit_2(self, fixtures_dir, tmp_path):
         out_dir = tmp_path / "only_store"
         flags = base_flags(fixtures_dir, out_dir)
@@ -428,9 +472,24 @@ class TestPipeline:
              lambda text: text.replace('"values": [', '"values": "x", "was": [', 1)),
             ("report", "fits.json", "report.json", lambda text: text[: len(text) // 2]),
             ("report", "fits.json", "report.json", lambda text: "[]"),
+            ("report", "fits.json", "report.json",
+             lambda text: text.replace('"slope": ', '"slope": Infinity, "was": ', 1)),
+            ("report", "fits.json", "report.json",
+             lambda text: text.replace('"fitted": [', '"fitted": [NaN, ', 1).replace(
+                 '"observed": [', '"observed": [0.0, ', 1)),
+            ("report", "fits.json", "report.json",
+             lambda text: text.replace('"observed": [', '"observed": [-Infinity, ', 1).replace(
+                 '"fitted": [', '"fitted": [0.0, ', 1)),
+            ("report", "fits.json", "report.json",
+             lambda text: text.replace('"lambda": ', '"lambda": NaN, "was": ', 1)),
+            ("report", "fits.json", "report.json",
+             lambda text: text.replace('"duality_gap": ', '"duality_gap": Infinity, "was": ', 1)),
+            ("report", "fits.json", "report.json",
+             lambda text: text.replace('"tol_knot": ', '"tol_knot": Infinity, "was": ', 1)),
         ],
         ids=["truncated-store", "store-without-range", "store-values-not-numbers", "truncated-fits",
-             "fits-not-an-object"],
+             "fits-not-an-object", "fits-infinite-slope", "fits-nan-fitted", "fits-infinite-observed",
+             "fits-nan-lambda", "fits-infinite-gap", "fits-infinite-tol-knot"],
     )
     def test_damaged_upstream_exit_2(self, pipeline, fixtures_dir, tmp_path, stage, upstream, output, damage):
         out_dir = tmp_path / "damaged"

@@ -315,6 +315,18 @@ def random_free_set(rng, size, layout):
 
 class TestBandedSolve:
     @pytest.mark.parametrize("layout", ["contiguous", "single-gaps", "sparse"])
+    def test_band_is_lower_band_of_dense_gram(self, layout):
+        rng = np.random.default_rng(91)
+        for size in [1, 2, 3, 4, 5, *rng.integers(6, 401, 25)]:
+            idx = random_free_set(rng, int(size), layout)
+            rows = dense_second_difference(int(idx[-1]) + 3)[idx]
+            gram = rows @ rows.T
+            want = np.zeros((3, idx.size))
+            for offset in range(3):
+                want[offset, : idx.size - offset] = np.diagonal(gram, -offset)
+            assert np.array_equal(trendfilter._gram_submatrix_banded(idx), want), (layout, size)
+
+    @pytest.mark.parametrize("layout", ["contiguous", "single-gaps", "sparse"])
     def test_matches_solveh_banded(self, layout):
         from scipy.linalg import solveh_banded
 
