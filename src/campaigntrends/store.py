@@ -129,28 +129,40 @@ def fit_to_record(
     }
 
 
+def _typed(value: Any, kinds: tuple[type, ...], what: str) -> Any:
+    """``value`` when its type is exactly one of ``kinds`` (so a bool is no int), else TypeError."""
+    if type(value) not in kinds:
+        raise TypeError(f"fit record {what} is {value!r}, not {' or '.join(k.__name__ for k in kinds)}")
+    return value
+
+
 def fit_from_record(record: dict[str, Any]) -> tuple[date, TrendFit]:
     """Decode a fit_to_record record into (start_date, TrendFit), fields as stored.
 
     The dual is recovered from the residual r = observed - fitted = D^T dual,
     a lower-triangular recurrence in the dual: a double cumulative sum of r
     (its first n - 2 entries) inverts it, clipped to the box |u| <= lambda.
-    Malformed records raise KeyError, TypeError or ValueError; a non-finite
-    lambda, duality_gap, tol_knot, slope, fitted or observed value is
-    malformed.
+    Malformed records raise KeyError, TypeError or ValueError. lambda,
+    duality_gap, tol_knot, the slopes and the fitted and observed values
+    must be finite JSON numbers, df and iterations integers, and converged
+    and df_warning booleans.
     """
     start = date.fromisoformat(record["start_date"])
 
     def day(text: str) -> int:
         return (date.fromisoformat(text) - start).days
 
-    lam = record["lambda"]
-    fitted = np.asarray(record["fitted"], dtype=float)
-    observed = np.asarray(record["observed"], dtype=float)
+    number = (int, float)
+    lam = _typed(record["lambda"], number, "lambda")
+    fitted = np.array([_typed(v, number, "fitted value") for v in record["fitted"]], dtype=float)
+    observed = np.array([_typed(v, number, "observed value") for v in record["observed"]], dtype=float)
     segments = tuple(
-        Segment(day(seg["start"]), day(seg["end"]), seg["slope"]) for seg in record["segments"]
+        Segment(day(seg["start"]), day(seg["end"]), _typed(seg["slope"], number, "slope"))
+        for seg in record["segments"]
     )
-    scalars = [lam, record["duality_gap"], record["tol_knot"], *(seg.slope for seg in segments)]
+    gap = _typed(record["duality_gap"], number, "duality_gap")
+    tol_knot = _typed(record["tol_knot"], number, "tol_knot")
+    scalars = [lam, gap, tol_knot, *(seg.slope for seg in segments)]
     if not all(np.isfinite(v).all() for v in (np.asarray(scalars, dtype=float), fitted, observed)):
         raise ValueError("fit record holds a non-finite number")
     residual = observed - fitted
@@ -159,13 +171,13 @@ def fit_from_record(record: dict[str, Any]) -> tuple[date, TrendFit]:
         fitted=fitted,
         knots=tuple(day(k) for k in record["knots"]),
         segments=segments,
-        df=record["df"],
-        duality_gap=record["duality_gap"],
+        df=_typed(record["df"], (int,), "df"),
+        duality_gap=gap,
         dual=np.clip(np.cumsum(np.cumsum(residual))[:-2], -lam, lam),
-        tol_knot=record["tol_knot"],
-        converged=record["converged"],
-        iterations=record["iterations"],
-        df_warning=record["df_warning"],
+        tol_knot=tol_knot,
+        converged=_typed(record["converged"], (bool,), "converged"),
+        iterations=_typed(record["iterations"], (int,), "iterations"),
+        df_warning=_typed(record["df_warning"], (bool,), "df_warning"),
     )
 
 

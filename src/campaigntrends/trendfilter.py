@@ -20,12 +20,15 @@ returned fit carries the duality-gap certificate
     gap(u) = lam * ||D theta||_1 - u . (D theta)  >= 0,
 
 which vanishes exactly at the optimum. Each series is solved in one
-warm-started sweep over its penalties: lam = 0 and lam >= lambda_max are
+sweep over its penalties, largest first: lam = 0 and lam >= lambda_max are
 closed forms; every other penalty runs one active-set loop over a
 partition of the dual coordinates held as one sign each (+1 upper, -1
 lower, 0 free; each round one banded solve, exact when the KKT conditions
 verify) whose step rule is block principal pivoting and turns
-box-feasible when the block flips stall.
+box-feasible when the block flips stall. Below the first solved penalty
+the loop is warm-started from the exact, piecewise-linear dual path walked
+down the sweep, so it mostly verifies its start in one round; it alone
+certifies a point.
 fit_with_target_df reads the df of every point and builds one TrendFit.
 SciPy is loaded at the first solve, not at import: the banded solves call
 LAPACK dpbsv through scipy.linalg.lapack, so importing this module costs
@@ -68,6 +71,10 @@ _PIVOT_PATIENCE = 10
 # Safety cap on the rounds of one dual solve, both step rules together;
 # the solves this system sees take at most a few hundred.
 _MAX_ROUNDS = 50_000
+
+# Cap on the dual path's events between two solved penalties; a walk cut
+# short hands its last stretch to _active_set_solve as a warm start.
+_MAX_PATH_STEPS = 10_000
 
 # D D^T = toeplitz(6, -4, 1): its entry at index distance 0, 1, 2 and >= 3.
 _STENCIL = np.array([6.0, -4.0, 1.0, 0.0])
@@ -114,7 +121,7 @@ def _gram_submatrix_banded(idx: np.ndarray) -> np.ndarray:
     """
     ab = np.zeros((3, idx.shape[0]), order="F")  # LAPACK's layout: dpbsv takes it without a copy
     ab[0] = _STENCIL[0]
-    ab[1, :-1] = _STENCIL[np.minimum(np.diff(idx), 3)]
+    ab[1, :-1] = _STENCIL[np.minimum(idx[1:] - idx[:-1], 3)]
     ab[2, :-2] = _STENCIL[np.minimum(idx[2:] - idx[:-2], 3)]
     return ab
 
@@ -151,8 +158,11 @@ class TrendFit:
             its KKT conditions verified, or its gap exceeds the tolerance
             1e-8 * 0.5 * ||y||^2; the fit then holds the box-clipped last
             iterate and its gap.
-        iterations: Dual-solve rounds, both step rules together (0 for the
-            closed-form branches lam = 0 and lam >= lambda_max).
+        iterations: Rounds of the active-set solve, both step rules
+            together, after its warm start: the dual path's dual below a
+            sweep's first solved penalty, where 1 means it verified at once,
+            and the unconstrained dual at the first (0 for the closed-form
+            branches lam = 0 and lam >= lambda_max).
         df_warning: Set by fit_with_target_df when the requested df exceeded
             every df achievable on its grid.
     """
@@ -218,19 +228,25 @@ def _unconstrained_dual(y: np.ndarray) -> np.ndarray:
     return _banded_solve(_gram_submatrix_banded(np.arange(y.shape[0] - 2)), second_difference(y))
 
 
+_dpbsv = None  # LAPACK dpbsv, looked up at the first solve; keeps SciPy off the import path
+
+
 def _banded_solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the positive definite banded system (lower storage ``ab``) for ``rhs``.
 
-    Calls LAPACK dpbsv directly, with the checks SciPy's banded Hermitian
-    solver makes around it: non-finite input raises ValueError and a block
-    that is not positive definite raises np.linalg.LinAlgError. Both
-    arguments are overwritten.
+    ``rhs`` is one right-hand side or a column per right-hand side. Calls
+    LAPACK dpbsv directly, with the checks SciPy's banded Hermitian solver
+    makes around it: non-finite input raises ValueError and a block that is
+    not positive definite raises np.linalg.LinAlgError. Both arguments are
+    overwritten.
     """
+    global _dpbsv
     if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
-    from scipy.linalg.lapack import dpbsv  # first solve loads SciPy; keeps it off the import path
+    if _dpbsv is None:
+        from scipy.linalg.lapack import dpbsv as _dpbsv
 
-    _, x, info = dpbsv(ab, rhs, lower=1, overwrite_ab=1, overwrite_b=1)
+    _, x, info = _dpbsv(ab, rhs, lower=1, overwrite_ab=1, overwrite_b=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
     if info < 0:
@@ -386,19 +402,24 @@ class _Point(NamedTuple):
 
 
 def _sweep(y: np.ndarray, lams: Sequence[float], u_free: np.ndarray) -> Iterator[_Point]:
-    """Solve at each penalty of ``lams`` in the order given.
+    """Solve at each penalty of ``lams`` in the order given, fastest when descending.
 
     ``u_free`` is the unconstrained dual of ``y`` (_unconstrained_dual),
     whose largest |u_j| is lambda_max; the caller solves it once per
     series. lam = 0 gives u = 0 and lam >= lambda_max the unconstrained
     dual, both with 0 rounds and converged. Any other penalty runs
-    _active_set_solve, warm-started from the previous point's dual (the
-    unconstrained dual for the first), and converges when its KKT
-    conditions verify and its gap is at most _eps_gap(y).
+    _active_set_solve and converges when its KKT conditions verify and its
+    gap is at most _eps_gap(y). The first such solve starts from the
+    unconstrained dual; each later one from the exact dual path (_DualPath)
+    walked down from the previous point, on whose own partition it
+    verifies in its first round. The walk starts at the first solved point,
+    and starts again wherever a solve took more than one round (the walk
+    missed a tie), from the partition the solve verified.
     """
     lam_max = float(np.max(np.abs(u_free)))
     eps_gap = _eps_gap(y)
-    u = u_free
+    dy = second_difference(y)
+    path = None
     for lam in map(float, lams):
         rounds, verified, gap_tol = 0, True, np.inf  # closed forms are exact
         if lam == 0.0:
@@ -406,12 +427,80 @@ def _sweep(y: np.ndarray, lams: Sequence[float], u_free: np.ndarray) -> Iterator
         elif lam >= lam_max:
             u = u_free
         else:
-            u, rounds, verified = _active_set_solve(y, lam, u, _MAX_ROUNDS)
+            u0 = u_free if path is None else path.walk_to(lam)
+            u, rounds, verified = _active_set_solve(y, lam, u0, _MAX_ROUNDS)
+            if path is None or rounds > 1:
+                path = _DualPath(dy, lam, _read_side(u, dy, lam))
             gap_tol = eps_gap
         theta = y - _dt_apply(u, y.shape[0])
         dtheta = second_difference(theta)
         gap = lam * float(np.sum(np.abs(dtheta))) - float(u @ dtheta)
         yield _Point(lam, u, theta, max(gap, 0.0), verified and gap <= gap_tol, rounds)
+
+
+class _DualPath:
+    """The exact dual solution path, walked downward in lam.
+
+    Between two events the partition ``side`` (+1 upper, -1 lower, 0 free,
+    as in _active_set_solve) is fixed and the dual is linear in lam:
+    u(lam) = a - lam * b, where b = -side on the bound coordinates and the
+    free block F solves G_FF [a_F b_F] = [(D y)_F (G side)_F] with
+    G = D D^T, one banded solve with two right-hand sides. Its KKT residual
+    is mu(lam) = D y - G u(lam) = c + lam * e. As lam falls, a free
+    coordinate joins the bound set when it reaches +-lam, and a bound
+    coordinate leaves it when side * mu reaches 0 (Tibshirani & Taylor,
+    Ann. Stat. 2011). Each step moves to the largest event strictly below
+    the current lam, skipping the coordinate changed last (its own event
+    sits at the current lam up to rounding), so every step lowers lam;
+    simultaneous events are therefore not all taken. The walk proposes warm
+    starts only: _active_set_solve certifies every point.
+    """
+
+    def __init__(self, dy: np.ndarray, lam: float, side: np.ndarray) -> None:
+        self.dy = dy
+        self._enter(lam, side, -1)
+
+    def _enter(self, lam: float, side: np.ndarray, changed: int) -> None:
+        """Enter the stretch of the path below ``lam`` on the partition ``side``."""
+        self.lam, self.side, self.changed = lam, side, changed
+        line = np.zeros((side.shape[0], 2))  # columns a and b
+        line[:, 1] = -side
+        free = np.flatnonzero(side == 0)
+        if free.size:
+            rhs = np.empty((free.size, 2), order="F")  # dpbsv takes it without a copy
+            rhs[:, 0] = self.dy[free]
+            rhs[:, 1] = _gram_apply(side)[free]
+            line[free] = _banded_solve(_gram_submatrix_banded(free), rhs)
+        self.a, self.b = line.T
+        gram = _gram_apply(line)
+        self.c, self.e = self.dy - gram[:, 0], gram[:, 1]
+
+    def walk_to(self, lam: float) -> np.ndarray:
+        """The path's dual at ``lam`` after the events above it, at most _MAX_PATH_STEPS of them."""
+        for _ in range(_MAX_PATH_STEPS):
+            side = self.side
+            # A free coordinate reaches sign(a) * lam at |a| / (1 + sign(a) b),
+            # a bound one has side * (c + lam e) = 0 at -side c / (side e); each
+            # is an event as lam falls only where its denominator is positive.
+            num = np.abs(self.a) - side * self.c
+            den = side * self.e + (side == 0) * (1.0 + np.sign(self.a) * self.b)
+            times = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+            times[times >= self.lam] = 0.0
+            if self.changed >= 0:
+                times[self.changed] = 0.0
+            j = int(np.argmax(times))
+            if times[j] <= lam:
+                break
+            side = side.copy()
+            side[j] = 0.0 if side[j] else np.sign(self.a[j])
+            self._enter(float(times[j]), side, j)
+        return self.a - lam * self.b
+
+
+def _read_side(u: np.ndarray, dy: np.ndarray, lam: float) -> np.ndarray:
+    """The partition of dual ``u`` at ``lam``: the sign of the bound u + mu lies beyond, 0 inside the box."""
+    indicator = u + dy - _gram_apply(u)
+    return (indicator > lam) * 1.0 - (indicator < -lam)  # from comparisons: no -0.0
 
 
 def _active_set_solve(
@@ -442,8 +531,7 @@ def _active_set_solve(
     """
     dy = second_difference(y)
     u = np.clip(u0, -lam, lam)
-    indicator = u + dy - _gram_apply(u)
-    side = (indicator > lam) * 1.0 - (indicator < -lam)  # from comparisons: no -0.0
+    side = _read_side(u, dy, lam)
     tol = 1e-11 * max(1.0, lam)
     bound = lam * (1 + 1e-12)
     best = u.shape[0] + 1

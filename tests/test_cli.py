@@ -486,10 +486,20 @@ class TestPipeline:
              lambda text: text.replace('"duality_gap": ', '"duality_gap": Infinity, "was": ', 1)),
             ("report", "fits.json", "report.json",
              lambda text: text.replace('"tol_knot": ', '"tol_knot": Infinity, "was": ', 1)),
+            ("report", "fits.json", "report.json",
+             lambda text: text.replace('"slope": ', '"slope": "1.5", "was": ', 1)),
+            ("report", "fits.json", "report.json",
+             lambda text: text.replace('"fitted": [', '"fitted": ["1.5", ', 1).replace(
+                 '"observed": [', '"observed": [0.0, ', 1)),
+            ("report", "fits.json", "report.json",
+             lambda text: text.replace('"df": ', '"df": true, "was": ', 1)),
+            ("report", "fits.json", "report.json",
+             lambda text: text.replace('"converged": ', '"converged": "yes", "was": ', 1)),
         ],
         ids=["truncated-store", "store-without-range", "store-values-not-numbers", "truncated-fits",
              "fits-not-an-object", "fits-infinite-slope", "fits-nan-fitted", "fits-infinite-observed",
-             "fits-nan-lambda", "fits-infinite-gap", "fits-infinite-tol-knot"],
+             "fits-nan-lambda", "fits-infinite-gap", "fits-infinite-tol-knot", "fits-string-slope",
+             "fits-string-fitted", "fits-bool-df", "fits-string-converged"],
     )
     def test_damaged_upstream_exit_2(self, pipeline, fixtures_dir, tmp_path, stage, upstream, output, damage):
         out_dir = tmp_path / "damaged"

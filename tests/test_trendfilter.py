@@ -247,7 +247,43 @@ class TestDegenerateShapes:
 def sweep_grid(y):
     """fit_with_target_df's penalty grid for ``y``, largest penalty first."""
     lam_hi = lambda_max(y)
+    if lam_hi == 0.0:
+        return np.zeros(1)
     return np.geomspace(trendfilter._GRID_SPAN * lam_hi, lam_hi, trendfilter._GRID_SIZE)[::-1]
+
+
+def started_solve(y, lam, u0):
+    """_active_set_solve started from ``u0``, certified as _sweep certifies a point."""
+    u, rounds, verified = _active_set_solve(y, lam, u0, trendfilter._MAX_ROUNDS)
+    theta = y - trendfilter._dt_apply(u, y.shape[0])
+    dtheta = second_difference(theta)
+    gap = lam * float(np.sum(np.abs(dtheta))) - float(u @ dtheta)
+    return trendfilter._Point(lam, u, theta, gap, verified and gap <= trendfilter._eps_gap(y), rounds)
+
+
+def assert_path_sweep_matches_cold_solves(y):
+    """Every point of the path-started sweep against _active_set_solve started
+    from the unconstrained dual: both certified, same df, duals within 1e-6 * lam."""
+    grid = sweep_grid(y)
+    tol_knot = trendfilter._tol_knot(y)
+    u_free = trendfilter._unconstrained_dual(y)
+    points = list(trendfilter._sweep(y, grid, u_free))
+    assert [p.lam for p in points] == grid.tolist()
+    for point in points:
+        if not 0.0 < point.lam < grid[0]:
+            continue  # the closed forms
+        cold = started_solve(y, point.lam, u_free)
+        assert point.converged and cold.converged, point.lam
+        df = trendfilter._bends(point.theta, tol_knot).size
+        assert df == trendfilter._bends(cold.theta, tol_knot).size, point.lam
+        assert np.max(np.abs(point.dual - cold.dual)) <= 1e-6 * point.lam, point.lam
+
+
+SWEEP_SHAPES = {
+    "bendy": bendy_signal(seed=56, n=90)[0],
+    **degenerate_panel(),
+    **{f"n277-{name}": y for name, y in paper_window_panel().items()},
+}
 
 
 class TestSweep:
@@ -263,22 +299,28 @@ class TestSweep:
         assert calls["_unconstrained_dual"] == 1
         assert calls["extract_segments"] == 1
 
-    @pytest.mark.parametrize("shape", ["bendy", "poisson"])
+    @pytest.mark.parametrize("shape", sorted(SWEEP_SHAPES))
     def test_warm_points_match_cold_solves(self, shape):
-        y = bendy_signal(seed=56, n=90)[0] if shape == "bendy" else degenerate_panel()["poisson"]
-        grid = sweep_grid(y)
-        tol_knot = trendfilter._tol_knot(y)
-        points = list(trendfilter._sweep(y, grid, trendfilter._unconstrained_dual(y)))
-        assert [p.lam for p in points] == grid.tolist()
-        for point in points:
-            cold = solve_tf(y, point.lam)
-            assert point.converged and cold.converged, point.lam
-            df = int(np.count_nonzero(np.abs(second_difference(point.theta)) > tol_knot)) + 2
-            assert df == cold.df, point.lam
-            assert np.max(np.abs(point.dual - cold.dual)) <= 1e-6 * point.lam
+        assert_path_sweep_matches_cold_solves(SWEEP_SHAPES[shape])
+
+    @settings(max_examples=40, deadline=None)
+    @given(y=pipeline_shaped_series())
+    def test_warm_points_match_cold_solves_on_pipeline_shapes(self, y):
+        assert_path_sweep_matches_cold_solves(y)
+
+    def test_walk_is_exact_without_ties(self):
+        # uniform floats tie no two events: after the first solved point
+        # (started from the unconstrained dual) every point's warm start is
+        # its optimum, so each verifies in its first round
+        for y, _ in random_panel(seed=505, count=12, n_lo=5, n_hi=300):
+            points = list(trendfilter._sweep(y, sweep_grid(y), trendfilter._unconstrained_dual(y)))
+            assert [p.rounds for p in points[2:]] == [1] * (len(points) - 2), y.size
 
     @pytest.mark.parametrize("shape", sorted(paper_window_panel()))
     def test_paper_window_shapes_converge_in_bounded_rounds(self, shape):
+        # the path's warm start verifies in one round unless the walk missed
+        # a tie; measured 214-356 rounds per sweep, against 893-2,145 when each
+        # point started from the previous point's dual
         y = paper_window_panel()[shape]
         grid = sweep_grid(y)
         points = list(trendfilter._sweep(y, grid, trendfilter._unconstrained_dual(y)))
@@ -287,17 +329,41 @@ class TestSweep:
             assert point.converged, (shape, point.lam)
             assert point.gap <= trendfilter._eps_gap(y), (shape, point.lam)
             assert point.rounds <= 500, (shape, point.lam, point.rounds)
+        assert sum(point.rounds for point in points) <= 3 * trendfilter._GRID_SIZE, shape
 
+    @pytest.mark.parametrize("steps", [0, 1])
     @pytest.mark.parametrize("shape", sorted(paper_window_panel()))
-    def test_backup_phase_reaches_the_same_optimum(self, shape, monkeypatch):
-        # patience 0: every solve whose failing count stalls for one round
-        # finishes with box-feasible steps
+    def test_walk_cut_short_reaches_the_same_optimum(self, shape, steps, monkeypatch):
+        # a walk stopped by the step cap hands an inexact warm start to the
+        # active-set solve, and the walk goes on from the partition it
+        # verified (measured 303-771 rounds per sweep; 1,561-7,511 when the
+        # walk does not go on from there)
         y = paper_window_panel()[shape]
         grid = sweep_grid(y)
         u_free = trendfilter._unconstrained_dual(y)
         default = list(trendfilter._sweep(y, grid, u_free))
-        monkeypatch.setattr(trendfilter, "_PIVOT_PATIENCE", 0)
+        monkeypatch.setattr(trendfilter, "_MAX_PATH_STEPS", steps)
+        rounds = 0
         for point, ref in zip(trendfilter._sweep(y, grid, u_free), default, strict=True):
+            assert point.converged, (shape, point.lam)
+            assert np.max(np.abs(point.dual - ref.dual)) <= 1e-6 * point.lam, (shape, point.lam)
+            rounds += point.rounds
+        assert rounds <= 5 * trendfilter._GRID_SIZE, (shape, rounds)
+
+    @pytest.mark.parametrize("shape", sorted(paper_window_panel()))
+    def test_backup_phase_reaches_the_same_optimum(self, shape, monkeypatch):
+        # patience 0: every solve whose failing count stalls for one round
+        # finishes with box-feasible steps; each solve starts from the
+        # previous point's dual, as sweeps did before the path (the path's
+        # warm start verifies without stalling)
+        y = paper_window_panel()[shape]
+        grid = sweep_grid(y)
+        u = trendfilter._unconstrained_dual(y)
+        default = list(trendfilter._sweep(y, grid, u))
+        monkeypatch.setattr(trendfilter, "_PIVOT_PATIENCE", 0)
+        for ref in default[1:]:  # default[0] is lambda_max, a closed form
+            point = started_solve(y, ref.lam, u)
+            u = point.dual
             assert point.converged, (shape, point.lam)
             assert point.gap <= trendfilter._eps_gap(y), (shape, point.lam)
             assert np.max(np.abs(point.dual - ref.dual)) <= 1e-6 * point.lam, (shape, point.lam)
