@@ -413,6 +413,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNUSABLE
+    if args.n_days - 1 > (date.max - start).days:
+        print(f"error: {args.n_days} days from {start} run past {date.max}", file=sys.stderr)
+        return EXIT_UNUSABLE
     values = synth.synth_values(args.n_days, knots, slopes, args.noise_sd, args.seed)
     out = sys.stdout
     out.write("date,day,value\n")

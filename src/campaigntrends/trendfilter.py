@@ -21,14 +21,12 @@ returned fit carries the duality-gap certificate
 
 which vanishes exactly at the optimum. Each series is solved in one
 sweep over its penalties, largest first: lam = 0 and lam >= lambda_max are
-closed forms; every other penalty runs one active-set loop over a
-partition of the dual coordinates held as one sign each (+1 upper, -1
-lower, 0 free; each round one banded solve, exact when the KKT conditions
-verify) whose step rule is block principal pivoting and turns
-box-feasible when the block flips stall. Below the first solved penalty
-the loop is warm-started from the exact, piecewise-linear dual path walked
-down the sweep, so it mostly verifies its start in one round; it alone
-certifies a point.
+closed forms; every other penalty is reached by walking the exact,
+piecewise-linear dual path down from lambda_max. On a fixed partition of
+the dual coordinates (one sign each: +1 upper, -1 lower, 0 free) the dual
+is a line in lam, one banded solve (_line); the walk's line is certified
+at each penalty by a KKT test, and an active-set loop with a box-feasible
+step rule repairs it when the walk missed simultaneous events.
 fit_with_target_df reads the df of every point and builds one TrendFit.
 SciPy is loaded at the first solve, not at import: the banded solves call
 LAPACK dpbsv through scipy.linalg.lapack, so importing this module costs
@@ -64,16 +62,12 @@ __all__ = [
 _GRID_SIZE = 200
 _GRID_SPAN = 1e-4
 
-# Block pivoting rounds without a new minimum of failing coordinates
-# before the dual solve's step rule turns box-feasible.
-_PIVOT_PATIENCE = 10
-
-# Safety cap on the rounds of one dual solve, both step rules together;
-# the solves this system sees take at most a few hundred.
+# Safety cap on the rounds of one dual solve: a sweep's solves take at most
+# a few, one from an arbitrary partition a few hundred.
 _MAX_ROUNDS = 50_000
 
 # Cap on the dual path's events between two solved penalties; a walk cut
-# short hands its last stretch to _active_set_solve as a warm start.
+# short hands its last line to _active_set_solve, which repairs it.
 _MAX_PATH_STEPS = 10_000
 
 # D D^T = toeplitz(6, -4, 1): its entry at index distance 0, 1, 2 and >= 3.
@@ -158,11 +152,9 @@ class TrendFit:
             its KKT conditions verified, or its gap exceeds the tolerance
             1e-8 * 0.5 * ||y||^2; the fit then holds the box-clipped last
             iterate and its gap.
-        iterations: Rounds of the active-set solve, both step rules
-            together, after its warm start: the dual path's dual below a
-            sweep's first solved penalty, where 1 means it verified at once,
-            and the unconstrained dual at the first (0 for the closed-form
-            branches lam = 0 and lam >= lambda_max).
+        iterations: Rounds of the solve that certified the fit on the dual
+            path's line, where 1 means the walk was exact (0 for the
+            closed-form branches lam = 0 and lam >= lambda_max).
         df_warning: Set by fit_with_target_df when the requested df exceeded
             every df achievable on its grid.
     """
@@ -407,30 +399,57 @@ def _sweep(y: np.ndarray, lams: Sequence[float], u_free: np.ndarray) -> Iterator
     ``u_free`` is the unconstrained dual of ``y`` (_unconstrained_dual),
     whose largest |u_j| is lambda_max; the caller solves it once per
     series. lam = 0 gives u = 0 and lam >= lambda_max the unconstrained
-    dual, both with 0 rounds and converged. Any other penalty runs
-    _active_set_solve and converges when its KKT conditions verify and its
-    gap is at most _eps_gap(y). The first such solve starts from the
-    unconstrained dual; each later one from the exact dual path (_DualPath)
-    walked down from the previous point, on whose own partition it
-    verifies in its first round. The walk starts at the first solved point,
-    and starts again wherever a solve took more than one round (the walk
-    missed a tie), from the partition the solve verified.
+    dual, both with 0 rounds and converged. Any other penalty is reached by
+    walking the exact dual path down from lambda_max, where every
+    coordinate is free and the line is u_free (b = 0), and converges when
+    _active_set_solve verifies the walk's line and the gap is at most
+    _eps_gap(y).
+
+    Between two events the partition ``side`` is fixed and the dual is its
+    _line. As lam falls, a free coordinate joins the bound set when it
+    reaches +-lam, and a bound coordinate leaves it when side * mu reaches 0
+    (Tibshirani & Taylor, Ann. Stat. 2011). Each step moves to the largest
+    event strictly below the current lam, skipping the coordinate changed
+    last (its own event sits at the current lam up to rounding), so every
+    step lowers lam and simultaneous events (ties) are not all taken; at
+    most _MAX_PATH_STEPS are taken between two penalties. A solve of more
+    than one round repaired such a miss, and the walk goes on from the
+    partition it verified.
     """
     lam_max = float(np.max(np.abs(u_free)))
     eps_gap = _eps_gap(y)
     dy = second_difference(y)
-    path = None
+    zero = np.zeros_like(u_free)
+    at, changed, side = np.inf, -1, zero
+    line = (u_free, zero, dy - _gram_apply(u_free), zero)
     for lam in map(float, lams):
         rounds, verified, gap_tol = 0, True, np.inf  # closed forms are exact
         if lam == 0.0:
-            u = np.zeros_like(u_free)
+            u = zero
         elif lam >= lam_max:
             u = u_free
         else:
-            u0 = u_free if path is None else path.walk_to(lam)
-            u, rounds, verified = _active_set_solve(y, lam, u0, _MAX_ROUNDS)
-            if path is None or rounds > 1:
-                path = _DualPath(dy, lam, _read_side(u, dy, lam))
+            for _ in range(_MAX_PATH_STEPS):
+                a, b, c, e = line
+                # A free coordinate reaches sign(a) * lam at |a| / (1 + sign(a) b),
+                # a bound one has side * (c + lam e) = 0 at -side c / (side e); each
+                # is an event as lam falls only where its denominator is positive.
+                num = np.abs(a) - side * c
+                den = side * e + (side == 0) * (1.0 + np.sign(a) * b)
+                times = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+                times[times >= at] = 0.0
+                if changed >= 0:
+                    times[changed] = 0.0
+                j = int(np.argmax(times))
+                if times[j] <= lam:
+                    break
+                at, changed = float(times[j]), j
+                side = side.copy()
+                side[j] = 0.0 if side[j] else np.sign(a[j])
+                line = _line(dy, side)
+            u, rounds, verified, side, line = _active_set_solve(dy, lam, side, line, _MAX_ROUNDS)
+            if rounds > 1:
+                at, changed = lam, -1
             gap_tol = eps_gap
         theta = y - _dt_apply(u, y.shape[0])
         dtheta = second_difference(theta)
@@ -438,113 +457,60 @@ def _sweep(y: np.ndarray, lams: Sequence[float], u_free: np.ndarray) -> Iterator
         yield _Point(lam, u, theta, max(gap, 0.0), verified and gap <= gap_tol, rounds)
 
 
-class _DualPath:
-    """The exact dual solution path, walked downward in lam.
+def _line(dy: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The dual on the fixed partition ``side`` as a line in lam: (a, b, c, e).
 
-    Between two events the partition ``side`` (+1 upper, -1 lower, 0 free,
-    as in _active_set_solve) is fixed and the dual is linear in lam:
-    u(lam) = a - lam * b, where b = -side on the bound coordinates and the
-    free block F solves G_FF [a_F b_F] = [(D y)_F (G side)_F] with
-    G = D D^T, one banded solve with two right-hand sides. Its KKT residual
-    is mu(lam) = D y - G u(lam) = c + lam * e. As lam falls, a free
-    coordinate joins the bound set when it reaches +-lam, and a bound
-    coordinate leaves it when side * mu reaches 0 (Tibshirani & Taylor,
-    Ann. Stat. 2011). Each step moves to the largest event strictly below
-    the current lam, skipping the coordinate changed last (its own event
-    sits at the current lam up to rounding), so every step lowers lam;
-    simultaneous events are therefore not all taken. The walk proposes warm
-    starts only: _active_set_solve certifies every point.
+    The dual is u(lam) = a - lam * b and its KKT residual
+    mu(lam) = D y - D D^T u(lam) = c + lam * e. On the bound coordinates
+    a = 0 and b = -side; the free block F solves G_FF [a_F b_F] =
+    [(D y)_F (G side)_F] with G = D D^T, one banded solve with two
+    right-hand sides.
     """
-
-    def __init__(self, dy: np.ndarray, lam: float, side: np.ndarray) -> None:
-        self.dy = dy
-        self._enter(lam, side, -1)
-
-    def _enter(self, lam: float, side: np.ndarray, changed: int) -> None:
-        """Enter the stretch of the path below ``lam`` on the partition ``side``."""
-        self.lam, self.side, self.changed = lam, side, changed
-        line = np.zeros((side.shape[0], 2))  # columns a and b
-        line[:, 1] = -side
-        free = np.flatnonzero(side == 0)
-        if free.size:
-            rhs = np.empty((free.size, 2), order="F")  # dpbsv takes it without a copy
-            rhs[:, 0] = self.dy[free]
-            rhs[:, 1] = _gram_apply(side)[free]
-            line[free] = _banded_solve(_gram_submatrix_banded(free), rhs)
-        self.a, self.b = line.T
-        gram = _gram_apply(line)
-        self.c, self.e = self.dy - gram[:, 0], gram[:, 1]
-
-    def walk_to(self, lam: float) -> np.ndarray:
-        """The path's dual at ``lam`` after the events above it, at most _MAX_PATH_STEPS of them."""
-        for _ in range(_MAX_PATH_STEPS):
-            side = self.side
-            # A free coordinate reaches sign(a) * lam at |a| / (1 + sign(a) b),
-            # a bound one has side * (c + lam e) = 0 at -side c / (side e); each
-            # is an event as lam falls only where its denominator is positive.
-            num = np.abs(self.a) - side * self.c
-            den = side * self.e + (side == 0) * (1.0 + np.sign(self.a) * self.b)
-            times = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
-            times[times >= self.lam] = 0.0
-            if self.changed >= 0:
-                times[self.changed] = 0.0
-            j = int(np.argmax(times))
-            if times[j] <= lam:
-                break
-            side = side.copy()
-            side[j] = 0.0 if side[j] else np.sign(self.a[j])
-            self._enter(float(times[j]), side, j)
-        return self.a - lam * self.b
-
-
-def _read_side(u: np.ndarray, dy: np.ndarray, lam: float) -> np.ndarray:
-    """The partition of dual ``u`` at ``lam``: the sign of the bound u + mu lies beyond, 0 inside the box."""
-    indicator = u + dy - _gram_apply(u)
-    return (indicator > lam) * 1.0 - (indicator < -lam)  # from comparisons: no -0.0
+    line = np.zeros((side.shape[0], 2))  # columns a and b
+    line[:, 1] = -side
+    free = np.flatnonzero(side == 0)
+    if free.size:
+        rhs = np.empty((free.size, 2), order="F")  # dpbsv takes it without a copy
+        rhs[:, 0] = dy[free]
+        rhs[:, 1] = _gram_apply(side)[free]
+        line[free] = _banded_solve(_gram_submatrix_banded(free), rhs)
+    gram = _gram_apply(line)
+    return line[:, 0], line[:, 1], dy - gram[:, 0], gram[:, 1]
 
 
 def _active_set_solve(
-    y: np.ndarray, lam: float, u0: np.ndarray, max_rounds: int
-) -> tuple[np.ndarray, int, bool]:
-    """Active-set solve of the dual box problem.
+    dy: np.ndarray, lam: float, side: np.ndarray, line: tuple[np.ndarray, ...], max_rounds: int
+) -> tuple[np.ndarray, int, bool, np.ndarray, tuple[np.ndarray, ...]]:
+    """Active-set solve of the dual box problem from the partition ``side``.
 
-    The partition is one sign per dual coordinate, ``side``: +1 pinned at
-    the upper bound, -1 at the lower, 0 free; the first is read off ``u0``.
-    Each round pins the bound coordinates at lam * side, solves the free
-    block exactly and reads mu = D y - D D^T u (which equals D theta). A
-    coordinate fails the KKT test when it is free and outside the box
-    (``crossed``, the sign of the bound it crossed) or bound with
-    side * mu < 0; the solve is done when none fails. The step rule is block
-    principal pivoting: every failing coordinate flips, free to the bound
-    it crossed, bound to free. D D^T is not an M-matrix, so block flips can
-    cycle; after _PIVOT_PATIENCE rounds without a new minimum of the
-    failing count the partition is re-read off the box-clipped dual and the
-    rule turns box-feasible: a solve outside the box is approached only up
+    ``side`` holds one sign per dual coordinate (+1 pinned at the upper
+    bound, -1 at the lower, 0 free) and ``line`` is its _line, so the free
+    block's solve at lam is a - lam * b and mu = c + lam * e (which equals
+    D theta). Each round reads the KKT test off the line: a coordinate fails
+    when it is free and outside the box (``crossed``, the sign of the bound
+    it crossed) or bound with side * mu < 0. When none fails the solve is
+    done, so a start on the optimal partition verifies in round 1 without a
+    banded solve. Otherwise the step rule is box-feasible, from the
+    box-clipped start: a free solve outside the box is approached only up
     to the first bound it crosses, which pins the coordinates that reach
-    it. That never raises the dual objective and each freeing lowers it, so
-    no partition repeats short of exact degeneracy. (Judice & Pires,
-    Comput. Oper. Res. 1994, back the block flips with single highest-index
-    flips instead; on integer count series those took tens of thousands of
-    rounds.)
+    it; one inside the box is taken, and every bound coordinate with
+    side * mu < 0 is freed. That never raises the dual objective and each
+    freeing lowers it, so no partition repeats short of exact degeneracy.
+    (Block principal pivoting, which flips every failing coordinate at
+    once, can cycle: D D^T is not an M-matrix.)
 
-    Returns (u, rounds, kkt_verified) with u box-clipped.
+    Returns (u, rounds, kkt_verified, side, line) with u box-clipped and
+    ``line`` the last partition's line.
     """
-    dy = second_difference(y)
-    u = np.clip(u0, -lam, lam)
-    side = _read_side(u, dy, lam)
     tol = 1e-11 * max(1.0, lam)
     bound = lam * (1 + 1e-12)
-    best = u.shape[0] + 1
-    patience = _PIVOT_PATIENCE
-    feasible = False
+    side = side.copy()
+    u = np.clip(line[0] - lam * line[1], -lam, lam)
     for rounds in range(1, max_rounds + 1):
-        target = lam * side
-        free = np.flatnonzero(side == 0)
-        if free.size:
-            rhs = dy[free] - _gram_apply(target)[free]
-            target[free] = _banded_solve(_gram_submatrix_banded(free), rhs)
+        a, b, c, e = line
+        target = a - lam * b
         crossed = (target > bound) * 1.0 - (target < -bound)  # non-zero only on free ones
-        if feasible and crossed.any():
+        if crossed.any():
             out = np.flatnonzero(crossed)
             step = target - u
             reach = (crossed[out] * lam - u[out]) / step[out]
@@ -552,24 +518,14 @@ def _active_set_solve(
             hit = out[reach <= alpha]
             side[hit] = crossed[hit]
             u = np.where(side == 0, u + alpha * step, lam * side)
-            continue
-        u = target
-        release = side * (dy - _gram_apply(u)) < -tol  # true only on bound coordinates
-        count = np.count_nonzero(crossed) + np.count_nonzero(release)
-        if count == 0:
-            return np.clip(u, -lam, lam), rounds, True
-        if count < best:
-            best, patience = count, _PIVOT_PATIENCE
-        elif patience:
-            patience -= 1
-        elif not feasible:
-            feasible = True
-            u = np.clip(u, -lam, lam)
-            side = (u >= lam) * 1.0 - (u <= -lam)
-            continue
-        side[release] = 0.0
-        side += crossed
-    return np.clip(u, -lam, lam), max_rounds, False
+        else:
+            u = target
+            release = side * (c + lam * e) < -tol  # true only on bound coordinates
+            if not release.any():
+                return np.clip(u, -lam, lam), rounds, True, side, line
+            side[release] = 0.0
+        line = _line(dy, side)
+    return np.clip(u, -lam, lam), max_rounds, False, side, line
 
 
 def _build_fit(point: _Point, tol_knot: float, df_warning: bool = False) -> TrendFit:

@@ -94,8 +94,9 @@ class TestSynthCommand:
             ["--slopes", "1,nan"],
             ["--slopes", "1,1e308"],
             ["--seed", "-1"],
+            ["--start-date", "9999-12-30"],
         ],
-        ids=["noise-nan", "noise-inf", "slope-nan", "slopes-overflow", "negative-seed"],
+        ids=["noise-nan", "noise-inf", "slope-nan", "slopes-overflow", "negative-seed", "past-last-date"],
     )
     def test_bad_values_exit_2(self, flags):
         result = run_cli(["synth", "--n-days", "5", "--knots", "2", "--slopes", "1,-1", *flags])

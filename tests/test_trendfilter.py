@@ -115,23 +115,26 @@ class TestSolveTf:
             assert np.max(np.abs(scaled.fitted - c * base.fitted)) <= 1e-6 * c
 
     def test_dual_solver_terminates_from_any_start(self):
-        # block flips alone cycle from some of these starts; the box-feasible
-        # backup must finish each in few rounds at the unique optimum
+        # block flips alone cycle from some of these partitions; the
+        # box-feasible rule must finish each in few rounds at the unique optimum
         rng = np.random.default_rng(11)
         for trial in range(40):
             n = int(rng.integers(5, 301))
             y = rng.uniform(0, 10, n) if trial % 2 else rng.poisson(2, n).astype(float)
             lam = float(rng.uniform(0.001, 0.99)) * lambda_max(y)
-            u0 = rng.choice([-1.0, 0.0, 1.0], n - 2) * lam * rng.uniform(0.5, 3.0)
-            u, rounds, verified = _active_set_solve(y, lam, u0, 50_000)
+            side = rng.choice([-1.0, 0.0, 1.0], n - 2)
+            dy = second_difference(y)
+            u, rounds, verified, _, _ = _active_set_solve(dy, lam, side, trendfilter._line(dy, side), 50_000)
             assert verified and rounds <= 1_000, (trial, rounds)
             assert np.max(np.abs(u - solve_tf(y, lam).dual)) <= 1e-6 * lam
 
     def test_nonconvergence_returns_flagged_best_iterate(self, monkeypatch):
-        # a case that needs several pivoting rounds, capped at one
+        # without the walk the solve starts from the unconstrained dual and
+        # needs several rounds; capped at one
         rng = np.random.default_rng(3)
         y = rng.uniform(0, 10, 40)
         lam = 0.3 * lambda_max(y)
+        monkeypatch.setattr(trendfilter, "_MAX_PATH_STEPS", 0)
         assert solve_tf(y, lam).iterations > 1
         monkeypatch.setattr(trendfilter, "_MAX_ROUNDS", 1)
         fit = solve_tf(y, lam)
@@ -252,27 +255,31 @@ def sweep_grid(y):
     return np.geomspace(trendfilter._GRID_SPAN * lam_hi, lam_hi, trendfilter._GRID_SIZE)[::-1]
 
 
-def started_solve(y, lam, u0):
-    """_active_set_solve started from ``u0``, certified as _sweep certifies a point."""
-    u, rounds, verified = _active_set_solve(y, lam, u0, trendfilter._MAX_ROUNDS)
+def started_solve(y, lam, side):
+    """_active_set_solve started from the partition ``side``, certified as
+    _sweep certifies a point; returns the point and the partition it verified."""
+    dy = second_difference(y)
+    u, rounds, verified, side, _ = _active_set_solve(
+        dy, lam, side, trendfilter._line(dy, side), trendfilter._MAX_ROUNDS
+    )
     theta = y - trendfilter._dt_apply(u, y.shape[0])
     dtheta = second_difference(theta)
     gap = lam * float(np.sum(np.abs(dtheta))) - float(u @ dtheta)
-    return trendfilter._Point(lam, u, theta, gap, verified and gap <= trendfilter._eps_gap(y), rounds)
+    point = trendfilter._Point(lam, u, theta, gap, verified and gap <= trendfilter._eps_gap(y), rounds)
+    return point, side
 
 
 def assert_path_sweep_matches_cold_solves(y):
     """Every point of the path-started sweep against _active_set_solve started
-    from the unconstrained dual: both certified, same df, duals within 1e-6 * lam."""
+    from the all-free partition: both certified, same df, duals within 1e-6 * lam."""
     grid = sweep_grid(y)
     tol_knot = trendfilter._tol_knot(y)
-    u_free = trendfilter._unconstrained_dual(y)
-    points = list(trendfilter._sweep(y, grid, u_free))
+    points = list(trendfilter._sweep(y, grid, trendfilter._unconstrained_dual(y)))
     assert [p.lam for p in points] == grid.tolist()
     for point in points:
         if not 0.0 < point.lam < grid[0]:
             continue  # the closed forms
-        cold = started_solve(y, point.lam, u_free)
+        cold, _ = started_solve(y, point.lam, np.zeros(y.shape[0] - 2))
         assert point.converged and cold.converged, point.lam
         df = trendfilter._bends(point.theta, tol_knot).size
         assert df == trendfilter._bends(cold.theta, tol_knot).size, point.lam
@@ -309,22 +316,30 @@ class TestSweep:
         assert_path_sweep_matches_cold_solves(y)
 
     def test_walk_is_exact_without_ties(self):
-        # uniform floats tie no two events: after the first solved point
-        # (started from the unconstrained dual) every point's warm start is
-        # its optimum, so each verifies in its first round
+        # uniform floats tie no two events: the walk from lambda_max reaches
+        # every point's optimal partition, so each verifies in its first round
         for y, _ in random_panel(seed=505, count=12, n_lo=5, n_hi=300):
             points = list(trendfilter._sweep(y, sweep_grid(y), trendfilter._unconstrained_dual(y)))
-            assert [p.rounds for p in points[2:]] == [1] * (len(points) - 2), y.size
+            assert [p.rounds for p in points[1:]] == [1] * (len(points) - 1), y.size
 
     @pytest.mark.parametrize("shape", sorted(paper_window_panel()))
-    def test_paper_window_shapes_converge_in_bounded_rounds(self, shape):
-        # the path's warm start verifies in one round unless the walk missed
-        # a tie; measured 214-356 rounds per sweep, against 893-2,145 when each
-        # point started from the previous point's dual
+    def test_paper_window_shapes_converge_in_bounded_rounds(self, shape, monkeypatch):
+        # the walk's line verifies in one round unless the walk missed a tie;
+        # measured 199-231 rounds and 361-465 banded solves (path events and
+        # repair rounds) per sweep, against 456-736 rounds when each solve
+        # starts from the previous point's partition
         y = paper_window_panel()[shape]
         grid = sweep_grid(y)
-        points = list(trendfilter._sweep(y, grid, trendfilter._unconstrained_dual(y)))
+        u_free = trendfilter._unconstrained_dual(y)
+        solves = 0
+        def counted(*args, _original=trendfilter._banded_solve):
+            nonlocal solves
+            solves += 1
+            return _original(*args)
+        monkeypatch.setattr(trendfilter, "_banded_solve", counted)
+        points = list(trendfilter._sweep(y, grid, u_free))
         assert len(points) == grid.size
+        assert solves <= 3 * trendfilter._GRID_SIZE, (shape, solves)
         for point in points:
             assert point.converged, (shape, point.lam)
             assert point.gap <= trendfilter._eps_gap(y), (shape, point.lam)
@@ -334,10 +349,9 @@ class TestSweep:
     @pytest.mark.parametrize("steps", [0, 1])
     @pytest.mark.parametrize("shape", sorted(paper_window_panel()))
     def test_walk_cut_short_reaches_the_same_optimum(self, shape, steps, monkeypatch):
-        # a walk stopped by the step cap hands an inexact warm start to the
+        # a walk stopped by the step cap hands an inexact line to the
         # active-set solve, and the walk goes on from the partition it
-        # verified (measured 303-771 rounds per sweep; 1,561-7,511 when the
-        # walk does not go on from there)
+        # verified (measured 340-736 rounds per sweep)
         y = paper_window_panel()[shape]
         grid = sweep_grid(y)
         u_free = trendfilter._unconstrained_dual(y)
@@ -351,19 +365,15 @@ class TestSweep:
         assert rounds <= 5 * trendfilter._GRID_SIZE, (shape, rounds)
 
     @pytest.mark.parametrize("shape", sorted(paper_window_panel()))
-    def test_backup_phase_reaches_the_same_optimum(self, shape, monkeypatch):
-        # patience 0: every solve whose failing count stalls for one round
-        # finishes with box-feasible steps; each solve starts from the
-        # previous point's dual, as sweeps did before the path (the path's
-        # warm start verifies without stalling)
+    def test_backup_phase_reaches_the_same_optimum(self, shape):
+        # without the walk, each solve starts from the partition the previous
+        # point verified and the box-feasible rule makes up every event between
         y = paper_window_panel()[shape]
         grid = sweep_grid(y)
-        u = trendfilter._unconstrained_dual(y)
-        default = list(trendfilter._sweep(y, grid, u))
-        monkeypatch.setattr(trendfilter, "_PIVOT_PATIENCE", 0)
+        default = list(trendfilter._sweep(y, grid, trendfilter._unconstrained_dual(y)))
+        side = np.zeros(y.shape[0] - 2)
         for ref in default[1:]:  # default[0] is lambda_max, a closed form
-            point = started_solve(y, ref.lam, u)
-            u = point.dual
+            point, side = started_solve(y, ref.lam, side)
             assert point.converged, (shape, point.lam)
             assert point.gap <= trendfilter._eps_gap(y), (shape, point.lam)
             assert np.max(np.abs(point.dual - ref.dual)) <= 1e-6 * point.lam, (shape, point.lam)
