@@ -22,7 +22,7 @@ import numpy as np
 
 from .exceptions import InvalidValueError
 from .timeseries import TimeSeries
-from .trendfilter import Segment, TrendFit
+from .trendfilter import TrendFit, extract_segments
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -137,48 +137,52 @@ def _typed(value: Any, kinds: tuple[type, ...], what: str) -> Any:
 
 
 def fit_from_record(record: dict[str, Any]) -> tuple[date, TrendFit]:
-    """Decode a fit_to_record record into (start_date, TrendFit), fields as stored.
+    """Decode a fit_to_record record into (start_date, TrendFit).
 
-    The dual is recovered from the residual r = observed - fitted = D^T dual,
-    a lower-triangular recurrence in the dual: a double cumulative sum of r
-    (its first n - 2 entries) inverts it, clipped to the box |u| <= lambda.
-    Malformed records raise KeyError, TypeError or ValueError. lambda,
-    duality_gap, tol_knot, the slopes and the fitted and observed values
-    must be finite JSON numbers, df and iterations integers, and converged
-    and df_warning booleans.
+    The fit's data are read as stored: lambda, duality_gap, tol_knot and the
+    fitted and observed values must be finite JSON numbers, iterations an
+    integer, and converged and df_warning booleans; observed and fitted must
+    have one length of at least 3. Knots, segments and df are rebuilt from
+    the fitted values with the extract_segments call fit made, and a record
+    that fit_to_record would not write back from the result (knots or
+    segments that are not those of the fitted values, a df that is not their
+    integer count) is refused. The dual is recovered from the residual
+    r = observed - fitted = D^T dual, a lower-triangular recurrence in the
+    dual: a double cumulative sum of r (its first n - 2 entries) inverts it,
+    clipped to the box |u| <= lambda. Malformed records raise KeyError,
+    TypeError or ValueError.
     """
     start = date.fromisoformat(record["start_date"])
-
-    def day(text: str) -> int:
-        return (date.fromisoformat(text) - start).days
-
     number = (int, float)
     lam = _typed(record["lambda"], number, "lambda")
-    fitted = np.array([_typed(v, number, "fitted value") for v in record["fitted"]], dtype=float)
-    observed = np.array([_typed(v, number, "observed value") for v in record["observed"]], dtype=float)
-    segments = tuple(
-        Segment(day(seg["start"]), day(seg["end"]), _typed(seg["slope"], number, "slope"))
-        for seg in record["segments"]
-    )
     gap = _typed(record["duality_gap"], number, "duality_gap")
     tol_knot = _typed(record["tol_knot"], number, "tol_knot")
-    scalars = [lam, gap, tol_knot, *(seg.slope for seg in segments)]
-    if not all(np.isfinite(v).all() for v in (np.asarray(scalars, dtype=float), fitted, observed)):
+    fitted = np.array([_typed(v, number, "fitted value") for v in record["fitted"]], dtype=float)
+    observed = np.array([_typed(v, number, "observed value") for v in record["observed"]], dtype=float)
+    if not all(np.isfinite(v).all() for v in (np.array([lam, gap, tol_knot], dtype=float), fitted, observed)):
         raise ValueError("fit record holds a non-finite number")
-    residual = observed - fitted
-    return start, TrendFit(
+    if observed.shape != fitted.shape or fitted.size < 3:
+        raise ValueError(f"fit record has {observed.size} observed and {fitted.size} fitted values")
+    knots, segments = extract_segments(fitted, tol_knot)
+    fit = TrendFit(
         lam=lam,
         fitted=fitted,
-        knots=tuple(day(k) for k in record["knots"]),
-        segments=segments,
-        df=_typed(record["df"], (int,), "df"),
+        knots=tuple(knots),
+        segments=tuple(segments),
+        df=len(knots) + 2,
         duality_gap=gap,
-        dual=np.clip(np.cumsum(np.cumsum(residual))[:-2], -lam, lam),
+        dual=np.clip(np.cumsum(np.cumsum(observed - fitted))[:-2], -lam, lam),
         tol_knot=tol_knot,
         converged=_typed(record["converged"], (bool,), "converged"),
         iterations=_typed(record["iterations"], (int,), "iterations"),
         df_warning=_typed(record["df_warning"], (bool,), "df_warning"),
     )
+    rebuilt = fit_to_record(
+        record["candidate"], record["metric"], TimeSeries(start, observed), fit, record["target_df"]
+    )
+    if json.dumps(rebuilt, sort_keys=True) != json.dumps(record, sort_keys=True):
+        raise ValueError("fit record differs from the one its fitted values give (knots, segments or df)")
+    return start, fit
 
 
 def write_fits_long_csv(handle: IO[str], records: list[dict[str, Any]]) -> None:

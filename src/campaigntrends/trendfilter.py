@@ -193,6 +193,9 @@ def _validate_series(y: Sequence[float]) -> np.ndarray:
         raise InvalidInputError(f"need at least 3 points, got {arr.shape[0]}")
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError("input series contains non-finite values")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(arr @ arr):
+            raise InvalidInputError("input series is too large: its sum of squares overflows")
     return arr
 
 
@@ -346,10 +349,12 @@ def oracle_solve(y: Sequence[float], lam: float, iters: int) -> np.ndarray:
 
         u <- clip(u - eta * (D D^T u - D y), +-lam),   eta = 1/16
 
-    runs for ``iters`` steps (the Gram operator's spectral norm is below 16,
-    and the exact dual optimum is a fixed point of this map). Intended for
-    short series; refuses inputs longer than 500 points. Deliberately shares
-    no code with the production solver path.
+    runs for at most ``iters`` steps (the Gram operator's spectral norm is
+    below 16, and the exact dual optimum is a fixed point of this map). It
+    stops early at a step that returns u bit-for-bit unchanged, since every
+    further step would return it again. Intended for short series; refuses
+    inputs longer than 500 points. Deliberately shares no code with the
+    production solver path.
     """
     arr = _validate_series(y)
     if arr.shape[0] > 500:
@@ -373,7 +378,10 @@ def oracle_solve(y: Sequence[float], lam: float, iters: int) -> np.ndarray:
     dy = dt.T @ arr
     eta = 1.0 / 16.0
     for _ in range(iters):
-        u = np.clip(u - eta * (gram @ u - dy), -lam, lam)
+        step = np.clip(u - eta * (gram @ u - dy), -lam, lam)
+        if np.array_equal(step, u):
+            break
+        u = step
     return arr - dt @ u
 
 
@@ -447,7 +455,7 @@ def _sweep(y: np.ndarray, lams: Sequence[float], u_free: np.ndarray) -> Iterator
                 side = side.copy()
                 side[j] = 0.0 if side[j] else np.sign(a[j])
                 line = _line(dy, side)
-            u, rounds, verified, side, line = _active_set_solve(dy, lam, side, line, _MAX_ROUNDS)
+            u, rounds, verified, side, line = _active_set_solve(dy, lam, side, line)
             if rounds > 1:
                 at, changed = lam, -1
             gap_tol = eps_gap
@@ -479,7 +487,7 @@ def _line(dy: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _active_set_solve(
-    dy: np.ndarray, lam: float, side: np.ndarray, line: tuple[np.ndarray, ...], max_rounds: int
+    dy: np.ndarray, lam: float, side: np.ndarray, line: tuple[np.ndarray, ...]
 ) -> tuple[np.ndarray, int, bool, np.ndarray, tuple[np.ndarray, ...]]:
     """Active-set solve of the dual box problem from the partition ``side``.
 
@@ -500,13 +508,13 @@ def _active_set_solve(
     once, can cycle: D D^T is not an M-matrix.)
 
     Returns (u, rounds, kkt_verified, side, line) with u box-clipped and
-    ``line`` the last partition's line.
+    ``line`` the last partition's line; at most _MAX_ROUNDS rounds are run.
     """
     tol = 1e-11 * max(1.0, lam)
     bound = lam * (1 + 1e-12)
     side = side.copy()
     u = np.clip(line[0] - lam * line[1], -lam, lam)
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, _MAX_ROUNDS + 1):
         a, b, c, e = line
         target = a - lam * b
         crossed = (target > bound) * 1.0 - (target < -bound)  # non-zero only on free ones
@@ -525,7 +533,7 @@ def _active_set_solve(
                 return np.clip(u, -lam, lam), rounds, True, side, line
             side[release] = 0.0
         line = _line(dy, side)
-    return np.clip(u, -lam, lam), max_rounds, False, side, line
+    return np.clip(u, -lam, lam), _MAX_ROUNDS, False, side, line
 
 
 def _build_fit(point: _Point, tol_knot: float, df_warning: bool = False) -> TrendFit:

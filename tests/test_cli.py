@@ -45,6 +45,15 @@ def run_stages_fresh(stages, flags):
     return json.loads(result.stdout.splitlines()[-1])
 
 
+def edit_json(change):
+    """A damage that applies ``change`` to the parsed document and writes it back."""
+    def damage(text):
+        document = json.loads(text)
+        change(document)
+        return json.dumps(document)
+    return damage
+
+
 def base_flags(fixtures_dir, out_dir):
     return [
         "--from", "2019-06-01",
@@ -496,11 +505,19 @@ class TestPipeline:
              lambda text: text.replace('"df": ', '"df": true, "was": ', 1)),
             ("report", "fits.json", "report.json",
              lambda text: text.replace('"converged": ', '"converged": "yes", "was": ', 1)),
+            ("fit", "store.json", "fits.json",
+             edit_json(lambda doc: doc["series"]["ALPHA"]["amount"]["values"].__setitem__(
+                 slice(0, 2), [1e308, -1e308]))),
+            ("report", "fits.json", "report.json", edit_json(lambda doc: doc["records"][0].update(observed=[3.0]))),
+            ("report", "fits.json", "report.json", edit_json(lambda doc: doc["records"][0].update(knots=[]))),
+            ("report", "fits.json", "report.json",
+             edit_json(lambda doc: doc["records"][0].update(df=float(doc["records"][0]["df"])))),
         ],
         ids=["truncated-store", "store-without-range", "store-values-not-numbers", "truncated-fits",
              "fits-not-an-object", "fits-infinite-slope", "fits-nan-fitted", "fits-infinite-observed",
              "fits-nan-lambda", "fits-infinite-gap", "fits-infinite-tol-knot", "fits-string-slope",
-             "fits-string-fitted", "fits-bool-df", "fits-string-converged"],
+             "fits-string-fitted", "fits-bool-df", "fits-string-converged", "store-huge-values",
+             "fits-one-observed-value", "fits-knots-emptied", "fits-float-df"],
     )
     def test_damaged_upstream_exit_2(self, pipeline, fixtures_dir, tmp_path, stage, upstream, output, damage):
         out_dir = tmp_path / "damaged"
