@@ -120,8 +120,9 @@ def normalize_share(series_by_candidate: Mapping[str, TimeSeries]) -> ShareResul
     """Convert aligned raw series into each candidate's share of the daily total.
 
     All series must share one grid (same start date and length) and hold
-    nonnegative values. On days where every candidate is zero the shares are
-    all set to 0 and the day is reported in ``zero_days``.
+    nonnegative values whose daily total is finite. On days where every
+    candidate is zero the shares are all set to 0 and the day is reported in
+    ``zero_days``.
     """
     if not series_by_candidate:
         raise InvalidValueError("no series to normalize")
@@ -136,7 +137,11 @@ def normalize_share(series_by_candidate: Mapping[str, TimeSeries]) -> ShareResul
         if np.any(ts.values < 0):
             raise InvalidValueError(f"negative value in series for {name!r}")
     stacked = np.vstack([ts.values for _, ts in items])
-    totals = stacked.sum(axis=0)
+    with np.errstate(over="ignore"):
+        totals = stacked.sum(axis=0)
+    if not np.isfinite(totals).all():
+        day = first.start_date + timedelta(days=int(np.argmin(np.isfinite(totals))))
+        raise InvalidValueError(f"the daily total on {day} is too large for a float")
     zero = totals == 0.0
     safe = np.where(zero, 1.0, totals)
     shares = stacked / safe

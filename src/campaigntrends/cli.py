@@ -226,7 +226,7 @@ def _cmd_fit(config: AnalysisConfig) -> int:
             candidate: {metric: store.series_from_json(obj) for metric, obj in metrics.items()}
             for candidate, metrics in document["series"].items()
         }
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CampaignTrendsError(f"malformed store in {store_path}: {exc!r}") from None
     _check_upstream(config, "store", "ingest", {span}, candidates)
     if config.normalize == "share":
@@ -282,7 +282,7 @@ def _cmd_report(config: AnalysisConfig) -> int:
             (record["candidate"], record["metric"], *store.fit_from_record(record))
             for record in fits_doc["records"]
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CampaignTrendsError(f"malformed fit record in {fits_path}: {exc!r}") from None
     spans = {f"{start}..{start + timedelta(days=len(fit.fitted) - 1)}" for *_, start, fit in decoded}
     _check_upstream(config, "fits", "fit", spans, {candidate for candidate, *_ in decoded})

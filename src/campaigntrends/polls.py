@@ -84,22 +84,15 @@ def load_poll_series(
         if not np.isnan(grid[idx]):
             raise DuplicateDateError(f"duplicate poll row for {candidate!r} on {day}")
         grid[idx] = pct
-    observed = ~np.isnan(grid)
-    gap = _longest_missing_run(observed)
+    obs_idx = np.flatnonzero(~np.isnan(grid))
+    # the longest run of missing days: leading, between observations or trailing
+    gap = int(np.diff(obs_idx, prepend=-1, append=len(grid)).max()) - 1
     if gap > MAX_POLL_GAP_DAYS:
         raise MissingDayError(
             f"{gap} consecutive days without a poll observation for "
             f"{candidate!r} (limit {MAX_POLL_GAP_DAYS})"
         )
 
-    obs_idx = np.flatnonzero(observed)
     values = np.interp(np.arange(len(grid)), obs_idx, grid[obs_idx])
     return TimeSeries(range_.start, values, label="poll", candidate=candidate)
 
-
-def _longest_missing_run(observed: np.ndarray) -> int:
-    longest = run = 0
-    for flag in observed:
-        run = 0 if flag else run + 1
-        longest = max(longest, run)
-    return longest

@@ -14,15 +14,18 @@ ready for any plotting tool.
 from __future__ import annotations
 
 import csv
+import functools
 import json
+import re
 from datetime import date, timedelta
+from importlib import resources
 from typing import IO, Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .exceptions import InvalidValueError
 from .timeseries import TimeSeries
-from .trendfilter import TrendFit, extract_segments
+from .trendfilter import TrendFit
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -129,59 +132,41 @@ def fit_to_record(
     }
 
 
-def _typed(value: Any, kinds: tuple[type, ...], what: str) -> Any:
-    """``value`` when its type is exactly one of ``kinds`` (so a bool is no int), else TypeError."""
-    if type(value) not in kinds:
-        raise TypeError(f"fit record {what} is {value!r}, not {' or '.join(k.__name__ for k in kinds)}")
-    return value
-
-
 def fit_from_record(record: dict[str, Any]) -> tuple[date, TrendFit]:
     """Decode a fit_to_record record into (start_date, TrendFit).
 
-    The fit's data are read as stored: lambda, duality_gap, tol_knot and the
-    fitted and observed values must be finite JSON numbers, iterations an
-    integer, and converged and df_warning booleans; observed and fitted must
-    have one length of at least 3. Knots, segments and df are rebuilt from
-    the fitted values with the extract_segments call fit made, and a record
-    that fit_to_record would not write back from the result (knots or
-    segments that are not those of the fitted values, a df that is not their
-    integer count) is refused. The dual is recovered from the residual
-    r = observed - fitted = D^T dual, a lower-triangular recurrence in the
-    dual: a double cumulative sum of r (its first n - 2 entries) inverts it,
-    clipped to the box |u| <= lambda. Malformed records raise KeyError,
-    TypeError or ValueError.
+    Every field is converted to the type fit writes (str, float, float
+    arrays, bool, int); the numbers must be finite, and observed and fitted
+    lists of one length of at least 3. The record is refused unless
+    fit_to_record of the TrendFit built from them, which derives knots,
+    segments and df from the fitted values, writes it back exactly, as JSON.
+    The dual is recovered from the residual r = observed - fitted = D^T dual,
+    a lower-triangular recurrence in the dual: a double cumulative sum of r
+    (its first n - 2 entries) inverts it, clipped to the box |u| <= lambda.
+    Malformed records raise KeyError, TypeError, ValueError or OverflowError.
     """
     start = date.fromisoformat(record["start_date"])
-    number = (int, float)
-    lam = _typed(record["lambda"], number, "lambda")
-    gap = _typed(record["duality_gap"], number, "duality_gap")
-    tol_knot = _typed(record["tol_knot"], number, "tol_knot")
-    fitted = np.array([_typed(v, number, "fitted value") for v in record["fitted"]], dtype=float)
-    observed = np.array([_typed(v, number, "observed value") for v in record["observed"]], dtype=float)
-    if not all(np.isfinite(v).all() for v in (np.array([lam, gap, tol_knot], dtype=float), fitted, observed)):
+    lam, gap, tol_knot = (float(record[key]) for key in ("lambda", "duality_gap", "tol_knot"))
+    fitted = np.array(record["fitted"], dtype=float)
+    observed = np.array(record["observed"], dtype=float)
+    if not all(np.isfinite(v).all() for v in (np.array([lam, gap, tol_knot]), fitted, observed)):
         raise ValueError("fit record holds a non-finite number")
-    if observed.shape != fitted.shape or fitted.size < 3:
+    if fitted.ndim != 1 or observed.shape != fitted.shape or fitted.size < 3:
         raise ValueError(f"fit record has {observed.size} observed and {fitted.size} fitted values")
-    knots, segments = extract_segments(fitted, tol_knot)
     fit = TrendFit(
         lam=lam,
         fitted=fitted,
-        knots=tuple(knots),
-        segments=tuple(segments),
-        df=len(knots) + 2,
         duality_gap=gap,
         dual=np.clip(np.cumsum(np.cumsum(observed - fitted))[:-2], -lam, lam),
         tol_knot=tol_knot,
-        converged=_typed(record["converged"], (bool,), "converged"),
-        iterations=_typed(record["iterations"], (int,), "iterations"),
-        df_warning=_typed(record["df_warning"], (bool,), "df_warning"),
+        converged=bool(record["converged"]),
+        iterations=int(record["iterations"]),
+        df_warning=bool(record["df_warning"]),
     )
-    rebuilt = fit_to_record(
-        record["candidate"], record["metric"], TimeSeries(start, observed), fit, record["target_df"]
-    )
+    candidate, metric, target = str(record["candidate"]), str(record["metric"]), int(record["target_df"])
+    rebuilt = fit_to_record(candidate, metric, TimeSeries(start, observed), fit, target)
     if json.dumps(rebuilt, sort_keys=True) != json.dumps(record, sort_keys=True):
-        raise ValueError("fit record differs from the one its fitted values give (knots, segments or df)")
+        raise ValueError("fit record differs from the record its decoded fields give")
     return start, fit
 
 
@@ -197,60 +182,74 @@ def write_fits_long_csv(handle: IO[str], records: list[dict[str, Any]]) -> None:
 
 
 def validate_report(report: dict[str, Any]) -> list[str]:
-    """Structural validation of a report document; returns problem strings.
+    """Check a report against the shipped schemas/report.schema.json; returns problem strings.
 
-    The shipped JSON Schema (schemas/report.schema.json) is the normative
-    description; this helper re-checks the essentials without requiring a
-    schema library at run time.
+    The schema is read at the first call and applied by a reader of the
+    JSON Schema keywords it uses (type, const, enum, required, properties,
+    items, $ref into $defs, minimum, pattern, format "date"), so no schema
+    library is needed at run time.
     """
-    problems: list[str] = []
+    schema = _report_schema()
+    return _schema_problems(report, schema, "report", schema)
 
-    def expect(cond: bool, message: str) -> None:
-        if not cond:
-            problems.append(message)
 
-    expect(report.get("schema_version") == SCHEMA_VERSION, "bad schema_version")
-    expect(isinstance(report.get("series"), list), "series must be a list")
-    for i, entry in enumerate(report.get("series", []) or []):
-        where = f"series[{i}]"
-        expect(isinstance(entry.get("candidate"), str), f"{where}.candidate must be a string")
-        expect(isinstance(entry.get("metric"), str), f"{where}.metric must be a string")
-        for j, cp in enumerate(entry.get("changepoints", []) or []):
-            cp_where = f"{where}.changepoints[{j}]"
-            expect(_is_iso_date(cp.get("date")), f"{cp_where}.date must be an ISO date")
-            expect(cp.get("direction") in ("UP", "DOWN"), f"{cp_where}.direction must be UP or DOWN")
-            for slope_key in ("slope_before", "slope_after"):
-                expect(isinstance(cp.get(slope_key), (int, float)), f"{cp_where}.{slope_key} must be a number")
-        for j, region in enumerate(entry.get("falling_regions", []) or []):
-            r_where = f"{where}.falling_regions[{j}]"
-            expect(_is_iso_date(region.get("start")), f"{r_where}.start must be an ISO date")
-            expect(_is_iso_date(region.get("end")), f"{r_where}.end must be an ISO date")
-    expect(isinstance(report.get("events"), list), "events must be a list")
-    for i, event in enumerate(report.get("events", []) or []):
-        where = f"events[{i}]"
-        expect(_is_iso_date(event.get("date")), f"{where}.date must be an ISO date")
-        expect(isinstance(event.get("label"), str), f"{where}.label must be a string")
-        expect(isinstance(event.get("matches"), list), f"{where}.matches must be a list")
-    expect(isinstance(report.get("lead_lag"), list), "lead_lag must be a list")
-    for i, entry in enumerate(report.get("lead_lag", []) or []):
-        where = f"lead_lag[{i}]"
-        expect(isinstance(entry.get("candidate"), str), f"{where}.candidate must be a string")
-        expect(isinstance(entry.get("series_a"), str), f"{where}.series_a must be a string")
-        expect(isinstance(entry.get("series_b"), str), f"{where}.series_b must be a string")
-        expect(isinstance(entry.get("pairs"), list), f"{where}.pairs must be a list")
-        median = entry.get("median_offset")
-        expect(
-            median is None or isinstance(median, (int, float)),
-            f"{where}.median_offset must be a number or null",
-        )
+@functools.cache
+def _report_schema() -> dict[str, Any]:
+    path = resources.files(__package__) / "schemas" / "report.schema.json"
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _schema_problems(value: Any, schema: dict[str, Any], where: str, root: dict[str, Any]) -> list[str]:
+    """Where ``value`` breaks ``schema``, each keyword read as JSON Schema 2020-12 reads it."""
+    problems = []
+    if "$ref" in schema:
+        target = root["$defs"][schema["$ref"].removeprefix("#/$defs/")]
+        problems += _schema_problems(value, target, where, root)
+    kinds = schema.get("type", [])
+    kinds = [kinds] if isinstance(kinds, str) else kinds
+    if kinds and not any(_JSON_TYPES[kind](value) for kind in kinds):
+        return [*problems, f"{where} must be of type {' or '.join(kinds)}, not {type(value).__name__}"]
+    if "const" in schema and not _json_equal(value, schema["const"]):
+        problems.append(f"{where} must be {json.dumps(schema['const'])}")
+    if "enum" in schema and not any(_json_equal(value, option) for option in schema["enum"]):
+        problems.append(f"{where} must be one of {json.dumps(schema['enum'])}")
+    if isinstance(value, dict):
+        problems += [f"{where}.{key} is missing" for key in schema.get("required", ()) if key not in value]
+        for key, sub in schema.get("properties", {}).items():
+            if key in value:
+                problems += _schema_problems(value[key], sub, f"{where}.{key}", root)
+    if isinstance(value, list) and "items" in schema:
+        for i, item in enumerate(value):
+            problems += _schema_problems(item, schema["items"], f"{where}[{i}]", root)
+    if "minimum" in schema and _JSON_TYPES["number"](value) and value < schema["minimum"]:
+        problems.append(f"{where} must be at least {schema['minimum']}")
+    if isinstance(value, str):
+        if "pattern" in schema and not re.search(schema["pattern"], value):
+            problems.append(f"{where} must match {schema['pattern']}")
+        if schema.get("format") == "date" and not _is_iso_date(value):
+            problems.append(f"{where} must be an ISO date (YYYY-MM-DD)")
     return problems
 
 
-def _is_iso_date(value: Any) -> bool:
-    if not isinstance(value, str):
-        return False
+_JSON_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: type(v) is int or isinstance(v, float) and v.is_integer(),
+}
+
+
+def _json_equal(a: Any, b: Any) -> bool:
+    """Equality of scalar JSON values, the schema's const and enum values: 1 == 1.0, true != 1."""
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _is_iso_date(value: str) -> bool:
+    """A YYYY-MM-DD calendar date, as JSON Schema's "date" format reads it."""
     try:
-        date.fromisoformat(value)
+        return date.fromisoformat(value).isoformat() == value
     except ValueError:
         return False
-    return True

@@ -141,9 +141,10 @@ class TrendFit:
         lam: Penalty weight the fit was solved at.
         fitted: Piecewise-linear fitted values, same length as the input.
         knots: Sorted interior day indices (1..n-2) where the fit bends.
+            Derived: read off ``fitted`` by extract_segments(fitted, tol_knot).
         segments: Linear pieces partitioning [0, n-1]; neighbours share
-            exactly their boundary index.
-        df: Effective degrees of freedom, len(knots) + 2.
+            exactly their boundary index. Derived with ``knots``.
+        df: Effective degrees of freedom, len(knots) + 2. Derived.
         duality_gap: Certificate value at the returned solution.
         dual: Dual vector u, |u_j| <= lam, with fitted = y - D^T u.
         tol_knot: Knot threshold used to read bends off the fit,
@@ -161,9 +162,9 @@ class TrendFit:
 
     lam: float
     fitted: np.ndarray
-    knots: tuple[int, ...]
-    segments: tuple[Segment, ...]
-    df: int
+    knots: tuple[int, ...] = field(init=False)
+    segments: tuple[Segment, ...] = field(init=False)
+    df: int = field(init=False)
     duality_gap: float
     dual: np.ndarray = field(repr=False)
     tol_knot: float
@@ -178,6 +179,10 @@ class TrendFit:
         dual = np.asarray(self.dual, dtype=float).copy()
         dual.setflags(write=False)
         object.__setattr__(self, "dual", dual)
+        knots, segments = extract_segments(fitted, self.tol_knot)
+        object.__setattr__(self, "knots", tuple(knots))
+        object.__setattr__(self, "segments", tuple(segments))
+        object.__setattr__(self, "df", len(knots) + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -537,13 +542,9 @@ def _active_set_solve(
 
 
 def _build_fit(point: _Point, tol_knot: float, df_warning: bool = False) -> TrendFit:
-    knots, segments = extract_segments(point.theta, tol_knot)
     return TrendFit(
         lam=point.lam,
         fitted=point.theta,
-        knots=tuple(knots),
-        segments=tuple(segments),
-        df=len(knots) + 2,
         duality_gap=point.gap,
         dual=point.dual,
         tol_knot=tol_knot,

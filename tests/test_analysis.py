@@ -70,6 +70,11 @@ class TestNormalizeShare:
         with pytest.raises(InvalidValueError):
             normalize_share({"X": ts([1.0, -2.0, 3.0])})
 
+    def test_overflowing_daily_total_rejected(self):
+        # pytest turns warnings into errors, so this also checks no overflow warning is printed
+        with pytest.raises(InvalidValueError, match="2019-06-02"):
+            normalize_share({"X": ts([1.0, 1e308, 3.0]), "Y": ts([1.0, 1e308, 3.0])})
+
     @settings(max_examples=40, deadline=None)
     @given(
         data=st.lists(

@@ -512,12 +512,19 @@ class TestPipeline:
             ("report", "fits.json", "report.json", edit_json(lambda doc: doc["records"][0].update(knots=[]))),
             ("report", "fits.json", "report.json",
              edit_json(lambda doc: doc["records"][0].update(df=float(doc["records"][0]["df"])))),
+            ("fit", "store.json", "fits.json",
+             edit_json(lambda doc: doc["series"]["ALPHA"]["amount"]["values"].__setitem__(0, 10**400))),
+            ("report", "fits.json", "report.json", edit_json(lambda doc: doc["records"][0].update({"lambda": 10**400}))),
+            ("fit --normalize share", "store.json", "fits.json",
+             edit_json(lambda doc: [doc["series"][c]["amount"]["values"].__setitem__(slice(0, 2), [1e308, 1e308])
+                                    for c in ("ALPHA", "BRAVO")])),
         ],
         ids=["truncated-store", "store-without-range", "store-values-not-numbers", "truncated-fits",
              "fits-not-an-object", "fits-infinite-slope", "fits-nan-fitted", "fits-infinite-observed",
              "fits-nan-lambda", "fits-infinite-gap", "fits-infinite-tol-knot", "fits-string-slope",
              "fits-string-fitted", "fits-bool-df", "fits-string-converged", "store-huge-values",
-             "fits-one-observed-value", "fits-knots-emptied", "fits-float-df"],
+             "fits-one-observed-value", "fits-knots-emptied", "fits-float-df", "store-huge-integer",
+             "fits-huge-integer-lambda", "store-share-overflow"],
     )
     def test_damaged_upstream_exit_2(self, pipeline, fixtures_dir, tmp_path, stage, upstream, output, damage):
         out_dir = tmp_path / "damaged"
@@ -526,7 +533,7 @@ class TestPipeline:
             (out_dir / name).write_bytes((pipeline[0] / name).read_bytes())
         (out_dir / upstream).write_text(damage((out_dir / upstream).read_text()))
         before = (out_dir / output).read_bytes()
-        result = run_cli([stage, *base_flags(fixtures_dir, out_dir)])
+        result = run_cli([*stage.split(), *base_flags(fixtures_dir, out_dir)])
         assert result.returncode == 2, result.stderr
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.stderr
@@ -609,8 +616,11 @@ class TestReportReadsFits:
             lambda r: r.pop("tol_knot"),
             lambda r: r.update(start_date="2019-13-01"),
             lambda r: r.update(knots=["not a date"]),
+            lambda r: r.update({"lambda": int(r["lambda"])}),
+            lambda r: r.update(candidate=5),
         ],
-        ids=["missing-df", "missing-tol_knot", "bad-start-date", "bad-knot-date"],
+        ids=["missing-df", "missing-tol_knot", "bad-start-date", "bad-knot-date", "integer-lambda",
+             "integer-candidate"],
     )
     def test_malformed_record_exit_2(self, fixtures_dir, tmp_path, capsys, damage):
         out_dir = tmp_path / "damaged"

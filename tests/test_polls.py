@@ -71,6 +71,21 @@ class TestLoadPollSeries:
         with pytest.raises(MissingDayError):
             load_poll_series(stream, "biden", DateRange(D0, D0 + timedelta(days=10)))
 
+    def test_leading_gap_at_limit_accepted(self):
+        stream = csv_stream([f"{iso(7)},biden,30", f"{iso(8)},biden,31"])
+        ts = load_poll_series(stream, "biden", DateRange(D0, D0 + timedelta(days=8)))
+        assert list(ts.values) == [30.0] * 8 + [31.0]
+
+    def test_trailing_gap_at_limit_accepted(self):
+        stream = csv_stream([f"{iso(0)},biden,30", f"{iso(1)},biden,31"])
+        ts = load_poll_series(stream, "biden", DateRange(D0, D0 + timedelta(days=8)))
+        assert list(ts.values) == [30.0] + [31.0] * 8
+
+    def test_trailing_gap_over_limit_rejected(self):
+        stream = csv_stream([f"{iso(0)},biden,30", f"{iso(1)},biden,31"])
+        with pytest.raises(MissingDayError, match="8 consecutive days"):
+            load_poll_series(stream, "biden", DateRange(D0, D0 + timedelta(days=9)))
+
     def test_duplicate_row_rejected(self):
         stream = csv_stream(
             [f"{iso(0)},biden,30", f"{iso(0)},biden,31", f"{iso(2)},biden,32"]

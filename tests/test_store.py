@@ -1,9 +1,14 @@
+import copy
 import io
 import json
+import random
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from conftest import FIXTURES
 
 from campaigntrends import DateRange, InvalidValueError, TimeSeries
 from campaigntrends.analysis import load_events
@@ -17,6 +22,81 @@ from campaigntrends.store import (
     validate_report,
     write_store,
 )
+
+
+SCHEMA_PATH = Path(__file__).parent.parent / "src" / "campaigntrends" / "schemas" / "report.schema.json"
+
+# JSON Schema keywords the reader behind validate_report applies, and the
+# annotations it may skip
+READ_KEYWORDS = {"type", "const", "enum", "required", "properties", "items", "$ref", "minimum", "pattern", "format"}
+ANNOTATIONS = {"$schema", "$id", "title", "$defs"}
+
+# Single changes to the golden report that each break one rule of the schema
+# no hand-written check covered: the path of the problem, and the change.
+GOLDEN_REPORT_GAPS = {
+    "rising-region-bad-date": ("report.series[0].rising_regions[0].start",
+                               lambda r: r["series"][0]["rising_regions"][0].update(start="2019-06-31")),
+    "df-string": ("report.series[0].df", lambda r: r["series"][0].update(df="7")),
+    "negative-lambda": ("report.series[0].lambda", lambda r: r["series"][0].update({"lambda": -1})),
+    "match-sideways": ("report.events[0].matches[0].direction",
+                       lambda r: r["events"][0]["matches"][0].update(direction="SIDEWAYS")),
+    "unmatched-not-a-date": ("report.lead_lag[0].unmatched_a[0]", lambda r: r["lead_lag"][0].update(unmatched_a=["soon"])),
+    "offset-string": ("report.lead_lag[0].pairs[0].offset_days",
+                      lambda r: r["lead_lag"][0]["pairs"][0].update(offset_days="3")),
+    "no-rising-regions": ("report.series[0].rising_regions", lambda r: r["series"][0].pop("rising_regions")),
+    "changepoint-index-0": ("report.series[0].changepoints[0].index",
+                            lambda r: r["series"][0]["changepoints"][0].update(index=0)),
+    "schema-version-true": ("report.schema_version", lambda r: r.update(schema_version=True)),
+}
+
+# Values a mutation puts in place of a field or into an array
+MUTANTS = [
+    None, True, False, 0, 1, -1, 2, 1.0, 7.0, -0.5, 1.5, "", "x", "UP", "DOWN", "SIDEWAYS",
+    "2019-06-05", "2019-06-31", "20190605", "2019-06-05\n", "\u0662\u0660\u0661\u0669-06-05",
+    [], {}, ["2019-06-05"], ["soon"], {"start": "2019-06-05", "end": "2019-06-09"},
+]
+
+
+def golden_report():
+    return json.loads((FIXTURES / "golden" / "report.json").read_text())
+
+
+def schema_nodes(schema):
+    """Every (sub)schema of ``schema``, through the keywords that hold subschemas."""
+    yield schema
+    for sub in [*schema.get("properties", {}).values(), *schema.get("$defs", {}).values()]:
+        yield from schema_nodes(sub)
+    if "items" in schema:
+        yield from schema_nodes(schema["items"])
+
+
+def first_two(node):
+    """``node`` with every array cut to its first two entries: the same shapes, far fewer values."""
+    if isinstance(node, dict):
+        return {key: first_two(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [first_two(value) for value in node[:2]]
+    return node
+
+
+def field_slots(node):
+    """(container, key) of every value inside ``node``, at any depth."""
+    for key in (node if isinstance(node, dict) else range(len(node))):
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from field_slots(node[key])
+
+
+def mutate(report, rng):
+    """Change one field of ``report``: replace it, delete it, or append to it when it is an array."""
+    container, key = rng.choice(list(field_slots(report)))
+    action = rng.choice(["replace", "delete", "append"])
+    if action == "delete" and isinstance(container, dict):
+        del container[key]
+    elif action == "append" and isinstance(container[key], list):
+        container[key].append(copy.deepcopy(rng.choice(MUTANTS)))
+    else:
+        container[key] = copy.deepcopy(rng.choice(MUTANTS))
 
 
 def minimal_report():
@@ -102,15 +182,45 @@ class TestValidateReport:
         report["lead_lag"][0]["median_offset"] = "soon"
         assert any("median_offset" in p for p in validate_report(report))
 
+    def test_golden_report_passes(self):
+        assert validate_report(golden_report()) == []
+
+    @pytest.mark.parametrize("gap", sorted(GOLDEN_REPORT_GAPS))
+    def test_schema_rule_flagged(self, gap):
+        where, change = GOLDEN_REPORT_GAPS[gap]
+        report = golden_report()
+        change(report)
+        problems = validate_report(report)
+        assert any(p.startswith(where + " ") for p in problems), problems
+
+    def test_schema_uses_only_read_keywords(self):
+        schema = json.loads(SCHEMA_PATH.read_text())
+        for node in schema_nodes(schema):
+            assert set(node) <= READ_KEYWORDS | ANNOTATIONS, node
+            assert node.get("format", "date") == "date", node
+            assert node.get("$ref", "#/$defs/").startswith("#/$defs/"), node
+            # const and enum are compared as scalars
+            for value in [node.get("const"), *node.get("enum", [])]:
+                assert not isinstance(value, (list, dict)), node
+
+    def test_agrees_with_jsonschema_on_mutated_golden_reports(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads(SCHEMA_PATH.read_text())
+        validator = jsonschema.Draft202012Validator(schema, format_checker=jsonschema.FormatChecker())
+        golden = first_two(golden_report())
+        rng = random.Random(17)
+        verdicts = {True: 0, False: 0}
+        for _ in range(600):
+            report = copy.deepcopy(golden)
+            mutate(report, rng)
+            valid = validator.is_valid(report)
+            assert (validate_report(report) == []) == valid, json.dumps(report)
+            verdicts[valid] += 1
+        assert min(verdicts.values()) >= 50, verdicts
+
     def test_schema_file_agrees(self):
         jsonschema = pytest.importorskip("jsonschema")
-        from pathlib import Path
-
-        schema_path = (
-            Path(__file__).parent.parent
-            / "src" / "campaigntrends" / "schemas" / "report.schema.json"
-        )
-        schema = json.loads(schema_path.read_text())
+        schema = json.loads(SCHEMA_PATH.read_text())
         jsonschema.validate(minimal_report(), schema)
         bad = minimal_report()
         bad["series"][0]["changepoints"][0]["direction"] = "SIDEWAYS"
