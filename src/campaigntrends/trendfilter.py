@@ -27,10 +27,11 @@ the dual coordinates (one sign each: +1 upper, -1 lower, 0 free) the dual
 is a line in lam, one banded solve (_line); the walk's line is certified
 at each penalty by a KKT test, and an active-set loop with a box-feasible
 step rule repairs it when the walk missed simultaneous events.
-fit_with_target_df reads the df of every point and builds one TrendFit.
-SciPy is loaded at the first solve, not at import: the banded solves call
-LAPACK dpbsv through scipy.linalg.lapack, so importing this module costs
-only NumPy.
+fit_with_target_df reads the df of each point until one hits its target
+and builds one TrendFit. The banded solves call LAPACK dpbsv from SciPy's
+compiled wrapper module scipy.linalg._flapack, loaded on its own at the
+first solve: importing this module costs only NumPy, and a fit never runs
+scipy.linalg's package import.
 
 Degrees of freedom follow the standard unbiased estimate for order-1 trend
 filtering: df = number of knots + 2.
@@ -38,6 +39,10 @@ filtering: df = number of knots + 2.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
@@ -228,23 +233,64 @@ def _unconstrained_dual(y: np.ndarray) -> np.ndarray:
     return _banded_solve(_gram_submatrix_banded(np.arange(y.shape[0] - 2)), second_difference(y))
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
 _dpbsv = None  # LAPACK dpbsv, looked up at the first solve; keeps SciPy off the import path
+
+
+def _flapack_path() -> str | None:
+    """File of SciPy's compiled LAPACK wrappers, found without importing SciPy, or None."""
+    spec = importlib.util.find_spec("scipy")  # a top-level lookup runs no __init__
+    roots = spec.submodule_search_locations if spec else None
+    for root in roots or []:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _load_dpbsv():
+    """LAPACK dpbsv from scipy.linalg._flapack, without scipy.linalg's __init__.
+
+    That package import loads all of scipy.linalg for this one routine.
+    The extension is loaded from its file instead and registered under its
+    own name, so a later ``import scipy.linalg`` in the same process reuses
+    it. A module already loaded is taken as it is, and a missing or
+    unloadable file falls back to scipy.linalg.lapack.
+    """
+    flapack = sys.modules.get(_FLAPACK)
+    path = _flapack_path() if flapack is None else None
+    if path:
+        spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+        try:
+            flapack = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(flapack)
+        except ImportError:
+            flapack = None
+        else:
+            sys.modules[_FLAPACK] = flapack
+    if flapack is None:
+        from scipy.linalg.lapack import dpbsv
+
+        return dpbsv
+    return flapack.dpbsv
 
 
 def _banded_solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the positive definite banded system (lower storage ``ab``) for ``rhs``.
 
     ``rhs`` is one right-hand side or a column per right-hand side. Calls
-    LAPACK dpbsv directly, with the checks SciPy's banded Hermitian solver
-    makes around it: non-finite input raises ValueError and a block that is
-    not positive definite raises np.linalg.LinAlgError. Both arguments are
-    overwritten.
+    LAPACK dpbsv directly (_load_dpbsv, once per process), with the checks
+    SciPy's banded Hermitian solver makes around it: non-finite input
+    raises ValueError and a block that is not positive definite raises
+    np.linalg.LinAlgError. Both arguments are overwritten.
     """
     global _dpbsv
     if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
     if _dpbsv is None:
-        from scipy.linalg.lapack import dpbsv as _dpbsv
+        _dpbsv = _load_dpbsv()
 
     _, x, info = _dpbsv(ab, rhs, lower=1, overwrite_ab=1, overwrite_b=1)
     if info > 0:
@@ -314,11 +360,13 @@ def solve_tf(y: Sequence[float], lam: float) -> TrendFit:
 def fit_with_target_df(y: Sequence[float], target_df: int) -> TrendFit:
     """Pick the penalty on a geometric grid whose fit df lands closest to target.
 
-    Solves at 200 geometric points spanning
-    [1e-4 * lambda_max, lambda_max] (lambda_max included) and returns the
-    fit with df closest to ``target_df``, ties broken toward the larger
-    (smoother) penalty. When the target exceeds every df seen on the grid
-    the closest fit is returned with ``df_warning`` set.
+    Sweeps 200 geometric points spanning [1e-4 * lambda_max, lambda_max]
+    (lambda_max included), largest first, and returns the fit with df
+    closest to ``target_df``, ties broken toward the larger (smoother)
+    penalty. The sweep stops at the first point whose df equals the target:
+    no smaller penalty can replace it, so the result is the one the full
+    grid selects. When the target exceeds every df seen on the grid the
+    closest fit is returned with ``df_warning`` set.
     """
     arr = _validate_series(y)
     if target_df < 2:
@@ -341,6 +389,8 @@ def fit_with_target_df(y: Sequence[float], target_df: int) -> TrendFit:
         # strict improvement keeps the largest lambda among ties
         if best is None or abs(df - target_df) < best[0]:
             best = (abs(df - target_df), point)
+            if df == target_df:
+                break
     assert best is not None
     return _build_fit(best[1], tol_knot, df_warning=target_df > max_df_seen)
 

@@ -650,7 +650,9 @@ class TestReportReadsFits:
         flags = base_flags(fixtures_dir, tmp_path / "out")
         codes, loaded = run_stages_fresh(["ingest", "fit"], flags)
         assert codes == [0, 0]
-        assert "scipy.linalg" in loaded  # the fit process solves
+        # the fit process solves, loading LAPACK's wrappers without scipy.linalg
+        assert "scipy.linalg._flapack" in loaded
+        assert "scipy.linalg" not in loaded and "scipy.optimize" not in loaded
         codes, loaded = run_stages_fresh(["ingest", "report"], flags)
         assert codes == [0, 0]
         assert loaded == []

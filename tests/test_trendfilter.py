@@ -1,3 +1,6 @@
+import dataclasses
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -289,6 +292,39 @@ def assert_sweep_points_pass_dense_kkt(y):
         assert np.all(side[pinned] * mu[pinned] >= -tol), lam
 
 
+def full_sweep(y):
+    """Every point of ``y``'s full grid sweep and the df of each."""
+    tol_knot = trendfilter._tol_knot(y)
+    points = list(trendfilter._sweep(y, sweep_grid(y), trendfilter._unconstrained_dual(y)))
+    return points, [len(extract_segments(point.theta, tol_knot)[0]) + 2 for point in points]
+
+
+def documented_selection(y, points, dfs, target):
+    """fit_with_target_df's rule applied to a full sweep: the df closest to
+    ``target``, the largest penalty among ties, and df_warning when the
+    target exceeds every df."""
+    distance = [abs(df - target) for df in dfs]
+    chosen = points[distance.index(min(distance))]
+    return trendfilter._build_fit(chosen, trendfilter._tol_knot(y), df_warning=target > max(dfs))
+
+
+def assert_same_fit(got, want):
+    for name in (f.name for f in dataclasses.fields(want)):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b, name
+
+
+def count_sweep_points(monkeypatch):
+    """Wrap trendfilter._sweep; the returned list gets every point it yields."""
+    yielded = []
+    def counted(*args, _original=trendfilter._sweep):
+        for point in _original(*args):
+            yielded.append(point)
+            yield point
+    monkeypatch.setattr(trendfilter, "_sweep", counted)
+    return yielded
+
+
 SWEEP_SHAPES = {
     "bendy": bendy_signal(seed=56, n=90)[0],
     **degenerate_panel(),
@@ -349,6 +385,50 @@ class TestSweep:
             assert point.rounds <= 500, (shape, point.lam, point.rounds)
         assert sum(point.rounds for point in points) <= 3 * trendfilter._GRID_SIZE, shape
 
+    @pytest.mark.parametrize("shape", sorted(paper_window_panel()))
+    def test_paper_window_path_events_per_interval_bounded(self, shape, monkeypatch):
+        # _line calls (path events and repair rounds) between two yielded
+        # points; measured 9-11 per interval and 360-464 per sweep here, and
+        # at most 11 per interval on the benchmark's ALPHA series
+        y = paper_window_panel()[shape]
+        lines = 0
+        def counted(*args, _original=trendfilter._line):
+            nonlocal lines
+            lines += 1
+            return _original(*args)
+        monkeypatch.setattr(trendfilter, "_line", counted)
+        per_interval = []
+        for _ in trendfilter._sweep(y, sweep_grid(y), trendfilter._unconstrained_dual(y)):
+            per_interval.append(lines)
+            lines = 0
+        assert per_interval[0] == 0  # lambda_max is a closed form
+        assert max(per_interval) <= 25, (shape, per_interval)
+
+    @pytest.mark.parametrize("shape", sorted(paper_window_panel()))
+    def test_sweep_stops_at_first_exact_hit(self, shape, monkeypatch):
+        # the early stop returns what the full grid selects, with fewer points
+        y = paper_window_panel()[shape]
+        points, dfs = full_sweep(y)
+        target = dfs[trendfilter._GRID_SIZE // 2]
+        want = documented_selection(y, points, dfs, target)
+        yielded = count_sweep_points(monkeypatch)
+        fit = fit_with_target_df(y, target)
+        assert_same_fit(fit, want)
+        assert not fit.df_warning
+        assert len(yielded) == dfs.index(target) + 1 < trendfilter._GRID_SIZE, shape
+
+    @pytest.mark.parametrize("shape", sorted(paper_window_panel()))
+    def test_unreachable_target_sweeps_the_full_grid(self, shape, monkeypatch):
+        y = paper_window_panel()[shape]
+        points, dfs = full_sweep(y)
+        target = max(dfs) + 1
+        want = documented_selection(y, points, dfs, target)
+        yielded = count_sweep_points(monkeypatch)
+        fit = fit_with_target_df(y, target)
+        assert_same_fit(fit, want)
+        assert fit.df_warning
+        assert len(yielded) == trendfilter._GRID_SIZE, shape
+
     @pytest.mark.parametrize("steps", [0, 1])
     @pytest.mark.parametrize("shape", sorted(paper_window_panel()))
     def test_walk_cut_short_reaches_the_same_optimum(self, shape, steps, monkeypatch):
@@ -402,6 +482,51 @@ class TestBandedSolve:
             want = solveh_banded(ab, rhs, lower=True)
             got = trendfilter._banded_solve(ab.copy(order="F"), rhs.copy())
             assert np.array_equal(got, want), (layout, size)
+
+    @pytest.mark.parametrize("lookup", ["direct", "missing-file", "broken-file"])
+    def test_dpbsv_lookups_match_scipy(self, lookup, monkeypatch, tmp_path):
+        # the direct load of the extension, and the fallback to
+        # scipy.linalg.lapack when its file is missing or does not load
+        from scipy.linalg.lapack import dpbsv
+
+        monkeypatch.setattr(trendfilter, "_dpbsv", None)
+        monkeypatch.delitem(sys.modules, trendfilter._FLAPACK)
+        if lookup == "missing-file":
+            monkeypatch.setattr(trendfilter, "_flapack_path", lambda: None)
+        elif lookup == "broken-file":
+            broken = tmp_path / "_flapack.so"
+            broken.write_bytes(b"not a shared object")
+            monkeypatch.setattr(trendfilter, "_flapack_path", lambda: str(broken))
+        rng = np.random.default_rng(92)
+        for layout in ["contiguous", "single-gaps", "sparse"]:
+            for size in [1, 2, 3, 4, 5, *rng.integers(6, 401, 10)]:
+                ab = trendfilter._gram_submatrix_banded(random_free_set(rng, int(size), layout))
+                rhs = rng.normal(0.0, 10.0, (int(size), 2))
+                want = dpbsv(ab, rhs, lower=1)[1]
+                got = trendfilter._banded_solve(ab.copy(order="F"), rhs.copy(order="F"))
+                assert np.array_equal(got, want), (lookup, layout, size)
+        # only the direct load registers a module of its own
+        assert (trendfilter._FLAPACK in sys.modules) == (lookup == "direct")
+
+    def test_direct_load_coexists_with_scipy_imports(self):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from campaigntrends import oracle_solve, solve_tf, lambda_max, trendfilter\n"
+            "y = np.random.default_rng(93).poisson(3.0, 40).astype(float)\n"
+            "lam = 0.2 * lambda_max(y)\n"
+            "fit = solve_tf(y, lam)\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "import scipy.linalg, scipy.optimize\n"
+            "from scipy.linalg import _flapack\n"
+            "assert _flapack is sys.modules['scipy.linalg._flapack']\n"
+            "assert scipy.linalg.lapack.dpbsv is trendfilter._dpbsv\n"
+            "assert np.array_equal(solve_tf(y, lam).fitted, fit.fitted)\n"
+            "out = oracle_solve(y, lam, 20_000)\n"
+            "assert np.max(np.abs(fit.fitted - out)) <= 1e-4 * np.ptp(y)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
     def test_not_positive_definite_raises(self):
         ab = trendfilter._gram_submatrix_banded(np.arange(10))
