@@ -12,7 +12,8 @@ and file values alike; only ``--config`` and ``--fec-file`` are declared here.
 fit and report share one check that their upstream file was made for this run.
 
 Exit codes: 0 clean, 1 completed with warnings (malformed input lines,
-non-converged fits, unreachable df targets), 2 unusable input.
+non-converged fits, unreachable df targets), 2 unusable input. fit and
+report print one ``warning: <candidate>/<metric>: ...`` line per such fit.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .analysis import (
 from .config import KEYS, AnalysisConfig, build_config, load_config_file
 from .exceptions import CampaignTrendsError
 from .trendfilter import (
+    TrendFit,
     fit_with_target_df,
     solve_tf,  # noqa: F401  kept as cli.solve_tf: perfbench/trace.py wraps that name
     target_df_for_span,
@@ -136,8 +138,7 @@ def _cmd_ingest(config: AnalysisConfig) -> int:
     counters = fec.IngestCounters()
     accumulators = {c: fec.MetricsAccumulator(c) for c in config.candidates}
     for path in config.fec_files:
-        with open(path, encoding="utf-8", errors="replace") as handle:
-            fec.accumulate_fec_file(handle, committee_map, accumulators, counters)
+        fec.accumulate_fec_path(path, committee_map, accumulators, counters)
 
     poll_lines: list[str] | None = None
     if config.poll_csv is not None:
@@ -216,7 +217,30 @@ def _check_upstream(
         )
 
 
+def _fit_warning(candidate: str, metric: str, fit: TrendFit, target: int) -> str | None:
+    """The stderr line for a non-converged or ``df_warning`` fit, else None."""
+    problems = []
+    if not fit.converged:
+        problems.append(f"not converged (duality gap {fit.duality_gap:.3g})")
+    if fit.df_warning:
+        problems.append(f"df target {target} is above every df on the lambda grid; kept df {fit.df}")
+    return f"warning: {candidate}/{metric}: {'; '.join(problems)}" if problems else None
+
+
+def _exit_with_warnings(warnings: list[str | None]) -> int:
+    """Print each warning line on stderr; exit 1 when there was one."""
+    lines = [line for line in warnings if line is not None]
+    for line in lines:
+        print(line, file=sys.stderr)
+    return EXIT_WARNINGS if lines else EXIT_OK
+
+
 def _cmd_fit(config: AnalysisConfig) -> int:
+    if config.normalize == "share" and len(config.candidates) < 2:
+        raise CampaignTrendsError(
+            "normalize = share needs at least two candidates (each day's share of a "
+            f"one-candidate total is 1.0); got {','.join(config.candidates)}"
+        )
     store_path = config.out_dir / "store.json"
     document = _read_upstream(store_path, "ingest")
     try:
@@ -238,7 +262,7 @@ def _cmd_fit(config: AnalysisConfig) -> int:
             for candidate, ts in normalize_share(holders).shares.items():
                 series_map[candidate][metric] = ts
     records = []
-    warnings = False
+    warnings = []
     for candidate in sorted(series_map):
         for metric in sorted(series_map[candidate]):
             ts = series_map[candidate][metric]
@@ -246,7 +270,7 @@ def _cmd_fit(config: AnalysisConfig) -> int:
                 len(ts), config.df_per_90
             )
             fit = fit_with_target_df(ts.values, target)
-            warnings = warnings or not fit.converged or fit.df_warning
+            warnings.append(_fit_warning(candidate, metric, fit, target))
             records.append(store.fit_to_record(candidate, metric, ts, fit, target))
 
     document = {
@@ -260,7 +284,7 @@ def _cmd_fit(config: AnalysisConfig) -> int:
     with open(config.out_dir / "fits_long.csv", "w", encoding="utf-8") as handle:
         store.write_fits_long_csv(handle, records)
     print(f"fitted {len(records)} series -> {config.out_dir / 'fits.json'}")
-    return EXIT_WARNINGS if warnings else EXIT_OK
+    return _exit_with_warnings(warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +303,7 @@ def _cmd_report(config: AnalysisConfig) -> int:
 
     try:
         decoded = [
-            (record["candidate"], record["metric"], *store.fit_from_record(record))
+            (record["candidate"], record["metric"], record["target_df"], *store.fit_from_record(record))
             for record in fits_doc["records"]
         ]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -287,11 +311,11 @@ def _cmd_report(config: AnalysisConfig) -> int:
     spans = {f"{start}..{start + timedelta(days=len(fit.fitted) - 1)}" for *_, start, fit in decoded}
     _check_upstream(config, "fits", "fit", spans, {candidate for candidate, *_ in decoded})
 
-    warnings = False
+    warnings = []
     series_entries = []
     cps_by_series: dict[tuple[str, str], list[Changepoint]] = {}
-    for candidate, metric, start_date, fit in decoded:
-        warnings = warnings or not fit.converged or fit.df_warning
+    for candidate, metric, target, start_date, fit in decoded:
+        warnings.append(_fit_warning(candidate, metric, fit, target))
         cps = classify_changepoints(fit, start_date)
         regions = trend_regions(fit, start_date)
         cps_by_series[(candidate, metric)] = cps
@@ -397,7 +421,7 @@ def _cmd_report(config: AnalysisConfig) -> int:
     with open(config.out_dir / "report.json", "w", encoding="utf-8") as handle:
         store.write_store(handle, document)
     print(f"report -> {config.out_dir / 'report.json'}")
-    return EXIT_WARNINGS if warnings else EXIT_OK
+    return _exit_with_warnings(warnings)
 
 
 # ---------------------------------------------------------------------------

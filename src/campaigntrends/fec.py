@@ -8,31 +8,45 @@ streaming and never aborts mid-file: lines that cannot be parsed, or whose
 committee has no candidate mapping, are counted and skipped. Amounts are
 dollars; a non-finite amount, or one beyond ``MAX_AMOUNT_DOLLARS`` either
 way, makes its line malformed. Donor identity is the normalized name plus
-the first five zip digits (``normalize_donor_name`` and ``zip5``), and a
-donor counts as "new" to a candidate on the day of their first-ever
-positive donation to that candidate, no matter how often they have given
-to anyone else.
+the first five zip digits (``normalize_donor_name`` and ``zip5``), held as
+one ``bytes`` key per donor (``_donor_key``), and a donor counts as "new" to
+a candidate on the day of their first-ever positive donation to that
+candidate, no matter how often they have given to anyone else.
 
 Per candidate and day the module produces four series: distinct donors,
 first-time donors, total dollars, and dollars from first-time donors.
 ``accumulate_fec_file`` is the ingest kernel: it interns donors to ints as
 lines stream and keeps per-candidate (donor, day) cent sums in NumPy
 arrays, so ingest memory grows with the distinct (donor, day) pairs, not
-with the number of lines. The committee_id,candidate_id map that assigns
-committees to candidates is a CSV read through ``store.read_csv_table``.
+with the number of lines. ``accumulate_fec_path`` runs that kernel over a
+file in parallel: it cuts the file into byte ranges that end just after a
+newline byte, at most one per usable CPU and each at least
+``_SHARD_MIN_BYTES`` long, parses range 0 itself while spawned worker
+processes parse the others, and folds their counters and pair sums into
+its own accumulators. The series do not depend on line order, so the
+result equals one pass over the file. A file under two ranges' worth of
+bytes, or a process allowed one CPU, is parsed in one process. Workers
+reopen the file by its resolved path and check that it is the file that
+was cut, and they import the caller's ``__main__`` script again, which
+must therefore guard its entry point. Each process holds the distinct (donor, day) pairs of its own range, so memory
+grows with those per process. The committee_id,candidate_id map that
+assigns committees to candidates is a CSV read through
+``store.read_csv_table``.
 """
 
 from __future__ import annotations
 
+import io
+import os
 import re
 from array import array
 from dataclasses import dataclass
 from datetime import date
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, BinaryIO, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .exceptions import InvalidValueError
+from .exceptions import CampaignTrendsError, InvalidValueError
 from .store import read_csv_table
 from .timeseries import DateRange, TimeSeries
 
@@ -43,6 +57,7 @@ __all__ = [
     "MAX_AMOUNT_DOLLARS",
     "MetricsAccumulator",
     "accumulate_fec_file",
+    "accumulate_fec_path",
     "daily_donation_metrics",
     "load_committee_map",
     "normalize_donor_name",
@@ -81,6 +96,12 @@ _DAY_MASK = (1 << _DAY_BITS) - 1
 # Distinct raw date and amount texts cached per file, each.
 _PARSE_CACHE_MAX = 1 << 16
 _UNSEEN = object()
+
+# A file is cut into at most one byte range per usable CPU, each at least
+# this long; a file under two ranges' worth is parsed in one process. A
+# spawned worker takes about 0.3 s to start, which is about what this
+# process needs to parse 4 MiB of lines, so smaller ranges gain nothing.
+_SHARD_MIN_BYTES = 8 << 20
 
 # The line layout: field positions of committee|name|zip|MMDDYYYY|dollars.
 _COMMITTEE, _NAME, _ZIP, _DATE, _AMOUNT = range(5)
@@ -143,6 +164,15 @@ def _zip_key(raw: str) -> str:
     if len(head) == 5 and head.isascii() and head.isdigit():
         return head
     return zip5(raw)
+
+
+def _donor_key(name: str, zip_: str) -> bytes:
+    """One key per donor: ``_name_key(name) + b"|" + _zip_key(zip_)`` in UTF-8.
+
+    A name key holds only ``[0-9A-Z ]`` and a zip key only digits, so the
+    key is unambiguous and holds no newline byte.
+    """
+    return _name_key(name) + b"|" + _zip_key(zip_).encode()
 
 
 def _parse_day(text: str) -> int | None:
@@ -278,7 +308,7 @@ class MetricsAccumulator:
 
     def __init__(self, candidate_id: str) -> None:
         self.candidate_id = candidate_id
-        self._donor_ids: dict[tuple[bytes, str], int] = {}
+        self._donor_ids: dict[bytes, int] = {}
         self._rows = array("q")  # pending packed (donor, day) pairs
         self._row_cents = array("q")
         self._pairs = np.empty(0, np.int64)  # sorted distinct packed pairs
@@ -287,10 +317,10 @@ class MetricsAccumulator:
     def add(self, record: DonationRecord) -> None:
         if record.candidate_id != self.candidate_id or record.amount_cents <= 0:
             return
-        key = (_name_key(record.donor_name_raw), _zip_key(record.zip))
+        key = _donor_key(record.donor_name_raw, record.zip)
         self._push(key, record.date.toordinal(), record.amount_cents)
 
-    def _push(self, key: tuple[bytes, str], day: int, cents: int) -> None:
+    def _push(self, key: bytes, day: int, cents: int) -> None:
         ids = self._donor_ids
         self._rows.append(ids.setdefault(key, len(ids)) << _DAY_BITS | day)
         self._row_cents.append(cents)
@@ -307,6 +337,14 @@ class MetricsAccumulator:
         self._pairs, inverse = np.unique(pairs, return_inverse=True)
         self._pair_cents = np.zeros(len(self._pairs), np.int64)
         np.add.at(self._pair_cents, inverse, cents)
+
+    def _fold(self, keys: list[bytes], pairs: np.ndarray, cents: np.ndarray) -> None:
+        """Add another accumulator's (donor, day) cent sums, its donor keys in id order."""
+        ids = self._donor_ids
+        remap = np.array([ids.setdefault(key, len(ids)) for key in keys], np.int64)
+        self._rows.frombytes((remap[pairs >> _DAY_BITS] << _DAY_BITS | pairs & _DAY_MASK).tobytes())
+        self._row_cents.frombytes(cents.tobytes())
+        self._reduce()
 
     @property
     def first_seen(self) -> np.ndarray:
@@ -357,7 +395,230 @@ def accumulate_fec_file(
     for candidate, fields, day, cents in _valid_lines(lines, committee_map, counters):
         acc = accumulators.get(candidate)
         if acc is not None and cents > 0:
-            acc._push((_name_key(fields[_NAME]), _zip_key(fields[_ZIP])), day, cents)
+            acc._push(_donor_key(fields[_NAME], fields[_ZIP]), day, cents)
+
+
+def accumulate_fec_path(
+    path: str | os.PathLike[str],
+    committee_map: Mapping[str, str],
+    accumulators: Mapping[str, MetricsAccumulator],
+    counters: IngestCounters,
+) -> None:
+    """Parse the contribution file at ``path`` into ``accumulators``, in parallel.
+
+    The file is cut into byte ranges that end just after a newline byte, at
+    most one per usable CPU and each at least ``_SHARD_MIN_BYTES`` long.
+    Spawned workers run ``accumulate_fec_file`` over ranges 1..k-1 while
+    this process parses range 0, then their counters and (donor, day) cent
+    sums are folded into ``counters`` and ``accumulators``. Each range is
+    decoded as UTF-8 with replacement, and a newline byte never falls
+    inside a character or a CRLF pair, so the result equals one pass over
+    the file. A file that is not cut, such as a small one or a pipe (whose
+    size reads 0), is read as one stream.
+
+    A worker opens the file by its resolved path, so a file that this path
+    no longer names (say, a deleted file still open as ``/dev/stdin``) is
+    read as one stream too. The worker checks that it opened the file this
+    process measured (same device, inode and size); if not, or if it
+    cannot read its range, the error is raised here. A worker that
+    ends without a result raises ``CampaignTrendsError``; every worker is
+    joined. Spawned workers import the caller's ``__main__`` script again,
+    so a script that calls this on a large file must do so under
+    ``if __name__ == "__main__":``.
+    """
+    with open(path, "rb", buffering=0) as raw:
+        stat = os.fstat(raw.fileno())
+        shards = min(_usable_cpus(), stat.st_size // _SHARD_MIN_BYTES)
+        real = _reopenable(path, stat) if shards >= 2 else None
+        if real is None:
+            text = io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8", errors="replace")
+            with text:
+                accumulate_fec_file(text, committee_map, accumulators, counters)
+            return
+        source = (real, _identity(stat))
+        bounds = _range_bounds(raw, stat.st_size, shards)
+        workers = []
+        finished = False
+        try:
+            for start, stop in zip(bounds[1:-1], bounds[2:]):
+                workers.append(_start_worker(source, start, stop, committee_map, tuple(accumulators)))
+            with _range_text(raw, 0, bounds[1]) as text:
+                accumulate_fec_file(text, committee_map, accumulators, counters)
+            for worker, receiver in workers:
+                _fold_worker(worker, receiver, accumulators, counters)
+            finished = True
+        finally:
+            for worker, receiver in workers:
+                if not finished:
+                    worker.terminate()
+                worker.join()
+                receiver.close()
+
+
+def _identity(stat: os.stat_result) -> tuple[int, int, int]:
+    """What a worker checks to know it opened the file that was cut."""
+    return stat.st_dev, stat.st_ino, stat.st_size
+
+
+def _reopenable(path: str | os.PathLike[str], stat: os.stat_result) -> str | None:
+    """The resolved ``path`` when it still names the file ``stat`` describes, else None."""
+    real = os.path.realpath(path)
+    try:
+        return real if _identity(os.stat(real)) == _identity(stat) else None
+    except OSError:
+        return None
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _range_bounds(raw: BinaryIO, size: int, shards: int) -> list[int]:
+    """Offsets 0 < ... < size that cut a file into at most ``shards`` ranges.
+
+    Each inner cut sits just after the first newline byte at or past its
+    even share of ``size``; a cut that a long line pushes to the end of the
+    file, or onto an earlier cut, is dropped.
+    """
+    bounds = [0]
+    for i in range(1, shards):
+        target = i * size // shards
+        if target <= bounds[-1]:
+            continue
+        raw.seek(target - 1)
+        cut = target - 1
+        while block := raw.read(1 << 16):
+            found = block.find(b"\n")
+            if found >= 0:
+                cut += found + 1
+                break
+            cut += len(block)
+        if cut >= size:
+            break
+        bounds.append(cut)
+    bounds.append(size)
+    return bounds
+
+
+class _ByteRange(io.RawIOBase):
+    """Raw reads of the next ``length`` bytes of an unbuffered binary file."""
+
+    def __init__(self, raw: BinaryIO, length: int) -> None:
+        super().__init__()
+        self._raw = raw
+        self._left = length
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        count = self._raw.readinto(memoryview(buffer)[: self._left]) or 0
+        self._left -= count
+        return count
+
+
+def _range_text(raw: BinaryIO, start: int, stop: int) -> io.TextIOWrapper:
+    """Bytes [start, stop) of ``raw`` as text, decoded as ``open`` would decode the file."""
+    raw.seek(start)
+    return io.TextIOWrapper(
+        io.BufferedReader(_ByteRange(raw, stop - start), 1 << 16),
+        encoding="utf-8",
+        errors="replace",
+    )
+
+
+def _start_worker(
+    source: tuple[str, tuple[int, int, int]],
+    start: int,
+    stop: int,
+    committee_map: Mapping[str, str],
+    candidates: tuple[str, ...],
+):
+    """Start a spawned ``_parse_range`` worker; returns it and the end of its pipe."""
+    import multiprocessing  # only a sharded file pays for this import
+
+    context = multiprocessing.get_context("spawn")
+    receiver, sender = context.Pipe(duplex=False)
+    worker = context.Process(
+        target=_parse_range,
+        args=(sender, source, start, stop, dict(committee_map), candidates),
+        daemon=True,
+    )
+    with sender:
+        worker.start()
+    return worker, receiver
+
+
+def _parse_range(
+    conn,
+    source: tuple[str, tuple[int, int, int]],
+    start: int,
+    stop: int,
+    committee_map: dict[str, str],
+    candidates: tuple[str, ...],
+) -> None:
+    """Worker: parse bytes [start, stop) of a file and send the result on ``conn``.
+
+    ``source`` is the file's resolved path and the ``_identity`` of the
+    file that was cut. The worker sends its IngestCounters, then for each
+    candidate the donor keys as one newline-joined blob (in id order) and
+    the packed (donor, day) pairs and their cent sums as raw int64 bytes.
+    When the path now names another file, or the range cannot be read, it
+    sends the error alone.
+    """
+    path, identity = source
+    with conn:
+        counters = IngestCounters()
+        accumulators = {c: MetricsAccumulator(c) for c in candidates}
+        try:
+            with open(path, "rb", buffering=0) as raw:
+                if _identity(os.fstat(raw.fileno())) != identity:
+                    raise CampaignTrendsError(
+                        f"{path}: the file changed while ingest read it in parallel ranges"
+                    )
+                with _range_text(raw, start, stop) as text:
+                    accumulate_fec_file(text, committee_map, accumulators, counters)
+        except (OSError, CampaignTrendsError) as exc:
+            conn.send(exc)
+            return
+        conn.send(counters)
+        for candidate in candidates:
+            acc = accumulators[candidate]
+            acc._reduce()
+            conn.send_bytes(b"\n".join(acc._donor_ids))
+            conn.send_bytes(acc._pairs)
+            conn.send_bytes(acc._pair_cents)
+
+
+def _fold_worker(
+    worker,
+    conn,
+    accumulators: Mapping[str, MetricsAccumulator],
+    counters: IngestCounters,
+) -> None:
+    """Receive one ``_parse_range`` result and fold it into this process's state."""
+    try:
+        message = conn.recv()
+        if isinstance(message, BaseException):
+            raise message
+        for name, value in message.as_dict().items():
+            setattr(counters, name, getattr(counters, name) + value)
+        for candidate in accumulators:
+            blob = conn.recv_bytes()
+            pairs = np.frombuffer(conn.recv_bytes(), np.int64)
+            cents = np.frombuffer(conn.recv_bytes(), np.int64)
+            accumulators[candidate]._fold(blob.split(b"\n") if blob else [], pairs, cents)
+    except EOFError:
+        worker.join()
+        message = f"an ingest worker ended with exit code {worker.exitcode} before sending its result"
+        if worker.exitcode == 1:  # an uncaught exception, whose traceback the worker printed
+            message += (
+                " (see its traceback above; a script that runs ingest must do so under"
+                ' `if __name__ == "__main__":`, since each worker imports the script again)'
+            )
+        raise CampaignTrendsError(message) from None
 
 
 def daily_donation_metrics(

@@ -12,7 +12,7 @@ import pytest
 
 from campaigntrends import TimeSeries, fit_with_target_df, solve_tf
 from campaigntrends import config
-from campaigntrends.cli import _build_parser, main
+from campaigntrends.cli import _build_parser, _fit_warning, main
 from campaigntrends.store import fit_from_record, fit_to_record, validate_report
 from conftest import bendy_signal
 
@@ -560,6 +560,43 @@ class TestReportReadsFits:
             assert entry["converged"] == record["converged"]
             assert entry["df_warning"] == record["df_warning"]
         assert all(record["df_warning"] for record in fits)
+
+    def test_each_warned_record_gets_one_stderr_line(self, fixtures_dir, tmp_path, capsys):
+        out_dir = tmp_path / "df48"
+        flags = base_flags(fixtures_dir, out_dir) + ["--df", "48"]
+        assert main(["ingest", *flags]) == 0
+        capsys.readouterr()
+        assert main(["fit", *flags]) == 1
+        fit_err = capsys.readouterr().err.splitlines()
+        records = json.loads((out_dir / "fits.json").read_text())["records"]
+        assert all(record["df_warning"] and record["converged"] for record in records)
+        want = [
+            f"warning: {record['candidate']}/{record['metric']}: df target 48 is above every df "
+            f"on the lambda grid; kept df {record['df']}"
+            for record in records
+        ]
+        assert fit_err == want
+        assert main(["report", *flags]) == 1
+        assert capsys.readouterr().err.splitlines() == want
+
+    def test_fit_warning_names_each_problem(self):
+        fit = fit_with_target_df(np.array([0.0, 1.0, 4.0, 2.0, 5.0, 3.0, 6.0]), 3)
+        assert _fit_warning("ALPHA", "poll", fit, 3) is None
+        stalled = dataclasses.replace(fit, converged=False, duality_gap=0.25, df_warning=True)
+        assert _fit_warning("ALPHA", "poll", stalled, 9) == (
+            "warning: ALPHA/poll: not converged (duality gap 0.25); "
+            f"df target 9 is above every df on the lambda grid; kept df {fit.df}"
+        )
+
+    def test_share_with_one_candidate_exit_2(self, fixtures_dir, tmp_path, capsys):
+        out_dir = tmp_path / "one"
+        flags = base_flags(fixtures_dir, out_dir) + ["--candidates", "ALPHA"]
+        assert main(["ingest", *flags]) == 0
+        capsys.readouterr()
+        assert main(["fit", *flags, "--normalize", "share"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: normalize = share needs at least two candidates")
+        assert not (out_dir / "fits.json").exists()
 
     def test_report_without_store_is_unchanged(self, fixtures_dir, tmp_path):
         out_dir = tmp_path / "no_store"

@@ -1,6 +1,13 @@
 import io
+import multiprocessing
+import os
 import random
+import subprocess
+import sys
+import tempfile
+import threading
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +26,17 @@ from campaigntrends import (
     normalize_donor_name,
     parse_fec_file,
 )
-from campaigntrends.fec import _name_key, _zip_key, accumulate_fec_file, zip5
+from campaigntrends.cli import main
+from campaigntrends.exceptions import CampaignTrendsError
+from campaigntrends.fec import (
+    _donor_key,
+    _name_key,
+    _range_bounds,
+    _zip_key,
+    accumulate_fec_file,
+    accumulate_fec_path,
+    zip5,
+)
 
 D1 = date(2019, 6, 1)
 D2 = date(2019, 6, 2)
@@ -416,3 +433,266 @@ class TestReferenceEquality:
             for r in records:
                 acc.add(r)
             self.assert_matches(acc, records)
+
+
+# Zip spellings whose digits zip5 keeps as they are: full-width and Arabic-Indic.
+WIDE_ZIPS = ["\uff12\uff12\uff19\uff10\uff13-\uff11\uff12", "\u0662\u0662\u0669\u0660\u0663", "2290\uff13"]
+DONOR_PAIRS = st.tuples(st.sampled_from(NAME_SPELLINGS) | LINE_TEXT,
+                        st.sampled_from(ZIP_SPELLINGS + WIDE_ZIPS) | LINE_TEXT)
+
+
+def donor_identity(name, zip_):
+    return normalize_donor_name(name), zip5(zip_)
+
+
+class TestDonorKey:
+    def test_shared_exactly_when_identity_agrees_on_spellings(self):
+        pairs = [(n, z) for n in NAME_SPELLINGS for z in ZIP_SPELLINGS + WIDE_ZIPS]
+        keys = [_donor_key(*pair) for pair in pairs]
+        identities = [donor_identity(*pair) for pair in pairs]
+        assert len(set(keys)) == len(set(identities))
+        for key_a, id_a in zip(keys, identities):
+            for key_b, id_b in zip(keys, identities):
+                assert (key_a == key_b) == (id_a == id_b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=DONOR_PAIRS, b=DONOR_PAIRS)
+    def test_shared_exactly_when_identity_agrees(self, a, b):
+        assert (_donor_key(*a) == _donor_key(*b)) == (donor_identity(*a) == donor_identity(*b))
+        key = _donor_key(*a)
+        assert b"\n" not in key
+        assert tuple(key.decode().split("|")) == donor_identity(*a)
+
+
+LINE_ENDS = [b"\n", b"\r\n", b"\r"]
+INVALID_UTF8 = [b"\xff", b"\xe2\x82", b"\xc3", b"\xed\xa0\x80", b"\x80\x80"]
+
+
+@st.composite
+def fec_byte_files(draw):
+    """A contribution file as bytes.
+
+    CRLF, lone CR and LF line ends, maybe a UTF-8 BOM, invalid UTF-8 cut into
+    lines (also inside a character), blank lines, maybe one line longer than
+    a third of the file, maybe no final newline, and as few as no lines.
+    """
+    lines = [line.encode() for line in draw(fec_line_streams())]
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(NAME_SPELLINGS)) * 300
+        lines.insert(draw(st.integers(0, len(lines))), f"C001|{name}|22903|06052019|10".encode())
+    out = [b"\xef\xbb\xbf"] if draw(st.booleans()) else []
+    for line in lines:
+        if draw(st.integers(0, 4)) == 0:
+            cut = draw(st.integers(0, len(line)))
+            line = line[:cut] + draw(st.sampled_from(INVALID_UTF8)) + line[cut:]
+        out.append(line + draw(st.sampled_from(LINE_ENDS)))
+        if draw(st.integers(0, 5)) == 0:
+            out.append(draw(st.sampled_from(LINE_ENDS)))
+    data = b"".join(out)
+    if draw(st.booleans()):
+        data = data.rstrip(b"\r\n")
+    return data
+
+
+def one_pass(path):
+    counters = IngestCounters()
+    accumulators = {c: MetricsAccumulator(c) for c in ("ALPHA", "BRAVO")}
+    with open(path, encoding="utf-8", errors="replace") as handle:
+        accumulate_fec_file(handle, TABLE, accumulators, counters)
+    return counters, accumulators
+
+
+def sharded(path, shards):
+    """accumulate_fec_path cutting ``path`` into at most ``shards`` ranges."""
+    counters = IngestCounters()
+    accumulators = {c: MetricsAccumulator(c) for c in ("ALPHA", "BRAVO")}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fec, "_usable_cpus", lambda: shards)
+        patch.setattr(fec, "_SHARD_MIN_BYTES", 1)
+        accumulate_fec_path(path, TABLE, accumulators, counters)
+    return counters, accumulators
+
+
+def ingest_flags(fixtures_dir, fec_file, out):
+    return [
+        "--from", "2019-06-01", "--to", "2019-07-20", "--candidates", "ALPHA,BRAVO",
+        "--committee-map", str(fixtures_dir / "committee_map.csv"), "--fec-file", str(fec_file),
+        "--out", str(out),
+    ]
+
+
+def assert_same_ingest(got, want, range_):
+    assert got[0] == want[0]
+    for candidate, acc in want[1].items():
+        other = got[1][candidate]
+        assert len(other.first_seen) == len(acc.first_seen)
+        for label, series in acc.finalize(range_).series().items():
+            assert other.finalize(range_).series()[label].values.tobytes() == series.values.tobytes()
+
+
+class TestShardedPath:
+    RANGE = DateRange(D1 - timedelta(days=20), D1 + timedelta(days=12))
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=fec_byte_files(), shards=st.integers(2, 3))
+    def test_matches_one_pass(self, data, shards):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fec.txt"
+            path.write_bytes(data)
+            assert_same_ingest(sharded(path, shards), one_pass(path), self.RANGE)
+        assert multiprocessing.active_children() == []
+
+    def test_fixture_in_three_ranges_matches_one_pass(self, fixtures_dir):
+        path = fixtures_dir / "fec_sample.txt"
+        with open(path, "rb") as raw:
+            assert len(_range_bounds(raw, path.stat().st_size, 3)) == 4
+        range_ = DateRange(date(2019, 6, 1), date(2019, 7, 20))
+        assert_same_ingest(sharded(path, 3), one_pass(path), range_)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_is_read_as_one_stream(self, fixtures_dir, tmp_path):
+        path = fixtures_dir / "fec_sample.txt"
+        fifo = tmp_path / "fec.pipe"
+        os.mkfifo(fifo)  # a pipe's size reads 0 and it cannot seek, so it is never cut
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True)
+        writer.start()
+        got = sharded(fifo, 2)
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert_same_ingest(got, one_pass(path), DateRange(date(2019, 6, 1), date(2019, 7, 20)))
+
+    @pytest.mark.parametrize("data, shards, bounds", [
+        (b"a\nb\nc\nd\n", 2, [0, 4, 8]),
+        (b"a\nb\nc\nd\n", 4, [0, 2, 4, 6, 8]),
+        (b"aaaaaaaaa\nb\nc\n", 3, [0, 10, 14]),  # a line longer than a range
+        (b"abc\r\ndef", 2, [0, 5, 8]),  # a cut never splits CRLF; no final newline
+        (b"a\n", 3, [0, 2]),  # fewer lines than ranges
+        (b"abcdef", 2, [0, 6]),
+        (b"", 2, [0, 0]),
+    ])
+    def test_range_bounds_cut_after_newlines(self, tmp_path, data, shards, bounds):
+        path = tmp_path / "fec.txt"
+        path.write_bytes(data)
+        with open(path, "rb") as raw:
+            assert _range_bounds(raw, len(data), shards) == bounds
+
+    def test_worker_error_exits_2_and_leaves_no_child(self, fixtures_dir, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "fec.txt"
+        path.write_bytes((fixtures_dir / "fec_sample.txt").read_bytes())
+        monkeypatch.setattr(fec, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(fec, "_SHARD_MIN_BYTES", 1024)
+        cut = fec._range_bounds
+
+        def cut_then_vanish(raw, size, shards):
+            bounds = cut(raw, size, shards)
+            os.unlink(path)  # this process holds the file open; the worker cannot open it
+            return bounds
+
+        monkeypatch.setattr(fec, "_range_bounds", cut_then_vanish)
+        code = main(["ingest", *ingest_flags(fixtures_dir, path, tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "No such file" in err
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "out").exists()
+
+    def test_file_replaced_after_the_cut_exits_2(self, fixtures_dir, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "fec.txt"
+        path.write_bytes((fixtures_dir / "fec_sample.txt").read_bytes())
+        monkeypatch.setattr(fec, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(fec, "_SHARD_MIN_BYTES", 1024)
+        cut = fec._range_bounds
+
+        def cut_then_replace(raw, size, shards):
+            bounds = cut(raw, size, shards)
+            replacement = tmp_path / "new.txt"
+            replacement.write_bytes(path.read_bytes())  # same bytes, another file
+            os.replace(replacement, path)
+            return bounds
+
+        monkeypatch.setattr(fec, "_range_bounds", cut_then_replace)
+        code = main(["ingest", *ingest_flags(fixtures_dir, path, tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {os.path.realpath(path)}: the file changed while ingest read it in parallel ranges\n"
+        )
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "out").exists()
+
+    def test_dev_stdin_redirected_from_a_file_is_cut_and_read_whole(self, fixtures_dir, tmp_path):
+        # A spawned worker's stdin is /dev/null, so it must open the file stdin names, not /dev/stdin.
+        path = fixtures_dir / "fec_sample.txt"
+        code = (
+            "import sys\n"
+            "from campaigntrends import cli, fec\n"
+            "fec._usable_cpus = lambda: 2\n"
+            "fec._SHARD_MIN_BYTES = 1024\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        with open(path, "rb") as stdin:
+            result = subprocess.run(
+                [sys.executable, "-c", code, "ingest", *ingest_flags(fixtures_dir, "/dev/stdin", tmp_path / "piped")],
+                stdin=stdin, capture_output=True, text=True, timeout=120,
+            )
+        assert main(["ingest", *ingest_flags(fixtures_dir, path, tmp_path / "direct")]) == 0
+        assert (result.returncode, result.stderr) == (0, "")
+        for name in ("store.json", "ingest_summary.json"):
+            assert (tmp_path / "piped" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes()
+
+    def test_error_in_this_process_stops_the_workers(self, fixtures_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(fec, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(fec, "_SHARD_MIN_BYTES", 1024)
+
+        def fail(*args):
+            raise OSError("read error in range 0")
+
+        monkeypatch.setattr(fec, "accumulate_fec_file", fail)  # spawned workers keep the real one
+        code = main(["ingest", *ingest_flags(fixtures_dir, fixtures_dir / "fec_sample.txt", tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: read error in range 0\n"
+        assert multiprocessing.active_children() == []
+
+    def test_worker_that_dies_without_a_result_is_an_error(self):
+        context = multiprocessing.get_context("spawn")
+        receiver, sender = context.Pipe(duplex=False)
+        worker = context.Process(target=os._exit, args=(3,))
+        with sender:
+            worker.start()
+        with receiver, pytest.raises(CampaignTrendsError, match="exit code 3"):
+            fec._fold_worker(worker, receiver, {}, IngestCounters())
+        worker.join()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("deleted", [False, True])
+    def test_open_descriptor_path_matches_one_pass(self, fixtures_dir, tmp_path, deleted):
+        # A spawned worker does not inherit this descriptor, so it must open the file by name;
+        # once the file is deleted it has no name left and is read in this process.
+        path = tmp_path / "fec.txt"
+        path.write_bytes((fixtures_dir / "fec_sample.txt").read_bytes())
+        want = one_pass(path)
+        with open(path, "rb") as held:
+            if deleted:
+                path.unlink()
+            got = sharded(f"/proc/self/fd/{held.fileno()}", 2)
+        assert_same_ingest(got, want, DateRange(date(2019, 6, 1), date(2019, 7, 20)))
+        assert multiprocessing.active_children() == []
+
+    def test_unguarded_script_names_the_guard(self, fixtures_dir, tmp_path):
+        script = tmp_path / "unguarded.py"  # each spawned worker imports this script again
+        script.write_text(
+            "import sys\n"
+            "from campaigntrends import cli, fec\n"
+            "fec._usable_cpus = lambda: 2\n"
+            "fec._SHARD_MIN_BYTES = 1024\n"
+            f"sys.exit(cli.main(['ingest', *{ingest_flags(fixtures_dir, fixtures_dir / 'fec_sample.txt', tmp_path / 'out')!r}]))\n"
+        )
+        result = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=120)
+        assert result.returncode == 2
+        assert "RuntimeError" in result.stderr
+        assert result.stderr.splitlines()[-1] == (
+            "error: an ingest worker ended with exit code 1 before sending its result (see its"
+            ' traceback above; a script that runs ingest must do so under `if __name__ == "__main__":`,'
+            " since each worker imports the script again)"
+        )
+        assert not (tmp_path / "out").exists()
