@@ -15,20 +15,23 @@ candidate, no matter how often they have given to anyone else.
 
 Per candidate and day the module produces four series: distinct donors,
 first-time donors, total dollars, and dollars from first-time donors.
-``accumulate_fec_file`` is the ingest kernel: it interns donors to ints as
-lines stream and keeps per-candidate (donor, day) cent sums in NumPy
-arrays, so ingest memory grows with the distinct (donor, day) pairs, not
-with the number of lines. ``accumulate_fec_path`` runs that kernel over a
-file in parallel: it cuts the file into byte ranges that end just after a
-newline byte, at most one per usable CPU and each at least
-``_SHARD_MIN_BYTES`` long, parses range 0 itself while spawned worker
-processes parse the others, and folds their counters and pair sums into
-its own accumulators. The series do not depend on line order, so the
-result equals one pass over the file. A file under two ranges' worth of
-bytes, or a process allowed one CPU, is parsed in one process. Workers
-reopen the file by its resolved path and check that it is the file that
-was cut, and they import the caller's ``__main__`` script again, which
-must therefore guard its entry point. Each process holds the distinct (donor, day) pairs of its own range, so memory
+``accumulate_fec_file`` is the ingest kernel: each parsed line enters its
+candidate's ``MetricsAccumulator`` through ``_push``, which buffers at most
+``max(_CHUNK_ROWS, pairs / 4)`` rows before folding them into per-candidate
+(donor, day) cent sums in NumPy arrays, so ingest memory and sorting work
+grow with the distinct (donor, day) pairs, not with the number of lines.
+``accumulate_fec_path`` runs that kernel over a file in parallel: it cuts
+the file into byte ranges that end just after a newline byte, at most one
+per usable CPU and each at least ``_SHARD_MIN_BYTES`` long, parses range 0
+itself while spawned worker processes parse the others, and folds their
+counters and pair sums into its own accumulators. One reader,
+``_range_text``, decodes every range. The series do not depend on line
+order, so the result equals one pass over the file. A file under two
+ranges' worth of bytes, a pipe, or a process allowed one CPU is all range 0,
+parsed in one process. Workers reopen the file by its resolved path and
+check that it is the file that was cut, and they import the caller's
+``__main__`` script again, which must therefore guard its entry point. Each
+process holds the distinct (donor, day) pairs of its own range, so memory
 grows with those per process. The committee_id,candidate_id map that
 assigns committees to candidates is a CSV read through
 ``store.read_csv_table``.
@@ -40,7 +43,7 @@ import io
 import os
 import re
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import date
 from typing import IO, BinaryIO, Iterable, Iterator, Mapping
 
@@ -129,12 +132,7 @@ class IngestCounters:
     unmapped: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "lines_total": self.lines_total,
-            "parsed": self.parsed,
-            "malformed": self.malformed,
-            "unmapped": self.unmapped,
-        }
+        return asdict(self)
 
 
 def normalize_donor_name(raw: str) -> str:
@@ -298,12 +296,13 @@ class DailyDonationMetrics:
 class MetricsAccumulator:
     """Columnar, order-independent accumulation of one candidate's donations.
 
-    Refunds and zero amounts are dropped on entry. Each donor key is interned
-    to an int as it arrives, and (donor, day, cents) rows are buffered in
-    chunks of ``_CHUNK_ROWS``. A full chunk is folded into the sorted distinct
-    (donor, day) cent sums, so memory holds one row per distinct pair plus
-    one chunk. Gifts dated before any analysis window still decide who is a
-    first-time donor inside it.
+    Every gift enters through ``_push``, which drops refunds and zero
+    amounts, interns the donor key to an int and buffers a (donor, day,
+    cents) row. Once ``max(_CHUNK_ROWS, pairs // 4)`` rows are buffered,
+    ``_reduce`` folds them into the sorted distinct (donor, day) cent sums,
+    so memory holds one row per distinct pair plus at most that many rows,
+    and each buffered row pays for at most five rows sorted. Gifts dated
+    before any analysis window still decide who is a first-time donor inside it.
     """
 
     def __init__(self, candidate_id: str) -> None:
@@ -315,24 +314,29 @@ class MetricsAccumulator:
         self._pair_cents = np.empty(0, np.int64)
 
     def add(self, record: DonationRecord) -> None:
-        if record.candidate_id != self.candidate_id or record.amount_cents <= 0:
-            return
-        key = _donor_key(record.donor_name_raw, record.zip)
-        self._push(key, record.date.toordinal(), record.amount_cents)
+        if record.candidate_id == self.candidate_id:
+            self._push(record.donor_name_raw, record.zip, record.date.toordinal(), record.amount_cents)
 
-    def _push(self, key: bytes, day: int, cents: int) -> None:
+    def _push(self, name: str, zip_: str, day: int, cents: int) -> None:
+        """The one entry: drop a refund or zero amount, else buffer a row under the donor's key."""
+        if cents <= 0:
+            return
         ids = self._donor_ids
-        self._rows.append(ids.setdefault(key, len(ids)) << _DAY_BITS | day)
+        rows = self._rows
+        rows.append(ids.setdefault(_donor_key(name, zip_), len(ids)) << _DAY_BITS | day)
         self._row_cents.append(cents)
-        if len(self._rows) >= _CHUNK_ROWS:
+        if len(rows) >= _CHUNK_ROWS and len(rows) >= len(self._pairs) >> 2:
             self._reduce()
 
-    def _reduce(self) -> None:
-        """Fold the buffered rows into the distinct (donor, day) cent sums."""
-        if not self._rows:
+    def _reduce(self, *, pairs: np.ndarray | None = None, cents: np.ndarray | None = None) -> None:
+        """Fold the buffered rows, and the reduced table ``pairs``/``cents`` if given, into the sums."""
+        if pairs is None:
+            pairs = cents = np.empty(0, np.int64)
+        if not self._rows and not len(pairs):
             return
-        pairs = np.concatenate([self._pairs, np.frombuffer(self._rows, np.int64)])
-        cents = np.concatenate([self._pair_cents, np.frombuffer(self._row_cents, np.int64)])
+        # Rebinding pairs and cents, then the buffer, frees the folded table and the rows before the sort.
+        pairs = np.concatenate([self._pairs, np.frombuffer(self._rows, np.int64), pairs])
+        cents = np.concatenate([self._pair_cents, np.frombuffer(self._row_cents, np.int64), cents])
         self._rows, self._row_cents = array("q"), array("q")
         self._pairs, inverse = np.unique(pairs, return_inverse=True)
         self._pair_cents = np.zeros(len(self._pairs), np.int64)
@@ -342,9 +346,7 @@ class MetricsAccumulator:
         """Add another accumulator's (donor, day) cent sums, its donor keys in id order."""
         ids = self._donor_ids
         remap = np.array([ids.setdefault(key, len(ids)) for key in keys], np.int64)
-        self._rows.frombytes((remap[pairs >> _DAY_BITS] << _DAY_BITS | pairs & _DAY_MASK).tobytes())
-        self._row_cents.frombytes(cents.tobytes())
-        self._reduce()
+        self._reduce(pairs=remap[pairs >> _DAY_BITS] << _DAY_BITS | pairs & _DAY_MASK, cents=cents)
 
     @property
     def first_seen(self) -> np.ndarray:
@@ -394,8 +396,8 @@ def accumulate_fec_file(
     """
     for candidate, fields, day, cents in _valid_lines(lines, committee_map, counters):
         acc = accumulators.get(candidate)
-        if acc is not None and cents > 0:
-            acc._push(_donor_key(fields[_NAME], fields[_ZIP]), day, cents)
+        if acc is not None:
+            acc._push(fields[_NAME], fields[_ZIP], day, cents)
 
 
 def accumulate_fec_path(
@@ -414,7 +416,7 @@ def accumulate_fec_path(
     decoded as UTF-8 with replacement, and a newline byte never falls
     inside a character or a CRLF pair, so the result equals one pass over
     the file. A file that is not cut, such as a small one or a pipe (whose
-    size reads 0), is read as one stream.
+    size reads 0), is one range 0 read as one stream by the same reader.
 
     A worker opens the file by its resolved path, so a file that this path
     no longer names (say, a deleted file still open as ``/dev/stdin``) is
@@ -430,13 +432,8 @@ def accumulate_fec_path(
         stat = os.fstat(raw.fileno())
         shards = min(_usable_cpus(), stat.st_size // _SHARD_MIN_BYTES)
         real = _reopenable(path, stat) if shards >= 2 else None
-        if real is None:
-            text = io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8", errors="replace")
-            with text:
-                accumulate_fec_file(text, committee_map, accumulators, counters)
-            return
+        bounds = [0, None] if real is None else _range_bounds(raw, stat.st_size, shards)
         source = (real, _identity(stat))
-        bounds = _range_bounds(raw, stat.st_size, shards)
         workers = []
         finished = False
         try:
@@ -519,14 +516,15 @@ class _ByteRange(io.RawIOBase):
         return count
 
 
-def _range_text(raw: BinaryIO, start: int, stop: int) -> io.TextIOWrapper:
-    """Bytes [start, stop) of ``raw`` as text, decoded as ``open`` would decode the file."""
-    raw.seek(start)
-    return io.TextIOWrapper(
-        io.BufferedReader(_ByteRange(raw, stop - start), 1 << 16),
-        encoding="utf-8",
-        errors="replace",
-    )
+def _range_text(raw: BinaryIO, start: int, stop: int | None) -> io.TextIOWrapper:
+    """Bytes [start, stop) of ``raw`` as text, decoded as ``open`` would decode the file.
+
+    With ``stop`` None: the rest of ``raw`` from where it stands, so a pipe reads too.
+    """
+    if stop is not None:
+        raw.seek(start)
+        raw = _ByteRange(raw, stop - start)
+    return io.TextIOWrapper(io.BufferedReader(raw, 1 << 16), encoding="utf-8", errors="replace")
 
 
 def _start_worker(

@@ -17,13 +17,19 @@ from campaigntrends.store import fit_from_record, fit_to_record, validate_report
 from conftest import bendy_signal
 
 
-def run_cli(args, **kwargs):
-    return subprocess.run(
-        [sys.executable, "-m", "campaigntrends.cli", *args],
-        capture_output=True,
-        text=True,
-        **kwargs,
-    )
+def run_main(capsys, args):
+    """``main(args)`` in this process, with its exit code and captured output.
+
+    An exception that escapes ``main`` fails the calling test, so a run that
+    returns here printed no traceback.
+    """
+    capsys.readouterr()
+    try:
+        code = main(args)
+    except SystemExit as exc:  # argparse rejected the arguments
+        code = exc.code
+    out, err = capsys.readouterr()
+    return subprocess.CompletedProcess(args, code, out, err)
 
 
 def run_stages_fresh(stages, flags):
@@ -81,18 +87,18 @@ class TestSynthCommand:
         assert values[30] == 30.0
         assert values[60] == 0.0
 
-    def test_same_seed_same_bytes(self):
+    def test_same_seed_same_bytes(self, capsys):
         args = ["synth", "--n-days", "40", "--knots", "12,25",
                 "--slopes", "1,-0.5,2", "--noise-sd", "0.7", "--seed", "7"]
-        first = run_cli(args)
-        second = run_cli(args)
+        first = run_main(capsys, args)
+        second = run_main(capsys, args)
         assert first.returncode == 0
         assert first.stdout == second.stdout
         assert first.stdout.count("\n") == 41
 
-    def test_inconsistent_knots_exit_2(self):
-        result = run_cli(["synth", "--n-days", "20", "--knots", "5,9",
-                          "--slopes", "1,-1", "--seed", "0"])
+    def test_inconsistent_knots_exit_2(self, capsys):
+        result = run_main(capsys, ["synth", "--n-days", "20", "--knots", "5,9",
+                                   "--slopes", "1,-1", "--seed", "0"])
         assert result.returncode == 2
 
     @pytest.mark.parametrize(
@@ -107,8 +113,8 @@ class TestSynthCommand:
         ],
         ids=["noise-nan", "noise-inf", "slope-nan", "slopes-overflow", "negative-seed", "past-last-date"],
     )
-    def test_bad_values_exit_2(self, flags):
-        result = run_cli(["synth", "--n-days", "5", "--knots", "2", "--slopes", "1,-1", *flags])
+    def test_bad_values_exit_2(self, capsys, flags):
+        result = run_main(capsys, ["synth", "--n-days", "5", "--knots", "2", "--slopes", "1,-1", *flags])
         assert result.returncode == 2, result.stderr
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.stderr
@@ -157,12 +163,12 @@ class TestConfigHandling:
             assert capsys.readouterr().err.startswith("error: config line 2: unknown key")
         assert not (tmp_path / "out").exists()
 
-    def test_empty_config_value_exit_2(self, tmp_path, fixtures_dir):
+    def test_empty_config_value_exit_2(self, tmp_path, fixtures_dir, capsys):
         config = tmp_path / "run.conf"
         config.write_text("from = 2019-06-01\ndf =\n", encoding="utf-8")
         for stage in ("ingest", "fit", "report"):
             flags = base_flags(fixtures_dir, tmp_path / "out")
-            result = run_cli([stage, "--config", str(config), *flags])
+            result = run_main(capsys, [stage, "--config", str(config), *flags])
             assert result.returncode == 2, result.stderr
             assert result.stderr.startswith("error: config line 2: empty value for 'df'")
             assert "Traceback" not in result.stderr
@@ -187,10 +193,10 @@ class TestConfigHandling:
              "df-per-90-inf", "df-per-90-nan", "df-per-90-zero", "df-per-90-negative",
              "normalize"],
     )
-    def test_bad_flag_value_exit_2(self, tmp_path, fixtures_dir, flag, value, message):
+    def test_bad_flag_value_exit_2(self, tmp_path, fixtures_dir, capsys, flag, value, message):
         flags = base_flags(fixtures_dir, tmp_path / "out")
         for stage in ("ingest", "fit", "report"):
-            result = run_cli([stage, *flags, flag, value])
+            result = run_main(capsys, [stage, *flags, flag, value])
             assert result.returncode == 2, result.stderr
             assert result.stderr.startswith(message)
             assert "Traceback" not in result.stderr
@@ -209,10 +215,10 @@ class TestConfigHandling:
                 else:
                     assert flags[key] == ["--" + key.replace("_", "-")], (stage, key)
 
-    def test_overflowing_df_target_exit_2(self, tmp_path, fixtures_dir):
+    def test_overflowing_df_target_exit_2(self, tmp_path, fixtures_dir, capsys):
         flags = base_flags(fixtures_dir, tmp_path / "out")
         assert main(["ingest", *flags]) == 0
-        result = run_cli(["fit", *flags, "--df-per-90", "1e308"])
+        result = run_main(capsys, ["fit", *flags, "--df-per-90", "1e308"])
         assert result.returncode == 2, result.stderr
         assert result.stderr.startswith("error: df target 1e+308 * 50 / 90 is not finite")
         assert not (tmp_path / "out" / "fits.json").exists()
@@ -526,14 +532,14 @@ class TestPipeline:
              "fits-one-observed-value", "fits-knots-emptied", "fits-float-df", "store-huge-integer",
              "fits-huge-integer-lambda", "store-share-overflow"],
     )
-    def test_damaged_upstream_exit_2(self, pipeline, fixtures_dir, tmp_path, stage, upstream, output, damage):
+    def test_damaged_upstream_exit_2(self, pipeline, fixtures_dir, tmp_path, capsys, stage, upstream, output, damage):
         out_dir = tmp_path / "damaged"
         out_dir.mkdir()
         for name in ("store.json", "fits.json", "report.json"):
             (out_dir / name).write_bytes((pipeline[0] / name).read_bytes())
         (out_dir / upstream).write_text(damage((out_dir / upstream).read_text()))
         before = (out_dir / output).read_bytes()
-        result = run_cli([*stage.split(), *base_flags(fixtures_dir, out_dir)])
+        result = run_main(capsys, [*stage.split(), *base_flags(fixtures_dir, out_dir)])
         assert result.returncode == 2, result.stderr
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.stderr
@@ -734,7 +740,7 @@ class TestWarningPaths:
         assert summary["parsed"] == 1
 
     @pytest.mark.parametrize("amount", ["inf", "-inf", "1e400", "nan", "2e9"])
-    def test_non_finite_amount_warns_without_traceback(self, tmp_path, fixtures_dir, amount):
+    def test_non_finite_amount_warns_without_traceback(self, tmp_path, fixtures_dir, capsys, amount):
         dirty = tmp_path / "dirty.txt"
         dirty.write_text(
             "C00000101|SMITH, JOHN|22903|06052019|50\n"
@@ -742,7 +748,7 @@ class TestWarningPaths:
             encoding="utf-8",
         )
         out_dir = tmp_path / "out"
-        result = run_cli([
+        result = run_main(capsys, [
             "ingest",
             "--from", "2019-06-01", "--to", "2019-06-10",
             "--candidates", "ALPHA",

@@ -2,6 +2,7 @@ import io
 import multiprocessing
 import os
 import random
+import signal
 import subprocess
 import sys
 import tempfile
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from campaigntrends import (
@@ -445,6 +446,28 @@ def donor_identity(name, zip_):
     return normalize_donor_name(name), zip5(zip_)
 
 
+class TestReduceWork:
+    def test_rows_sorted_grow_linearly_with_distinct_pairs(self, monkeypatch):
+        # Re-sorting the whole table every _CHUNK_ROWS rows would sort N**2 / _CHUNK_ROWS rows.
+        n = 20_000
+        monkeypatch.setattr(fec, "_CHUNK_ROWS", 16)
+        sorted_rows = []
+        reduce = MetricsAccumulator._reduce
+
+        def counting(acc, **folded):  # the table, the buffer and any folded table
+            sorted_rows.append(len(acc._pairs) + len(acc._rows) + len(folded.get("pairs", ())))
+            reduce(acc, **folded)
+
+        monkeypatch.setattr(MetricsAccumulator, "_reduce", counting)
+        acc = MetricsAccumulator("ALPHA")
+        for i in range(n):
+            acc.add(DonationRecord("ALPHA", f"donor {i}", "22903", D1, 100))
+        metrics = acc.finalize(DateRange(D1, D3))
+        assert metrics.donors.values.tolist() == [n, 0, 0]
+        assert metrics.amount.values.tolist() == [n, 0, 0]
+        assert sum(sorted_rows) <= 8 * n
+
+
 class TestDonorKey:
     def test_shared_exactly_when_identity_agrees_on_spellings(self):
         pairs = [(n, z) for n in NAME_SPELLINGS for z in ZIP_SPELLINGS + WIDE_ZIPS]
@@ -476,7 +499,8 @@ def fec_byte_files(draw):
     lines (also inside a character), blank lines, maybe one line longer than
     a third of the file, maybe no final newline, and as few as no lines.
     """
-    lines = [line.encode() for line in draw(fec_line_streams())]
+    # LINE_TEXT can draw a lone surrogate, which becomes the invalid UTF-8 b"\xed\xa0\x80".
+    lines = [line.encode("utf-8", "surrogatepass") for line in draw(fec_line_streams())]
     if draw(st.booleans()):
         name = draw(st.sampled_from(NAME_SPELLINGS)) * 300
         lines.insert(draw(st.integers(0, len(lines))), f"C001|{name}|22903|06052019|10".encode())
@@ -535,6 +559,8 @@ class TestShardedPath:
 
     @settings(max_examples=20, deadline=None)
     @given(data=fec_byte_files(), shards=st.integers(2, 3))
+    @example(data="C001|Smith\ud800|22903|06012019|10\nC001|Smith|22903|06012019|5\n".encode(
+        "utf-8", "surrogatepass"), shards=2)
     def test_matches_one_pass(self, data, shards):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "fec.txt"
@@ -642,15 +668,25 @@ class TestShardedPath:
     def test_error_in_this_process_stops_the_workers(self, fixtures_dir, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(fec, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(fec, "_SHARD_MIN_BYTES", 1024)
+        started = []
+        start = fec._start_worker
+
+        def keep(*args):
+            worker, receiver = start(*args)
+            started.append(worker)
+            return worker, receiver
 
         def fail(*args):
             raise OSError("read error in range 0")
 
+        monkeypatch.setattr(fec, "_start_worker", keep)
         monkeypatch.setattr(fec, "accumulate_fec_file", fail)  # spawned workers keep the real one
         code = main(["ingest", *ingest_flags(fixtures_dir, fixtures_dir / "fec_sample.txt", tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err == "error: read error in range 0\n"
         assert multiprocessing.active_children() == []
+        # stopped, not left to parse their ranges to the end
+        assert [worker.exitcode for worker in started] == [-signal.SIGTERM] * 2
 
     def test_worker_that_dies_without_a_result_is_an_error(self):
         context = multiprocessing.get_context("spawn")
