@@ -131,6 +131,14 @@ def _cmd_ingest(config: AnalysisConfig) -> int:
             raise CampaignTrendsError(f"input file not found: {path}")
     if config.poll_csv is not None and not config.poll_csv.exists():
         raise CampaignTrendsError(f"input file not found: {config.poll_csv}")
+    # one file under two spellings would be counted twice
+    files_seen: set[tuple[int, int]] = set()
+    for path in config.fec_files:
+        stat = path.stat()
+        identity = (stat.st_dev, stat.st_ino)
+        if identity in files_seen:
+            raise CampaignTrendsError(f"fec file {path} listed twice")
+        files_seen.add(identity)
 
     with open(config.committee_map, encoding="utf-8-sig") as handle:
         committee_map = fec.load_committee_map(handle)

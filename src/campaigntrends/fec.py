@@ -20,6 +20,9 @@ candidate's ``MetricsAccumulator`` through ``_push``, which buffers at most
 ``max(_CHUNK_ROWS, pairs / 4)`` rows before folding them into per-candidate
 (donor, day) cent sums in NumPy arrays, so ingest memory and sorting work
 grow with the distinct (donor, day) pairs, not with the number of lines.
+A fold is one sort of the pairs so far and the rows, then one sum per run
+of equal pairs, and its temporaries stay within six 8-byte words per row
+folded.
 ``accumulate_fec_path`` runs that kernel over a file in parallel: it cuts
 the file into byte ranges that end just after a newline byte, at most one
 per usable CPU and each at least ``_SHARD_MIN_BYTES`` long, parses range 0
@@ -301,8 +304,12 @@ class MetricsAccumulator:
     cents) row. Once ``max(_CHUNK_ROWS, pairs // 4)`` rows are buffered,
     ``_reduce`` folds them into the sorted distinct (donor, day) cent sums,
     so memory holds one row per distinct pair plus at most that many rows,
-    and each buffered row pays for at most five rows sorted. Gifts dated
-    before any analysis window still decide who is a first-time donor inside it.
+    and each buffered row pays for at most five rows sorted. A fold is one
+    ``argsort`` of the table and the rows, then ``np.add.reduceat`` over
+    each run of equal pairs; at most four of the row-sized arrays it makes
+    are alive at a time, which keeps its temporaries within six 8-byte
+    words per row folded. Gifts dated before any analysis window still
+    decide who is a first-time donor inside it.
     """
 
     def __init__(self, candidate_id: str) -> None:
@@ -334,19 +341,35 @@ class MetricsAccumulator:
             pairs = cents = np.empty(0, np.int64)
         if not self._rows and not len(pairs):
             return
-        # Rebinding pairs and cents, then the buffer, frees the folded table and the rows before the sort.
         pairs = np.concatenate([self._pairs, np.frombuffer(self._rows, np.int64), pairs])
         cents = np.concatenate([self._pair_cents, np.frombuffer(self._row_cents, np.int64), cents])
+        # The copies now hold the old table and the rows, so both are freed before the sort.
+        self._pairs = self._pair_cents = np.empty(0, np.int64)
         self._rows, self._row_cents = array("q"), array("q")
-        self._pairs, inverse = np.unique(pairs, return_inverse=True)
-        self._pair_cents = np.zeros(len(self._pairs), np.int64)
-        np.add.at(self._pair_cents, inverse, cents)
+        # One sort, then one sum per run of equal pairs; integer sums do not depend on the order.
+        # Each row-sized array is dropped once used, so at most four new ones are alive at a time.
+        order = pairs.argsort()
+        pairs = pairs[order]
+        cents = cents[order]
+        del order
+        starts = np.flatnonzero(np.concatenate(([True], pairs[1:] != pairs[:-1])))
+        self._pairs = pairs[starts]
+        del pairs
+        self._pair_cents = np.add.reduceat(cents, starts)
 
     def _fold(self, keys: list[bytes], pairs: np.ndarray, cents: np.ndarray) -> None:
         """Add another accumulator's (donor, day) cent sums, its donor keys in id order."""
         ids = self._donor_ids
-        remap = np.array([ids.setdefault(key, len(ids)) for key in keys], np.int64)
-        self._reduce(pairs=remap[pairs >> _DAY_BITS] << _DAY_BITS | pairs & _DAY_MASK, cents=cents)
+        # A packed pair of its donor i plus shift[i] is the same pair under that donor's id here.
+        shift = np.array([ids.setdefault(key, len(ids)) for key in keys], np.int64)
+        shift -= np.arange(len(keys))
+        shift <<= _DAY_BITS
+        # The one new pair-sized array. take reads each index before it writes that slot, and
+        # writes out directly in any mode but "raise", which would copy out first.
+        folded = pairs >> _DAY_BITS
+        np.take(shift, folded, out=folded, mode="clip")
+        folded += pairs
+        self._reduce(pairs=folded, cents=cents)
 
     @property
     def first_seen(self) -> np.ndarray:

@@ -145,6 +145,20 @@ class TestConfigHandling:
         flags[idx + 1] = str(tmp_path / "nope.csv")
         assert main(["ingest", *flags]) == 2
 
+    @pytest.mark.parametrize("spelling", ["dot-dot", "symlink"])
+    def test_fec_file_listed_twice_exit_2(self, tmp_path, fixtures_dir, capsys, spelling):
+        fec_file = fixtures_dir / "fec_sample.txt"
+        if spelling == "symlink":
+            again = tmp_path / "link.txt"
+            again.symlink_to(fec_file)
+        else:
+            again = fixtures_dir / ".." / fixtures_dir.name / "fec_sample.txt"
+        flags = base_flags(fixtures_dir, tmp_path / "out")
+        result = run_main(capsys, ["ingest", *flags, "--fec-file", str(again)])
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == f"error: fec file {again} listed twice\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_keys_exit_2(self, tmp_path):
         assert main(["ingest", "--out", str(tmp_path)]) == 2
 

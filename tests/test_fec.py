@@ -7,6 +7,8 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
+from array import array
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -466,6 +468,29 @@ class TestReduceWork:
         assert metrics.donors.values.tolist() == [n, 0, 0]
         assert metrics.amount.values.tolist() == [n, 0, 0]
         assert sum(sorted_rows) <= 8 * n
+
+    def test_reduce_transient_memory_is_bounded(self):
+        # A fold is one sort and segment sums: its temporaries stay within six words per row folded.
+        table_pairs, buffered = 400_000, 100_000
+        rng = np.random.default_rng(0)
+        i = rng.permutation(table_pairs + buffered)
+        packed = (i // 3) << fec._DAY_BITS | (D1.toordinal() + i % 3)  # all distinct
+        acc = MetricsAccumulator("ALPHA")
+        acc._pairs = np.sort(packed[:table_pairs])
+        acc._pair_cents = np.full(table_pairs, 100, np.int64)
+        acc._rows = array("q", packed[table_pairs:].tobytes())
+        acc._row_cents = array("q", np.full(buffered, 7, np.int64).tobytes())
+        del i, packed
+        tracemalloc.start()
+        try:
+            acc._reduce()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * (table_pairs + buffered)
+        assert len(acc._pairs) == table_pairs + buffered
+        assert np.all(np.diff(acc._pairs) > 0)
+        assert acc._pair_cents.sum() == 100 * table_pairs + 7 * buffered
 
 
 class TestDonorKey:
