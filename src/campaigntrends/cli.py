@@ -9,11 +9,15 @@ Subcommands:
 
 Stage flags come from ``config.KEYS`` (dest = key), so build_config parses flag
 and file values alike; only ``--config`` and ``--fec-file`` are declared here.
-fit and report share one check that their upstream file was made for this run.
+One reader takes every user CSV and one every upstream document, with one
+check that it was made for this run; one writer writes every document.
+ingest reads the committee map and the poll CSV before any FEC line, so a
+missing or bad poll CSV exits 2 at once.
 
 Exit codes: 0 clean, 1 completed with warnings (malformed input lines,
-non-converged fits, unreachable df targets), 2 unusable input. fit and
-report print one ``warning: <candidate>/<metric>: ...`` line per such fit.
+non-converged fits, unreachable df targets), 2 unusable input, whose one
+``error: ...`` line only ``main`` prints. fit and report print one
+``warning: <candidate>/<metric>: ...`` line per such fit.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import json
 import sys
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from . import fec, polls, store, synth
 from .analysis import (
@@ -118,6 +122,39 @@ def _config_from_args(args: argparse.Namespace) -> AnalysisConfig:
     return config
 
 
+def _input_path(path: Path) -> Path:
+    """``path``, or exit 2 when no file is there."""
+    if not path.exists():
+        raise CampaignTrendsError(f"input file not found: {path}")
+    return path
+
+
+def _input_lines(path: Path) -> list[str]:
+    """The lines of a user CSV, read as UTF-8 with an optional BOM."""
+    with open(_input_path(path), encoding="utf-8-sig") as handle:
+        try:
+            return handle.readlines()
+        except UnicodeDecodeError as exc:
+            raise CampaignTrendsError(f"{path} is not valid UTF-8: {exc}") from None
+
+
+def _write(config: AnalysisConfig, name: str, document: dict[str, Any]) -> Path:
+    """Write one pipeline document into the output directory; return its path."""
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    path = config.out_dir / name
+    with open(path, "w", encoding="utf-8") as handle:
+        store.write_store(handle, document)
+    return path
+
+
+def _exit_with_warnings(warnings: list[str | None]) -> int:
+    """Print each warning line on stderr; exit 1 when there was one."""
+    lines = [line for line in warnings if line is not None]
+    for line in lines:
+        print(line, file=sys.stderr)
+    return EXIT_WARNINGS if lines else EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # ingest
 # ---------------------------------------------------------------------------
@@ -126,44 +163,32 @@ def _config_from_args(args: argparse.Namespace) -> AnalysisConfig:
 def _cmd_ingest(config: AnalysisConfig) -> int:
     if config.committee_map is None or not config.fec_files:
         raise CampaignTrendsError("ingest needs committee_map and at least one fec_files entry")
-    for path in (config.committee_map, *config.fec_files):
-        if not path.exists():
-            raise CampaignTrendsError(f"input file not found: {path}")
-    if config.poll_csv is not None and not config.poll_csv.exists():
-        raise CampaignTrendsError(f"input file not found: {config.poll_csv}")
+    committee_map = fec.load_committee_map(_input_lines(config.committee_map))
+    series: dict[str, dict[str, Any]] = {candidate: {} for candidate in config.candidates}
+    if config.poll_csv is not None:
+        poll_lines = _input_lines(config.poll_csv)
+        for candidate, metrics in series.items():
+            poll = polls.load_poll_series(poll_lines, candidate, config.range)
+            metrics[POLL_METRIC] = store.series_to_json(poll)
     # one file under two spellings would be counted twice
     files_seen: set[tuple[int, int]] = set()
     for path in config.fec_files:
-        stat = path.stat()
+        stat = _input_path(path).stat()
         identity = (stat.st_dev, stat.st_ino)
         if identity in files_seen:
             raise CampaignTrendsError(f"fec file {path} listed twice")
         files_seen.add(identity)
 
-    with open(config.committee_map, encoding="utf-8-sig") as handle:
-        committee_map = fec.load_committee_map(handle)
-
     counters = fec.IngestCounters()
     accumulators = {c: fec.MetricsAccumulator(c) for c in config.candidates}
     for path in config.fec_files:
         fec.accumulate_fec_path(path, committee_map, accumulators, counters)
+    for candidate, metrics in series.items():
+        donations = accumulators[candidate].finalize(config.range).series()
+        metrics.update((label, store.series_to_json(ts)) for label, ts in donations.items())
 
-    poll_lines: list[str] | None = None
-    if config.poll_csv is not None:
-        with open(config.poll_csv, encoding="utf-8-sig") as handle:
-            poll_lines = handle.readlines()
-
-    series: dict[str, dict[str, Any]] = {}
-    for candidate in config.candidates:
-        metrics = accumulators[candidate].finalize(config.range)
-        series[candidate] = {
-            label: store.series_to_json(ts) for label, ts in metrics.series().items()
-        }
-        if poll_lines is not None:
-            poll = polls.load_poll_series(poll_lines, candidate, config.range)
-            series[candidate][POLL_METRIC] = store.series_to_json(poll)
-
-    document = {
+    summary = counters.as_dict()
+    _write(config, "store.json", {
         "schema_version": store.SCHEMA_VERSION,
         "range": {"from": config.date_from.isoformat(), "to": config.date_to.isoformat()},
         "candidates": sorted(config.candidates),
@@ -174,22 +199,16 @@ def _cmd_ingest(config: AnalysisConfig) -> int:
                 f"runs above {polls.MAX_POLL_GAP_DAYS} missing days are rejected"
             ),
         },
-        "ingest_summary": counters.as_dict(),
+        "ingest_summary": summary,
         "series": series,
-    }
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    with open(config.out_dir / "store.json", "w", encoding="utf-8") as handle:
-        store.write_store(handle, document)
-    with open(config.out_dir / "ingest_summary.json", "w", encoding="utf-8") as handle:
-        store.write_store(handle, counters.as_dict())
-    print(json.dumps(counters.as_dict(), sort_keys=True))
-
-    warnings = counters.malformed > 0 or counters.parsed == 0
-    if counters.parsed == 0:
-        print("warning: no donation records parsed", file=sys.stderr)
-    elif counters.malformed:
-        print(f"warning: {counters.malformed} malformed lines skipped", file=sys.stderr)
-    return EXIT_WARNINGS if warnings else EXIT_OK
+    })
+    _write(config, "ingest_summary.json", summary)
+    print(json.dumps(summary, sort_keys=True))
+    return _exit_with_warnings([
+        "warning: no donation records parsed" if counters.parsed == 0
+        else f"warning: {counters.malformed} malformed lines skipped" if counters.malformed
+        else None
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -197,15 +216,19 @@ def _cmd_ingest(config: AnalysisConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_upstream(path: Path, stage: str) -> dict[str, Any]:
-    """Read the pipeline file at ``path``, which ``stage`` writes."""
+def _read_upstream(path: Path, stage: str, what: str, decode: Callable[[dict], Any]) -> Any:
+    """Read and ``decode`` the pipeline file at ``path``, which ``stage`` writes."""
     if not path.exists():
         raise CampaignTrendsError(f"{path.stem} not found: {path} (run {stage} first)")
     with open(path, encoding="utf-8") as handle:
         try:
-            return store.read_store(handle)
+            document = store.read_store(handle)
         except ValueError as exc:  # json.JSONDecodeError, UnicodeDecodeError
             raise CampaignTrendsError(f"{path} is not valid JSON: {exc}") from None
+    try:
+        return decode(document)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise CampaignTrendsError(f"malformed {what} in {path}: {exc!r}") from None
 
 
 def _check_upstream(
@@ -235,31 +258,22 @@ def _fit_warning(candidate: str, metric: str, fit: TrendFit, target: int) -> str
     return f"warning: {candidate}/{metric}: {'; '.join(problems)}" if problems else None
 
 
-def _exit_with_warnings(warnings: list[str | None]) -> int:
-    """Print each warning line on stderr; exit 1 when there was one."""
-    lines = [line for line in warnings if line is not None]
-    for line in lines:
-        print(line, file=sys.stderr)
-    return EXIT_WARNINGS if lines else EXIT_OK
-
-
 def _cmd_fit(config: AnalysisConfig) -> int:
     if config.normalize == "share" and len(config.candidates) < 2:
         raise CampaignTrendsError(
             "normalize = share needs at least two candidates (each day's share of a "
             f"one-candidate total is 1.0); got {','.join(config.candidates)}"
         )
-    store_path = config.out_dir / "store.json"
-    document = _read_upstream(store_path, "ingest")
-    try:
-        span = f"{document['range']['from']}..{document['range']['to']}"
-        candidates = sorted(document["candidates"])
-        series_map = {
-            candidate: {metric: store.series_from_json(obj) for metric, obj in metrics.items()}
-            for candidate, metrics in document["series"].items()
-        }
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise CampaignTrendsError(f"malformed store in {store_path}: {exc!r}") from None
+    span, candidates, series_map = _read_upstream(
+        config.out_dir / "store.json", "ingest", "store", lambda document: (
+            f"{document['range']['from']}..{document['range']['to']}",
+            sorted(document["candidates"]),
+            {
+                candidate: {metric: store.series_from_json(obj) for metric, obj in metrics.items()}
+                for candidate, metrics in document["series"].items()
+            },
+        ),
+    )
     _check_upstream(config, "store", "ingest", {span}, candidates)
     if config.normalize == "share":
         # each donation metric becomes its daily cross-candidate share;
@@ -281,17 +295,14 @@ def _cmd_fit(config: AnalysisConfig) -> int:
             warnings.append(_fit_warning(candidate, metric, fit, target))
             records.append(store.fit_to_record(candidate, metric, ts, fit, target))
 
-    document = {
+    path = _write(config, "fits.json", {
         "schema_version": store.SCHEMA_VERSION,
         "normalize": config.normalize,
         "records": records,
-    }
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    with open(config.out_dir / "fits.json", "w", encoding="utf-8") as handle:
-        store.write_store(handle, document)
+    })
     with open(config.out_dir / "fits_long.csv", "w", encoding="utf-8") as handle:
         store.write_fits_long_csv(handle, records)
-    print(f"fitted {len(records)} series -> {config.out_dir / 'fits.json'}")
+    print(f"fitted {len(records)} series -> {path}")
     return _exit_with_warnings(warnings)
 
 
@@ -301,21 +312,18 @@ def _cmd_fit(config: AnalysisConfig) -> int:
 
 
 def _cmd_report(config: AnalysisConfig) -> int:
-    fits_path = config.out_dir / "fits.json"
-    fits_doc = _read_upstream(fits_path, "fit")
-    if fits_doc.get("normalize") != config.normalize:
-        raise CampaignTrendsError(
-            f"fits were produced with normalize={fits_doc.get('normalize')!r}; "
-            f"re-run fit or pass --normalize {fits_doc.get('normalize')}"
-        )
-
-    try:
-        decoded = [
+    def decode(fits_doc: dict[str, Any]) -> list[tuple[str, str, int, date, TrendFit]]:
+        if fits_doc.get("normalize") != config.normalize:
+            raise CampaignTrendsError(
+                f"fits were produced with normalize={fits_doc.get('normalize')!r}; "
+                f"re-run fit or pass --normalize {fits_doc.get('normalize')}"
+            )
+        return [
             (record["candidate"], record["metric"], record["target_df"], *store.fit_from_record(record))
             for record in fits_doc["records"]
         ]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise CampaignTrendsError(f"malformed fit record in {fits_path}: {exc!r}") from None
+
+    decoded = _read_upstream(config.out_dir / "fits.json", "fit", "fit record", decode)
     spans = {f"{start}..{start + timedelta(days=len(fit.fitted) - 1)}" for *_, start, fit in decoded}
     _check_upstream(config, "fits", "fit", spans, {candidate for candidate, *_ in decoded})
 
@@ -345,23 +353,18 @@ def _cmd_report(config: AnalysisConfig) -> int:
                     }
                     for cp in cps
                 ],
-                "falling_regions": [
-                    {"start": r.start.isoformat(), "end": r.end.isoformat()}
-                    for r in regions.falling
-                ],
-                "rising_regions": [
-                    {"start": r.start.isoformat(), "end": r.end.isoformat()}
-                    for r in regions.rising
-                ],
+                **{
+                    f"{kind}_regions": [
+                        {"start": r.start.isoformat(), "end": r.end.isoformat()} for r in runs
+                    ]
+                    for kind, runs in (("falling", regions.falling), ("rising", regions.rising))
+                },
             }
         )
 
     events = []
     if config.events_csv is not None:
-        if not config.events_csv.exists():
-            raise CampaignTrendsError(f"input file not found: {config.events_csv}")
-        with open(config.events_csv, encoding="utf-8-sig") as handle:
-            event_list = load_events(handle)
+        event_list = load_events(_input_lines(config.events_csv))
         labeled = [
             (f"{candidate}/{metric}", cp)
             for (candidate, metric), cps in sorted(cps_by_series.items())
@@ -425,10 +428,7 @@ def _cmd_report(config: AnalysisConfig) -> int:
     problems = store.validate_report(document)
     if problems:
         raise CampaignTrendsError(f"internal report validation failed: {problems[:3]}")
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    with open(config.out_dir / "report.json", "w", encoding="utf-8") as handle:
-        store.write_store(handle, document)
-    print(f"report -> {config.out_dir / 'report.json'}")
+    print(f"report -> {_write(config, 'report.json', document)}")
     return _exit_with_warnings(warnings)
 
 
@@ -443,11 +443,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         slopes = [float(s) for s in args.slopes.split(",") if s.strip() != ""]
         start = date.fromisoformat(args.start_date)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNUSABLE
+        raise CampaignTrendsError(str(exc)) from None
     if args.n_days - 1 > (date.max - start).days:
-        print(f"error: {args.n_days} days from {start} run past {date.max}", file=sys.stderr)
-        return EXIT_UNUSABLE
+        raise CampaignTrendsError(f"{args.n_days} days from {start} run past {date.max}")
     values = synth.synth_values(args.n_days, knots, slopes, args.noise_sd, args.seed)
     out = sys.stdout
     out.write("date,day,value\n")

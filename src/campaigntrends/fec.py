@@ -6,12 +6,14 @@ is malformed, and fields past the fifth are ignored; a real FEC bulk file
 maps onto the layout with ``cut -d'|' -f1,8,11,14,15``. Parsing is
 streaming and never aborts mid-file: lines that cannot be parsed, or whose
 committee has no candidate mapping, are counted and skipped. Amounts are
-dollars; a non-finite amount, or one beyond ``MAX_AMOUNT_DOLLARS`` either
-way, makes its line malformed. Donor identity is the normalized name plus
-the first five zip digits (``normalize_donor_name`` and ``zip5``), held as
-one ``bytes`` key per donor (``_donor_key``), and a donor counts as "new" to
-a candidate on the day of their first-ever positive donation to that
-candidate, no matter how often they have given to anyone else.
+dollars and dates MMDDYYYY, both written in ASCII; a date or amount in other
+scripts' digits or holding ``_``, a non-finite amount, or one beyond
+``MAX_AMOUNT_DOLLARS`` either way makes its line malformed. Donor identity
+is the normalized name plus the first five zip digits
+(``normalize_donor_name`` and ``zip5``), held as one ``bytes`` key per donor
+(``_donor_key``), and a donor counts as "new" to a candidate on the day of
+their first-ever positive donation to that candidate, no matter how often
+they have given to anyone else.
 
 Per candidate and day the module produces four series: distinct donors,
 first-time donors, total dollars, and dollars from first-time donors.
@@ -179,7 +181,7 @@ def _donor_key(name: str, zip_: str) -> bytes:
 def _parse_day(text: str) -> int | None:
     """Ordinal of an MMDDYYYY date inside the plausible window, else None."""
     text = text.strip()
-    if len(text) != 8 or not text.isdigit():
+    if len(text) != 8 or not (text.isascii() and text.isdigit()):
         return None
     try:
         when = date(int(text[4:8]), int(text[0:2]), int(text[2:4]))
@@ -189,8 +191,13 @@ def _parse_day(text: str) -> int | None:
 
 
 def _parse_amount_cents(text: str) -> int | None:
+    """Cents of a dollar amount written in ASCII, else None.
+
+    ``float`` alone would also read other scripts' digits and ``_`` between
+    digits.
+    """
     text = text.strip()
-    if not text:
+    if not text or not text.isascii() or "_" in text:
         return None
     try:
         dollars = float(text)

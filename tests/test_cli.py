@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from campaigntrends import TimeSeries, fit_with_target_df, solve_tf
-from campaigntrends import config
+from campaigntrends import config, fec
 from campaigntrends.cli import _build_parser, _fit_warning, main
 from campaigntrends.store import fit_from_record, fit_to_record, validate_report
 from conftest import bendy_signal
@@ -776,3 +776,57 @@ class TestWarningPaths:
         summary = json.loads((out_dir / "ingest_summary.json").read_text())
         assert summary["malformed"] == 1
         assert summary["parsed"] == 1
+
+
+def no_fec_line(*args):
+    raise AssertionError("ingest read an FEC line before it rejected a small input")
+
+
+class TestInputFiles:
+    """Each user input reaches its stage through one reader; a bad one exits 2 first."""
+
+    def run_with_input(self, pipeline, fixtures_dir, tmp_path, capsys, monkeypatch, flag, path):
+        """Run the stage that reads ``flag``'s file with that flag set to ``path``.
+
+        ingest runs with ``fec.accumulate_fec_path`` made to fail, so it must
+        stop before any FEC line; report runs on copies of the pipeline's
+        store.json and fits.json. Returns the result and the file the stage
+        would have written.
+        """
+        out_dir = tmp_path / "out"
+        flags = base_flags(fixtures_dir, out_dir)
+        flags[flags.index(flag) + 1] = str(path)
+        if flag == "--events-csv":
+            out_dir.mkdir()
+            for name in ("store.json", "fits.json"):
+                (out_dir / name).write_bytes((pipeline[0] / name).read_bytes())
+            return run_main(capsys, ["report", *flags]), out_dir / "report.json"
+        monkeypatch.setattr(fec, "accumulate_fec_path", no_fec_line)
+        return run_main(capsys, ["ingest", *flags]), out_dir / "store.json"
+
+    @pytest.mark.parametrize("flag", ["--committee-map", "--fec-file", "--poll-csv", "--events-csv"])
+    def test_missing_input_exit_2(self, pipeline, fixtures_dir, tmp_path, capsys, monkeypatch, flag):
+        missing = tmp_path / "missing.csv"
+        result, output = self.run_with_input(
+            pipeline, fixtures_dir, tmp_path, capsys, monkeypatch, flag, missing)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == f"error: input file not found: {missing}\n"
+        assert not output.exists()
+
+    @pytest.mark.parametrize("flag", ["--committee-map", "--poll-csv", "--events-csv"])
+    @pytest.mark.parametrize(
+        "content, message",
+        [(b"when,who\n", "must have header"), (b"date,label\n\xff\n", "is not valid UTF-8")],
+        ids=["bad-header", "not-utf8"],
+    )
+    def test_bad_input_csv_exit_2(
+        self, pipeline, fixtures_dir, tmp_path, capsys, monkeypatch, flag, content, message
+    ):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(content)
+        result, output = self.run_with_input(
+            pipeline, fixtures_dir, tmp_path, capsys, monkeypatch, flag, bad)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: ") and message in result.stderr
+        assert result.stderr.count("\n") == 1
+        assert not output.exists()

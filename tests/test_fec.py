@@ -136,10 +136,11 @@ class TestParseFecFile:
             "C001|A|22903|13452019|50",
             "C001|B|22903|06152019|fifty",
             "C001|C|22903|06152010|50",  # outside the plausible window
+            "C001|D|22903|\u0660\u0666\u0661\u0665\u0662\u0660\u0661\u0669|50",  # Arabic-Indic digits
         ]
         records, counters = parse_lines(lines)
         assert records == []
-        assert counters.malformed == 3
+        assert counters.malformed == 4
 
     def test_never_aborts_mid_file(self):
         lines = [
@@ -175,6 +176,7 @@ class TestParseFecFile:
 
     @pytest.mark.parametrize("amount", [
         "inf", "-inf", "Infinity", "1e400", "-1e400", "nan", "1000000000.01", "-1000000000.01",
+        "1_000", "\u0661\u0665",  # float() reads both: 1000.0 and 15.0
     ])
     def test_non_finite_or_huge_amount_is_malformed(self, amount):
         records, counters = parse_lines([f"C001|SMITH|22903|06152019|{amount}"])
