@@ -9,8 +9,9 @@ Subcommands:
 
 Stage flags come from ``config.KEYS`` (dest = key), so build_config parses flag
 and file values alike; only ``--config`` and ``--fec-file`` are declared here.
-One reader takes every user CSV and one every upstream document, with one
-check that it was made for this run; one writer writes every document.
+One reader takes every user CSV and the config file, and one every upstream
+document, with one check that it was made for this run; one writer writes
+every document.
 ingest reads the committee map and the poll CSV before any FEC line, so a
 missing or bad poll CSV exits 2 at once.
 
@@ -40,7 +41,7 @@ from .analysis import (
     normalize_share,
     trend_regions,
 )
-from .config import KEYS, AnalysisConfig, build_config, load_config_file
+from .config import KEYS, AnalysisConfig, build_config, parse_config_lines
 from .exceptions import CampaignTrendsError
 from .trendfilter import (
     TrendFit,
@@ -111,9 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> AnalysisConfig:
     raw: dict[str, str] = {}
     if args.config is not None:
-        if not args.config.exists():
-            raise CampaignTrendsError(f"config file not found: {args.config}")
-        raw.update(load_config_file(args.config))
+        raw.update(parse_config_lines(_input_lines(args.config)))
     # each config flag's dest is its config key; build_config parses the values
     raw.update({k: v for k, v in vars(args).items() if k in KEYS and v is not None})
     config = build_config(raw)
@@ -130,7 +129,7 @@ def _input_path(path: Path) -> Path:
 
 
 def _input_lines(path: Path) -> list[str]:
-    """The lines of a user CSV, read as UTF-8 with an optional BOM."""
+    """The lines of a user text file, read as UTF-8 with an optional BOM."""
     with open(_input_path(path), encoding="utf-8-sig") as handle:
         try:
             return handle.readlines()
@@ -248,6 +247,11 @@ def _check_upstream(
         )
 
 
+def _span(start: date, days: int) -> str:
+    """The 'from..to' text of ``days`` days from ``start``."""
+    return f"{start}..{start + timedelta(days=days - 1)}"
+
+
 def _fit_warning(candidate: str, metric: str, fit: TrendFit, target: int) -> str | None:
     """The stderr line for a non-converged or ``df_warning`` fit, else None."""
     problems = []
@@ -264,17 +268,18 @@ def _cmd_fit(config: AnalysisConfig) -> int:
             "normalize = share needs at least two candidates (each day's share of a "
             f"one-candidate total is 1.0); got {','.join(config.candidates)}"
         )
-    span, candidates, series_map = _read_upstream(
+    span, series_map = _read_upstream(
         config.out_dir / "store.json", "ingest", "store", lambda document: (
             f"{document['range']['from']}..{document['range']['to']}",
-            sorted(document["candidates"]),
             {
                 candidate: {metric: store.series_from_json(obj) for metric, obj in metrics.items()}
                 for candidate, metrics in document["series"].items()
             },
         ),
     )
-    _check_upstream(config, "store", "ingest", {span}, candidates)
+    # the header's range, and the spans and candidates of the series fit reads, must be this run's
+    spans = {_span(ts.start_date, len(ts)) for metrics in series_map.values() for ts in metrics.values()}
+    _check_upstream(config, "store", "ingest", {span, *spans}, series_map)
     if config.normalize == "share":
         # each donation metric becomes its daily cross-candidate share;
         # poll averages are already population shares
@@ -324,7 +329,7 @@ def _cmd_report(config: AnalysisConfig) -> int:
         ]
 
     decoded = _read_upstream(config.out_dir / "fits.json", "fit", "fit record", decode)
-    spans = {f"{start}..{start + timedelta(days=len(fit.fitted) - 1)}" for *_, start, fit in decoded}
+    spans = {_span(start, len(fit.fitted)) for *_, start, fit in decoded}
     _check_upstream(config, "fits", "fit", spans, {candidate for candidate, *_ in decoded})
 
     warnings = []

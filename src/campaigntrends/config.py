@@ -3,8 +3,10 @@
 The config file is one flat table in TOML-like syntax: one ``key = value``
 per line, ``#`` comments, strings optionally quoted, dates in ISO form and
 lists comma-separated. An empty value, bare or quoted, is an error, and so
-is anything but a comment after a closing quote. A leading UTF-8
-byte-order mark is skipped.
+is anything but a comment after a closing quote. ``parse_config_lines``
+parses the lines; the CLI reads them as it reads every user text file
+(``cli._input_lines``): UTF-8 with an optional byte-order mark, where a
+missing file or one that is not UTF-8 exits 2.
 
 ``KEYS`` declares each key once: its ``AnalysisConfig`` field, its parser
 and the help of its flag ``--key`` (``_`` written ``-``). Flags win over file
@@ -38,7 +40,7 @@ from typing import Any, Callable, Iterable
 from .exceptions import InvalidValueError
 from .timeseries import DateRange
 
-__all__ = ["KEYS", "AnalysisConfig", "build_config", "load_config_file", "parse_config_lines"]
+__all__ = ["KEYS", "AnalysisConfig", "build_config", "parse_config_lines"]
 
 
 def _parser(convert: Callable[[str], Any], noun: str) -> Callable[[str], Any]:
@@ -147,11 +149,6 @@ def parse_config_lines(lines: Iterable[str]) -> dict[str, str]:
             raise InvalidValueError(f"config line {lineno}: empty value for {key!r}")
         table[key] = value
     return table
-
-
-def load_config_file(path: Path) -> dict[str, str]:
-    with open(path, encoding="utf-8-sig") as handle:
-        return parse_config_lines(handle)
 
 
 def build_config(raw: dict[str, str]) -> AnalysisConfig:

@@ -30,16 +30,17 @@ the file into byte ranges that end just after a newline byte, at most one
 per usable CPU and each at least ``_SHARD_MIN_BYTES`` long, parses range 0
 itself while spawned worker processes parse the others, and folds their
 counters and pair sums into its own accumulators. One reader,
-``_range_text``, decodes every range. The series do not depend on line
-order, so the result equals one pass over the file. A file under two
-ranges' worth of bytes, a pipe, or a process allowed one CPU is all range 0,
-parsed in one process. Workers reopen the file by its resolved path and
-check that it is the file that was cut, and they import the caller's
-``__main__`` script again, which must therefore guard its entry point. Each
-process holds the distinct (donor, day) pairs of its own range, so memory
-grows with those per process. The committee_id,candidate_id map that
-assigns committees to candidates is a CSV read through
-``store.read_csv_table``.
+``_range_text``, decodes every range and skips a UTF-8 BOM at the start of
+the file. The series do not depend on line order, so the result equals one
+pass over the file. A file under two ranges' worth of bytes, a pipe, a
+process allowed one CPU, or a platform without ``os.preadv`` is all range
+0, parsed in one process. Each worker is sent the descriptor this process
+opened and reads its range by position, so every range comes from the file
+that was cut. Workers import the caller's ``__main__`` script again, which
+must therefore guard its entry point. Each process holds the distinct
+(donor, day) pairs of its own range, so memory grows with those per
+process. The committee_id,candidate_id map that assigns committees to
+candidates is a CSV read through ``store.read_csv_table``.
 """
 
 from __future__ import annotations
@@ -443,57 +444,47 @@ def accumulate_fec_path(
     Spawned workers run ``accumulate_fec_file`` over ranges 1..k-1 while
     this process parses range 0, then their counters and (donor, day) cent
     sums are folded into ``counters`` and ``accumulators``. Each range is
-    decoded as UTF-8 with replacement, and a newline byte never falls
-    inside a character or a CRLF pair, so the result equals one pass over
-    the file. A file that is not cut, such as a small one or a pipe (whose
-    size reads 0), is one range 0 read as one stream by the same reader.
+    decoded as UTF-8 with replacement, range 0 skipping a leading BOM, and
+    a newline byte never falls inside a character or a CRLF pair, so the
+    result equals one pass over the file. A file that is not cut, such as
+    a small one or a pipe (whose size reads 0), or any file where
+    ``os.preadv`` is missing, is one range 0 read as one stream by the same
+    reader.
 
-    A worker opens the file by its resolved path, so a file that this path
-    no longer names (say, a deleted file still open as ``/dev/stdin``) is
-    read as one stream too. The worker checks that it opened the file this
-    process measured (same device, inode and size); if not, or if it
-    cannot read its range, the error is raised here. A worker that
-    ends without a result raises ``CampaignTrendsError``; every worker is
-    joined. Spawned workers import the caller's ``__main__`` script again,
-    so a script that calls this on a large file must do so under
-    ``if __name__ == "__main__":``.
+    Each worker is sent the descriptor this process opened
+    (``multiprocessing.reduction.send_handle``) and reads its range by
+    position, so every range is read from the file that was cut, even once
+    ``path`` names another file or none. A range that cannot be read raises
+    its error here. A worker that ends without a result raises
+    ``CampaignTrendsError``; every worker is joined. Spawned workers import
+    the caller's ``__main__`` script again, so a script that calls this on
+    a large file must do so under ``if __name__ == "__main__":``.
     """
     with open(path, "rb", buffering=0) as raw:
-        stat = os.fstat(raw.fileno())
-        shards = min(_usable_cpus(), stat.st_size // _SHARD_MIN_BYTES)
-        real = _reopenable(path, stat) if shards >= 2 else None
-        bounds = [0, None] if real is None else _range_bounds(raw, stat.st_size, shards)
-        source = (real, _identity(stat))
+        size = os.fstat(raw.fileno()).st_size
+        shards = min(_usable_cpus(), size // _SHARD_MIN_BYTES) if hasattr(os, "preadv") else 1
+        bounds = _range_bounds(raw, size, shards) if shards >= 2 else [0, None]
         workers = []
         finished = False
         try:
             for start, stop in zip(bounds[1:-1], bounds[2:]):
-                workers.append(_start_worker(source, start, stop, committee_map, tuple(accumulators)))
+                workers.append(_start_worker(start, stop, committee_map, tuple(accumulators)))
+            if workers:  # only a sharded file pays for this import
+                from multiprocessing.reduction import send_handle
+            # send_handle may wait for the worker to acknowledge, so every worker starts first
+            for worker, conn in workers:
+                send_handle(conn, raw.fileno(), worker.pid)
             with _range_text(raw, 0, bounds[1]) as text:
                 accumulate_fec_file(text, committee_map, accumulators, counters)
-            for worker, receiver in workers:
-                _fold_worker(worker, receiver, accumulators, counters)
+            for worker, conn in workers:
+                _fold_worker(worker, conn, accumulators, counters)
             finished = True
         finally:
-            for worker, receiver in workers:
+            for worker, conn in workers:
                 if not finished:
                     worker.terminate()
                 worker.join()
-                receiver.close()
-
-
-def _identity(stat: os.stat_result) -> tuple[int, int, int]:
-    """What a worker checks to know it opened the file that was cut."""
-    return stat.st_dev, stat.st_ino, stat.st_size
-
-
-def _reopenable(path: str | os.PathLike[str], stat: os.stat_result) -> str | None:
-    """The resolved ``path`` when it still names the file ``stat`` describes, else None."""
-    real = os.path.realpath(path)
-    try:
-        return real if _identity(os.stat(real)) == _identity(stat) else None
-    except OSError:
-        return None
+                conn.close()
 
 
 def _usable_cpus() -> int:
@@ -530,19 +521,24 @@ def _range_bounds(raw: BinaryIO, size: int, shards: int) -> list[int]:
 
 
 class _ByteRange(io.RawIOBase):
-    """Raw reads of the next ``length`` bytes of an unbuffered binary file."""
+    """Raw reads of bytes [start, stop) of a file descriptor, by position.
 
-    def __init__(self, raw: BinaryIO, length: int) -> None:
+    It never seeks, so processes that share the descriptor's file offset
+    can read their ranges at once.
+    """
+
+    def __init__(self, fd: int, start: int, stop: int) -> None:
         super().__init__()
-        self._raw = raw
-        self._left = length
+        self._fd = fd
+        self._at = start
+        self._stop = stop
 
     def readable(self) -> bool:
         return True
 
     def readinto(self, buffer) -> int:
-        count = self._raw.readinto(memoryview(buffer)[: self._left]) or 0
-        self._left -= count
+        count = os.preadv(self._fd, [memoryview(buffer)[: self._stop - self._at]], self._at)
+        self._at += count
         return count
 
 
@@ -550,38 +546,35 @@ def _range_text(raw: BinaryIO, start: int, stop: int | None) -> io.TextIOWrapper
     """Bytes [start, stop) of ``raw`` as text, decoded as ``open`` would decode the file.
 
     With ``stop`` None: the rest of ``raw`` from where it stands, so a pipe reads too.
+    A range that starts at byte 0 skips a UTF-8 BOM.
     """
     if stop is not None:
-        raw.seek(start)
-        raw = _ByteRange(raw, stop - start)
-    return io.TextIOWrapper(io.BufferedReader(raw, 1 << 16), encoding="utf-8", errors="replace")
+        raw = _ByteRange(raw.fileno(), start, stop)
+    return io.TextIOWrapper(
+        io.BufferedReader(raw, 1 << 16),
+        encoding="utf-8-sig" if start == 0 else "utf-8",
+        errors="replace",
+    )
 
 
-def _start_worker(
-    source: tuple[str, tuple[int, int, int]],
-    start: int,
-    stop: int,
-    committee_map: Mapping[str, str],
-    candidates: tuple[str, ...],
-):
-    """Start a spawned ``_parse_range`` worker; returns it and the end of its pipe."""
+def _start_worker(start: int, stop: int, committee_map: Mapping[str, str], candidates: tuple[str, ...]):
+    """Start a spawned ``_parse_range`` worker; returns it and this end of its connection."""
     import multiprocessing  # only a sharded file pays for this import
 
     context = multiprocessing.get_context("spawn")
-    receiver, sender = context.Pipe(duplex=False)
+    conn, child_conn = context.Pipe()  # duplex: a socket pair, which can carry a descriptor
     worker = context.Process(
         target=_parse_range,
-        args=(sender, source, start, stop, dict(committee_map), candidates),
+        args=(child_conn, start, stop, dict(committee_map), candidates),
         daemon=True,
     )
-    with sender:
+    with child_conn:
         worker.start()
-    return worker, receiver
+    return worker, conn
 
 
 def _parse_range(
     conn,
-    source: tuple[str, tuple[int, int, int]],
     start: int,
     stop: int,
     committee_map: dict[str, str],
@@ -589,26 +582,22 @@ def _parse_range(
 ) -> None:
     """Worker: parse bytes [start, stop) of a file and send the result on ``conn``.
 
-    ``source`` is the file's resolved path and the ``_identity`` of the
-    file that was cut. The worker sends its IngestCounters, then for each
-    candidate the donor keys as one newline-joined blob (in id order) and
-    the packed (donor, day) pairs and their cent sums as raw int64 bytes.
-    When the path now names another file, or the range cannot be read, it
+    The file arrives on ``conn`` as a descriptor (``recv_handle``) that
+    shares the ingest process's open file. The worker sends its
+    IngestCounters, then for each candidate the donor keys as one
+    newline-joined blob (in id order) and the packed (donor, day) pairs and
+    their cent sums as raw int64 bytes. When the range cannot be read, it
     sends the error alone.
     """
-    path, identity = source
+    from multiprocessing.reduction import recv_handle
+
     with conn:
         counters = IngestCounters()
         accumulators = {c: MetricsAccumulator(c) for c in candidates}
         try:
-            with open(path, "rb", buffering=0) as raw:
-                if _identity(os.fstat(raw.fileno())) != identity:
-                    raise CampaignTrendsError(
-                        f"{path}: the file changed while ingest read it in parallel ranges"
-                    )
-                with _range_text(raw, start, stop) as text:
-                    accumulate_fec_file(text, committee_map, accumulators, counters)
-        except (OSError, CampaignTrendsError) as exc:
+            with open(recv_handle(conn), "rb", buffering=0) as raw, _range_text(raw, start, stop) as text:
+                accumulate_fec_file(text, committee_map, accumulators, counters)
+        except OSError as exc:
             conn.send(exc)
             return
         conn.send(counters)
@@ -638,7 +627,7 @@ def _fold_worker(
             pairs = np.frombuffer(conn.recv_bytes(), np.int64)
             cents = np.frombuffer(conn.recv_bytes(), np.int64)
             accumulators[candidate]._fold(blob.split(b"\n") if blob else [], pairs, cents)
-    except EOFError:
+    except (EOFError, ConnectionResetError):  # a reset: it died with the descriptor unread
         worker.join()
         message = f"an ingest worker ended with exit code {worker.exitcode} before sending its result"
         if worker.exitcode == 1:  # an uncaught exception, whose traceback the worker printed

@@ -60,6 +60,11 @@ def edit_json(change):
     return damage
 
 
+# A store whose series are not the run its header names; fit must say to re-run ingest.
+SHIFT_ALPHA_POLL = edit_json(lambda doc: doc["series"]["ALPHA"]["poll"].update(start_date="2019-06-02"))
+DROP_BRAVO_SERIES = edit_json(lambda doc: doc["series"].pop("BRAVO"))
+
+
 def base_flags(fixtures_dir, out_dir):
     return [
         "--from", "2019-06-01",
@@ -538,13 +543,16 @@ class TestPipeline:
             ("fit --normalize share", "store.json", "fits.json",
              edit_json(lambda doc: [doc["series"][c]["amount"]["values"].__setitem__(slice(0, 2), [1e308, 1e308])
                                     for c in ("ALPHA", "BRAVO")])),
+            ("fit", "store.json", "fits.json", SHIFT_ALPHA_POLL),
+            ("fit", "store.json", "fits.json", DROP_BRAVO_SERIES),
         ],
         ids=["truncated-store", "store-without-range", "store-values-not-numbers", "truncated-fits",
              "fits-not-an-object", "fits-infinite-slope", "fits-nan-fitted", "fits-infinite-observed",
              "fits-nan-lambda", "fits-infinite-gap", "fits-infinite-tol-knot", "fits-string-slope",
              "fits-string-fitted", "fits-bool-df", "fits-string-converged", "store-huge-values",
              "fits-one-observed-value", "fits-knots-emptied", "fits-float-df", "store-huge-integer",
-             "fits-huge-integer-lambda", "store-share-overflow"],
+             "fits-huge-integer-lambda", "store-share-overflow", "store-series-span-shifted",
+             "store-series-dropped"],
     )
     def test_damaged_upstream_exit_2(self, pipeline, fixtures_dir, tmp_path, capsys, stage, upstream, output, damage):
         out_dir = tmp_path / "damaged"
@@ -557,6 +565,8 @@ class TestPipeline:
         assert result.returncode == 2, result.stderr
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.stderr
+        if damage in (SHIFT_ALPHA_POLL, DROP_BRAVO_SERIES):
+            assert "re-run ingest" in result.stderr
         assert (out_dir / output).read_bytes() == before
 
 
@@ -786,7 +796,7 @@ class TestInputFiles:
     """Each user input reaches its stage through one reader; a bad one exits 2 first."""
 
     def run_with_input(self, pipeline, fixtures_dir, tmp_path, capsys, monkeypatch, flag, path):
-        """Run the stage that reads ``flag``'s file with that flag set to ``path``.
+        """Run the stage that reads ``flag``'s file with that flag set, or added, to ``path``.
 
         ingest runs with ``fec.accumulate_fec_path`` made to fail, so it must
         stop before any FEC line; report runs on copies of the pipeline's
@@ -795,7 +805,10 @@ class TestInputFiles:
         """
         out_dir = tmp_path / "out"
         flags = base_flags(fixtures_dir, out_dir)
-        flags[flags.index(flag) + 1] = str(path)
+        if flag in flags:
+            flags[flags.index(flag) + 1] = str(path)
+        else:
+            flags += [flag, str(path)]
         if flag == "--events-csv":
             out_dir.mkdir()
             for name in ("store.json", "fits.json"):
@@ -804,7 +817,7 @@ class TestInputFiles:
         monkeypatch.setattr(fec, "accumulate_fec_path", no_fec_line)
         return run_main(capsys, ["ingest", *flags]), out_dir / "store.json"
 
-    @pytest.mark.parametrize("flag", ["--committee-map", "--fec-file", "--poll-csv", "--events-csv"])
+    @pytest.mark.parametrize("flag", ["--committee-map", "--fec-file", "--poll-csv", "--events-csv", "--config"])
     def test_missing_input_exit_2(self, pipeline, fixtures_dir, tmp_path, capsys, monkeypatch, flag):
         missing = tmp_path / "missing.csv"
         result, output = self.run_with_input(
@@ -828,5 +841,15 @@ class TestInputFiles:
             pipeline, fixtures_dir, tmp_path, capsys, monkeypatch, flag, bad)
         assert result.returncode == 2, result.stderr
         assert result.stderr.startswith("error: ") and message in result.stderr
+        assert result.stderr.count("\n") == 1
+        assert not output.exists()
+
+    def test_config_not_utf8_exit_2(self, pipeline, fixtures_dir, tmp_path, capsys, monkeypatch):
+        bad = tmp_path / "bad.conf"
+        bad.write_bytes(b"from = 2019-06-01\nto = 2019-07-20\ncandidates = AL\xffPHA\n")
+        result, output = self.run_with_input(
+            pipeline, fixtures_dir, tmp_path, capsys, monkeypatch, "--config", bad)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith(f"error: {bad} is not valid UTF-8: ")
         assert result.stderr.count("\n") == 1
         assert not output.exists()

@@ -10,6 +10,7 @@ import threading
 import tracemalloc
 from array import array
 from datetime import date, timedelta
+from multiprocessing.reduction import send_handle
 from pathlib import Path
 
 import numpy as np
@@ -548,7 +549,7 @@ def fec_byte_files(draw):
 def one_pass(path):
     counters = IngestCounters()
     accumulators = {c: MetricsAccumulator(c) for c in ("ALPHA", "BRAVO")}
-    with open(path, encoding="utf-8", errors="replace") as handle:
+    with open(path, encoding="utf-8-sig", errors="replace") as handle:
         accumulate_fec_file(handle, TABLE, accumulators, counters)
     return counters, accumulators
 
@@ -562,6 +563,21 @@ def sharded(path, shards):
         patch.setattr(fec, "_SHARD_MIN_BYTES", 1)
         accumulate_fec_path(path, TABLE, accumulators, counters)
     return counters, accumulators
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The workers ``accumulate_fec_path`` starts, in the order it starts them."""
+    workers = []
+    start = fec._start_worker
+
+    def keep(*args):
+        worker, conn = start(*args)
+        workers.append(worker)
+        return worker, conn
+
+    monkeypatch.setattr(fec, "_start_worker", keep)
+    return workers
 
 
 def ingest_flags(fixtures_dir, fec_file, out):
@@ -629,51 +645,39 @@ class TestShardedPath:
         with open(path, "rb") as raw:
             assert _range_bounds(raw, len(data), shards) == bounds
 
-    def test_worker_error_exits_2_and_leaves_no_child(self, fixtures_dir, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("change", ["replaced", "unlinked"])
+    def test_file_changed_after_the_cut_is_read_as_cut(
+        self, fixtures_dir, tmp_path, monkeypatch, capsys, started, change
+    ):
+        # Every range is read through the descriptor that was cut, never by the file's name.
         path = tmp_path / "fec.txt"
         path.write_bytes((fixtures_dir / "fec_sample.txt").read_bytes())
+        assert main(["ingest", *ingest_flags(fixtures_dir, path, tmp_path / "want")]) == 0
         monkeypatch.setattr(fec, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(fec, "_SHARD_MIN_BYTES", 1024)
         cut = fec._range_bounds
 
-        def cut_then_vanish(raw, size, shards):
+        def cut_then_change(raw, size, shards):
             bounds = cut(raw, size, shards)
-            os.unlink(path)  # this process holds the file open; the worker cannot open it
+            if change == "replaced":
+                replacement = tmp_path / "new.txt"
+                replacement.write_bytes(b"C00000101|ROE RICHARD|22903|06012019|50\n" * 2000)
+                os.replace(replacement, path)
+            else:
+                os.unlink(path)
             return bounds
 
-        monkeypatch.setattr(fec, "_range_bounds", cut_then_vanish)
-        code = main(["ingest", *ingest_flags(fixtures_dir, path, tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("error: ") and "No such file" in err
+        monkeypatch.setattr(fec, "_range_bounds", cut_then_change)
+        capsys.readouterr()
+        assert main(["ingest", *ingest_flags(fixtures_dir, path, tmp_path / "got")]) == 0
+        assert capsys.readouterr().err == ""
+        assert len(started) == 1
+        for name in ("store.json", "ingest_summary.json"):
+            assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
         assert multiprocessing.active_children() == []
-        assert not (tmp_path / "out").exists()
-
-    def test_file_replaced_after_the_cut_exits_2(self, fixtures_dir, tmp_path, monkeypatch, capsys):
-        path = tmp_path / "fec.txt"
-        path.write_bytes((fixtures_dir / "fec_sample.txt").read_bytes())
-        monkeypatch.setattr(fec, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(fec, "_SHARD_MIN_BYTES", 1024)
-        cut = fec._range_bounds
-
-        def cut_then_replace(raw, size, shards):
-            bounds = cut(raw, size, shards)
-            replacement = tmp_path / "new.txt"
-            replacement.write_bytes(path.read_bytes())  # same bytes, another file
-            os.replace(replacement, path)
-            return bounds
-
-        monkeypatch.setattr(fec, "_range_bounds", cut_then_replace)
-        code = main(["ingest", *ingest_flags(fixtures_dir, path, tmp_path / "out")])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            f"error: {os.path.realpath(path)}: the file changed while ingest read it in parallel ranges\n"
-        )
-        assert multiprocessing.active_children() == []
-        assert not (tmp_path / "out").exists()
 
     def test_dev_stdin_redirected_from_a_file_is_cut_and_read_whole(self, fixtures_dir, tmp_path):
-        # A spawned worker's stdin is /dev/null, so it must open the file stdin names, not /dev/stdin.
+        # A spawned worker's stdin is /dev/null; it reads the file stdin names through the descriptor sent to it.
         path = fixtures_dir / "fec_sample.txt"
         code = (
             "import sys\n"
@@ -692,21 +696,13 @@ class TestShardedPath:
         for name in ("store.json", "ingest_summary.json"):
             assert (tmp_path / "piped" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes()
 
-    def test_error_in_this_process_stops_the_workers(self, fixtures_dir, tmp_path, monkeypatch, capsys):
+    def test_error_in_this_process_stops_the_workers(self, fixtures_dir, tmp_path, monkeypatch, capsys, started):
         monkeypatch.setattr(fec, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(fec, "_SHARD_MIN_BYTES", 1024)
-        started = []
-        start = fec._start_worker
-
-        def keep(*args):
-            worker, receiver = start(*args)
-            started.append(worker)
-            return worker, receiver
 
         def fail(*args):
             raise OSError("read error in range 0")
 
-        monkeypatch.setattr(fec, "_start_worker", keep)
         monkeypatch.setattr(fec, "accumulate_fec_file", fail)  # spawned workers keep the real one
         code = main(["ingest", *ingest_flags(fixtures_dir, fixtures_dir / "fec_sample.txt", tmp_path / "out")])
         assert code == 2
@@ -726,11 +722,22 @@ class TestShardedPath:
         worker.join()
         assert multiprocessing.active_children() == []
 
+    def test_worker_error_reaches_the_ingest_process(self, tmp_path):
+        # A worker sends back the error of a range it cannot read, here a directory's descriptor.
+        conn, child_conn = multiprocessing.Pipe()
+        directory = os.open(tmp_path, os.O_RDONLY)
+        try:
+            send_handle(conn, directory, os.getpid())
+        finally:
+            os.close(directory)
+        fec._parse_range(child_conn, 0, 10, TABLE, ("ALPHA",))
+        with conn, pytest.raises(IsADirectoryError):
+            fec._fold_worker(None, conn, {"ALPHA": MetricsAccumulator("ALPHA")}, IngestCounters())
+
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     @pytest.mark.parametrize("deleted", [False, True])
-    def test_open_descriptor_path_matches_one_pass(self, fixtures_dir, tmp_path, deleted):
-        # A spawned worker does not inherit this descriptor, so it must open the file by name;
-        # once the file is deleted it has no name left and is read in this process.
+    def test_open_descriptor_path_matches_one_pass(self, fixtures_dir, tmp_path, started, deleted):
+        # The worker is sent this process's descriptor, so a deleted file with no name left is cut too.
         path = tmp_path / "fec.txt"
         path.write_bytes((fixtures_dir / "fec_sample.txt").read_bytes())
         want = one_pass(path)
@@ -738,8 +745,17 @@ class TestShardedPath:
             if deleted:
                 path.unlink()
             got = sharded(f"/proc/self/fd/{held.fileno()}", 2)
+        assert len(started) == 1
         assert_same_ingest(got, want, DateRange(date(2019, 6, 1), date(2019, 7, 20)))
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_leading_bom_is_skipped(self, tmp_path, shards):
+        path = tmp_path / "fec.txt"
+        path.write_bytes(b"\xef\xbb\xbfC001|DOE JANE|22903|06012019|100\nC001|ROE RICHARD|22903|06012019|50\n")
+        counters, accumulators = sharded(path, shards)
+        assert counters == IngestCounters(lines_total=2, parsed=2)
+        assert accumulators["ALPHA"].finalize(DateRange(D1, D3)).amount.values.tolist() == [150.0, 0.0, 0.0]
 
     def test_unguarded_script_names_the_guard(self, fixtures_dir, tmp_path):
         script = tmp_path / "unguarded.py"  # each spawned worker imports this script again
