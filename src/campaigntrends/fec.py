@@ -17,8 +17,14 @@ they have given to anyone else.
 
 Per candidate and day the module produces four series: distinct donors,
 first-time donors, total dollars, and dollars from first-time donors.
-``accumulate_fec_file`` is the ingest kernel: each parsed line enters its
-candidate's ``MetricsAccumulator`` through ``_push``, which buffers at most
+``accumulate_fec_file`` is the ingest kernel. It parses raw bytes, in
+blocks of whole lines, and decodes a field only when that field's bytes
+are new to the file (committee, date and amount) or are not plain ASCII
+(donor name and zip). Decoding one field gives the text that decoding its
+line gives, because ``|``, CR and LF are ASCII, so the kernel counts and
+sums exactly what ``parse_fec_file`` yields from the file read as UTF-8
+with replacement. Each positive gift enters its candidate's
+``MetricsAccumulator`` through ``_push``, which buffers at most
 ``max(_CHUNK_ROWS, pairs / 4)`` rows before folding them into per-candidate
 (donor, day) cent sums in NumPy arrays, so ingest memory and sorting work
 grow with the distinct (donor, day) pairs, not with the number of lines.
@@ -30,25 +36,26 @@ the file into byte ranges that end just after a newline byte, at most one
 per usable CPU and each at least ``_SHARD_MIN_BYTES`` long, parses range 0
 itself while spawned worker processes parse the others, and folds their
 counters and pair sums into its own accumulators. One reader,
-``_range_text``, decodes every range and skips a UTF-8 BOM at the start of
-the file. The series do not depend on line order, so the result equals one
-pass over the file. A file under two ranges' worth of bytes, a pipe, a
-process allowed one CPU, or a platform without ``os.preadv`` is all range
-0, parsed in one process. Each worker is sent the descriptor this process
-opened and reads its range by position, so every range comes from the file
-that was cut. Workers import the caller's ``__main__`` script again, which
-must therefore guard its entry point. Each process holds the distinct
-(donor, day) pairs of its own range, so memory grows with those per
-process. The committee_id,candidate_id map that assigns committees to
-candidates is a CSV read through ``store.read_csv_table``.
+``_range_blocks``, cuts every range into blocks of whole lines and skips a
+UTF-8 BOM at the start of the file. The series do not depend on line
+order, so the result equals one pass over the file. A file under two
+ranges' worth of bytes, a pipe, a process allowed one CPU, or a platform
+without ``os.pread`` is all range 0, parsed in one process. Each worker
+is sent the descriptor this process opened and reads its range by
+position, so every range comes from the file that was cut. Workers
+import the caller's ``__main__`` script again, which must therefore guard
+its entry point. Each process holds the distinct (donor, day) pairs of its
+own range, so memory grows with those per process. The
+committee_id,candidate_id map that assigns committees to candidates is a
+CSV read through ``store.read_csv_table``.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import re
 from array import array
+from codecs import BOM_UTF8
 from dataclasses import asdict, dataclass
 from datetime import date
 from typing import IO, BinaryIO, Iterable, Iterator, Mapping
@@ -102,15 +109,21 @@ _CHUNK_ROWS = 1 << 16
 # A (donor id, day) pair packs into one int64: donor << _DAY_BITS | ordinal.
 _DAY_BITS = 22  # date.max.toordinal() < 2**22
 _DAY_MASK = (1 << _DAY_BITS) - 1
-# Distinct raw date and amount texts cached per file, each.
+# Distinct raw committee, date and amount texts cached per file, each.
 _PARSE_CACHE_MAX = 1 << 16
 _UNSEEN = object()
+_UNMAPPED = object()  # a committee missing from the committee map
 
 # A file is cut into at most one byte range per usable CPU, each at least
 # this long; a file under two ranges' worth is parsed in one process. A
-# spawned worker takes about 0.3 s to start, which is about what this
-# process needs to parse 4 MiB of lines, so smaller ranges gain nothing.
+# spawned worker takes about 0.2 s to start, in which this process parses
+# about 4 MiB of lines (about 18 MiB/s on a 2-core x86_64 host), so smaller
+# ranges gain nothing.
 _SHARD_MIN_BYTES = 8 << 20
+# A range is read in blocks of this many bytes, each parsed up to its last
+# newline. Larger blocks hold more line objects alive at once and raised the
+# ingest process's peak RSS without parsing faster.
+_BLOCK_BYTES = 1 << 14
 
 # The line layout: field positions of committee|name|zip|MMDDYYYY|dollars.
 _COMMITTEE, _NAME, _ZIP, _DATE, _AMOUNT = range(5)
@@ -216,11 +229,12 @@ def _valid_lines(
 ) -> Iterator[tuple[str, list[str], int, int]]:
     """Yield (candidate, fields, day ordinal, cents) for each parsed line.
 
-    The one home of the line rules, checked in this order: fewer than five
-    fields is malformed; then an unparseable date or amount, or a date
-    outside the plausible window, is malformed; then a committee missing
-    from ``committee_map`` is unmapped. Every non-empty line is tallied in
-    ``counters``.
+    The line rules on text, checked in this order: fewer than five fields
+    is malformed; then an unparseable date or amount, or a date outside the
+    plausible window, is malformed; then a committee missing from
+    ``committee_map`` is unmapped. Every non-empty line is tallied in
+    ``counters``. ``accumulate_fec_file`` applies the same rules, in the
+    same order, to raw bytes.
     """
     days: dict[str, int | None] = {}
     amounts: dict[str, int | None] = {}
@@ -307,10 +321,11 @@ class DailyDonationMetrics:
 class MetricsAccumulator:
     """Columnar, order-independent accumulation of one candidate's donations.
 
-    Every gift enters through ``_push``, which drops refunds and zero
-    amounts, interns the donor key to an int and buffers a (donor, day,
-    cents) row. Once ``max(_CHUNK_ROWS, pairs // 4)`` rows are buffered,
-    ``_reduce`` folds them into the sorted distinct (donor, day) cent sums,
+    Every positive gift enters through ``_push``, which interns the donor
+    key to an int and buffers a (donor, day, cents) row; ``add`` and
+    ``accumulate_fec_file`` drop refunds and zero amounts before it. Once
+    ``max(_CHUNK_ROWS, pairs // 4)`` rows are buffered, ``_reduce`` folds
+    them into the sorted distinct (donor, day) cent sums,
     so memory holds one row per distinct pair plus at most that many rows,
     and each buffered row pays for at most five rows sorted. A fold is one
     ``argsort`` of the table and the rows, then ``np.add.reduceat`` over
@@ -329,16 +344,15 @@ class MetricsAccumulator:
         self._pair_cents = np.empty(0, np.int64)
 
     def add(self, record: DonationRecord) -> None:
-        if record.candidate_id == self.candidate_id:
-            self._push(record.donor_name_raw, record.zip, record.date.toordinal(), record.amount_cents)
+        if record.candidate_id == self.candidate_id and record.amount_cents > 0:
+            key = _donor_key(record.donor_name_raw, record.zip)
+            self._push(key, record.date.toordinal(), record.amount_cents)
 
-    def _push(self, name: str, zip_: str, day: int, cents: int) -> None:
-        """The one entry: drop a refund or zero amount, else buffer a row under the donor's key."""
-        if cents <= 0:
-            return
+    def _push(self, key: bytes, day: int, cents: int) -> None:
+        """The one entry: buffer a positive gift as a row under the donor's key."""
         ids = self._donor_ids
         rows = self._rows
-        rows.append(ids.setdefault(_donor_key(name, zip_), len(ids)) << _DAY_BITS | day)
+        rows.append(ids.setdefault(key, len(ids)) << _DAY_BITS | day)
         self._row_cents.append(cents)
         if len(rows) >= _CHUNK_ROWS and len(rows) >= len(self._pairs) >> 2:
             self._reduce()
@@ -414,21 +428,84 @@ class MetricsAccumulator:
 
 
 def accumulate_fec_file(
-    lines: Iterable[str] | IO[str],
+    blocks: Iterable[bytes],
     committee_map: Mapping[str, str],
     accumulators: Mapping[str, MetricsAccumulator],
     counters: IngestCounters,
 ) -> None:
-    """Stream a contribution file into per-candidate accumulators.
+    """Stream a contribution file, as blocks of whole lines of raw bytes, into accumulators.
 
-    The ingest kernel: lines are validated and counted exactly as
-    ``parse_fec_file`` does, but no record objects are built. Parsed lines
-    of candidates without an accumulator are counted and dropped.
+    The ingest kernel. Each block is split at newline bytes, a CRLF pair or
+    a lone CR counting as one, and lines are validated and counted exactly
+    as ``parse_fec_file`` does over the file decoded as UTF-8 with
+    replacement. A field is decoded only when its raw bytes are new to the
+    file or, for a donor name or zip, when they are not plain ASCII; since
+    ``|``, CR and LF are ASCII, decoding one field gives the text that
+    decoding its line gives. No record objects are built. Parsed lines of
+    candidates without an accumulator are counted and dropped.
     """
-    for candidate, fields, day, cents in _valid_lines(lines, committee_map, counters):
-        acc = accumulators.get(candidate)
-        if acc is not None:
-            acc._push(fields[_NAME], fields[_ZIP], day, cents)
+    pushes: dict[bytes, object] = {}  # committee -> its accumulator's _push, None or _UNMAPPED
+    days: dict[bytes, int | None] = {}
+    amounts: dict[bytes, int | None] = {}
+    lines_total = parsed = malformed = unmapped = 0
+    for block in blocks:
+        if b"\r" in block:  # universal newlines, as text mode reads them
+            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        lines = block.split(b"\n")
+        lines_total += len(lines) - lines.count(b"")  # empty lines are skipped, not counted
+        for line in lines:
+            fields = line.split(b"|")
+            if len(fields) < _FIELDS:
+                if line:
+                    malformed += 1
+                continue
+            raw = fields[_DATE]
+            day = days.get(raw, _UNSEEN)
+            if day is _UNSEEN:
+                day = _parse_day(raw.decode("utf-8", "replace"))
+                if len(days) < _PARSE_CACHE_MAX:
+                    days[raw] = day
+            raw = fields[_AMOUNT]
+            cents = amounts.get(raw, _UNSEEN)
+            if cents is _UNSEEN:
+                cents = _parse_amount_cents(raw.decode("utf-8", "replace"))
+                if len(amounts) < _PARSE_CACHE_MAX:
+                    amounts[raw] = cents
+            if day is None or cents is None:
+                malformed += 1
+                continue
+            raw = fields[_COMMITTEE]
+            push = pushes.get(raw, _UNSEEN)
+            if push is _UNSEEN:
+                candidate = committee_map.get(raw.decode("utf-8", "replace").strip())
+                if candidate is None:
+                    push = _UNMAPPED
+                else:
+                    acc = accumulators.get(candidate)
+                    push = None if acc is None else acc._push
+                if len(pushes) < _PARSE_CACHE_MAX:
+                    pushes[raw] = push
+            if push is _UNMAPPED:
+                unmapped += 1
+                continue
+            parsed += 1
+            if push is None or cents <= 0:
+                continue
+            # _donor_key of the decoded fields, with ASCII names and 5-digit zip heads kept as bytes
+            name = fields[_NAME]
+            if name.isascii():
+                name = b" ".join(name.translate(_ASCII_TABLE, _ASCII_DELETE).split())
+            else:
+                name = _name_key(name.decode("utf-8", "replace"))
+            zip_ = fields[_ZIP]
+            head = zip_[:5]
+            if len(head) != 5 or not head.isdigit():  # bytes.isdigit is ASCII digits only
+                head = zip5(zip_.decode("utf-8", "replace")).encode()
+            push(name + b"|" + head, day, cents)
+    counters.lines_total += lines_total
+    counters.parsed += parsed
+    counters.malformed += malformed
+    counters.unmapped += unmapped
 
 
 def accumulate_fec_path(
@@ -444,11 +521,11 @@ def accumulate_fec_path(
     Spawned workers run ``accumulate_fec_file`` over ranges 1..k-1 while
     this process parses range 0, then their counters and (donor, day) cent
     sums are folded into ``counters`` and ``accumulators``. Each range is
-    decoded as UTF-8 with replacement, range 0 skipping a leading BOM, and
-    a newline byte never falls inside a character or a CRLF pair, so the
+    read by ``_range_blocks``, range 0 skipping a leading BOM, and a
+    newline byte never falls inside a character or a CRLF pair, so the
     result equals one pass over the file. A file that is not cut, such as
     a small one or a pipe (whose size reads 0), or any file where
-    ``os.preadv`` is missing, is one range 0 read as one stream by the same
+    ``os.pread`` is missing, is one range 0 read as one stream by the same
     reader.
 
     Each worker is sent the descriptor this process opened
@@ -462,7 +539,7 @@ def accumulate_fec_path(
     """
     with open(path, "rb", buffering=0) as raw:
         size = os.fstat(raw.fileno()).st_size
-        shards = min(_usable_cpus(), size // _SHARD_MIN_BYTES) if hasattr(os, "preadv") else 1
+        shards = min(_usable_cpus(), size // _SHARD_MIN_BYTES) if hasattr(os, "pread") else 1
         bounds = _range_bounds(raw, size, shards) if shards >= 2 else [0, None]
         workers = []
         finished = False
@@ -474,8 +551,7 @@ def accumulate_fec_path(
             # send_handle may wait for the worker to acknowledge, so every worker starts first
             for worker, conn in workers:
                 send_handle(conn, raw.fileno(), worker.pid)
-            with _range_text(raw, 0, bounds[1]) as text:
-                accumulate_fec_file(text, committee_map, accumulators, counters)
+            accumulate_fec_file(_range_blocks(raw, 0, bounds[1]), committee_map, accumulators, counters)
             for worker, conn in workers:
                 _fold_worker(worker, conn, accumulators, counters)
             finished = True
@@ -520,41 +596,43 @@ def _range_bounds(raw: BinaryIO, size: int, shards: int) -> list[int]:
     return bounds
 
 
-class _ByteRange(io.RawIOBase):
-    """Raw reads of bytes [start, stop) of a file descriptor, by position.
+def _range_blocks(raw: BinaryIO, start: int, stop: int | None) -> Iterator[bytes]:
+    """Bytes [start, stop) of ``raw`` in blocks of whole lines, for ``accumulate_fec_file``.
 
-    It never seeks, so processes that share the descriptor's file offset
-    can read their ranges at once.
+    Reads ``_BLOCK_BYTES`` at a time and yields up to just after the last
+    newline byte read, or after the last CR when a read holds no newline
+    byte, so no line is split across blocks. A CRLF pair split that way
+    reads as a line end and an empty line, which is skipped. With ``stop``
+    None: the rest of ``raw`` from where it stands, by ``raw.read``, so a
+    pipe reads too. Otherwise each read is an ``os.pread`` by position,
+    which never moves the file offset that other processes may share. A
+    range that starts at byte 0 skips a UTF-8 BOM.
     """
-
-    def __init__(self, fd: int, start: int, stop: int) -> None:
-        super().__init__()
-        self._fd = fd
-        self._at = start
-        self._stop = stop
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        count = os.preadv(self._fd, [memoryview(buffer)[: self._stop - self._at]], self._at)
-        self._at += count
-        return count
-
-
-def _range_text(raw: BinaryIO, start: int, stop: int | None) -> io.TextIOWrapper:
-    """Bytes [start, stop) of ``raw`` as text, decoded as ``open`` would decode the file.
-
-    With ``stop`` None: the rest of ``raw`` from where it stands, so a pipe reads too.
-    A range that starts at byte 0 skips a UTF-8 BOM.
-    """
-    if stop is not None:
-        raw = _ByteRange(raw.fileno(), start, stop)
-    return io.TextIOWrapper(
-        io.BufferedReader(raw, 1 << 16),
-        encoding="utf-8-sig" if start == 0 else "utf-8",
-        errors="replace",
-    )
+    fd = None if stop is None else raw.fileno()
+    at = start
+    bom = start == 0
+    pending: list[bytes] = []  # read since the last cut; holds no newline byte
+    while True:
+        if fd is None:
+            chunk = raw.read(_BLOCK_BYTES)
+        else:
+            chunk = os.pread(fd, min(_BLOCK_BYTES, stop - at), at)
+            at += len(chunk)
+        if not chunk:
+            break
+        cut = chunk.rfind(b"\n") + 1 or chunk.rfind(b"\r") + 1
+        if not cut:
+            pending.append(chunk)
+            continue
+        pending.append(chunk[:cut])
+        block = b"".join(pending)
+        pending = [chunk[cut:]]
+        if bom:
+            bom = False
+            block = block.removeprefix(BOM_UTF8)
+        yield block
+    block = b"".join(pending)  # a last line without a line end
+    yield block.removeprefix(BOM_UTF8) if bom else block
 
 
 def _start_worker(start: int, stop: int, committee_map: Mapping[str, str], candidates: tuple[str, ...]):
@@ -595,8 +673,8 @@ def _parse_range(
         counters = IngestCounters()
         accumulators = {c: MetricsAccumulator(c) for c in candidates}
         try:
-            with open(recv_handle(conn), "rb", buffering=0) as raw, _range_text(raw, start, stop) as text:
-                accumulate_fec_file(text, committee_map, accumulators, counters)
+            with open(recv_handle(conn), "rb", buffering=0) as raw:
+                accumulate_fec_file(_range_blocks(raw, start, stop), committee_map, accumulators, counters)
         except OSError as exc:
             conn.send(exc)
             return

@@ -55,6 +55,11 @@ def parse_lines(lines, table=TABLE):
     return records, counters
 
 
+def text_lines(data):
+    """``data`` as text mode reads a file: UTF-8 with replacement, a BOM skipped, universal newlines."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", errors="replace")
+
+
 class TestNormalizeDonorName:
     def test_strips_punctuation_and_uppercases(self):
         assert normalize_donor_name("Smith, John Q.") == "SMITH JOHN Q"
@@ -169,7 +174,7 @@ class TestParseFecFile:
         assert (records[0].date, records[0].amount_cents) == (date(2019, 6, 15), 5000)
         kernel_counters = IngestCounters()
         acc = MetricsAccumulator("ALPHA")
-        accumulate_fec_file([line], TABLE, {"ALPHA": acc}, kernel_counters)
+        accumulate_fec_file([line.encode()], TABLE, {"ALPHA": acc}, kernel_counters)
         assert kernel_counters == counters
         metrics = acc.finalize(DateRange(date(2019, 6, 15), date(2019, 6, 17)))
         assert list(metrics.donors.values) == [1.0, 0.0, 0.0]
@@ -294,7 +299,7 @@ class TestDailyDonationMetrics:
         ]
         counters = IngestCounters()
         accumulators = {c: MetricsAccumulator(c) for c in ("ALPHA", "BRAVO")}
-        accumulate_fec_file(lines, TABLE, accumulators, counters)
+        accumulate_fec_file(["\n".join(lines).encode()], TABLE, accumulators, counters)
         records, record_counters = parse_lines(lines)
         assert counters == record_counters
         for candidate, acc in accumulators.items():
@@ -420,10 +425,11 @@ class TestReferenceEquality:
     def test_kernel_matches_dict_reference(self, chunk_rows, lines):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fec, "_CHUNK_ROWS", chunk_rows)
+            data = "\n".join(lines).encode("utf-8", "surrogatepass")
             counters = IngestCounters()
             accumulators = {c: MetricsAccumulator(c) for c in ("ALPHA", "BRAVO")}
-            accumulate_fec_file(lines, TABLE, accumulators, counters)
-            records, record_counters = parse_lines(lines)
+            accumulate_fec_file([data], TABLE, accumulators, counters)
+            records, record_counters = parse_lines(text_lines(data))
             assert counters == record_counters
             for acc in accumulators.values():
                 self.assert_matches(acc, records)
@@ -546,23 +552,126 @@ def fec_byte_files(draw):
     return data
 
 
-def one_pass(path):
+# Whitespace that str.strip() removes: ASCII, the separators \x1c-\x1f, NEL, no-break and ideographic space.
+PADDING = ["", " ", "\t", "\x0b", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u3000"]
+# Committee C003 maps to a candidate that has no accumulator.
+KERNEL_TABLE = {**TABLE, "C003": "CHARLIE"}
+
+
+@st.composite
+def padded(draw, texts):
+    return draw(st.sampled_from(PADDING)) + draw(texts) + draw(st.sampled_from(PADDING))
+
+
+@st.composite
+def kernel_lines(draw):
+    """One contribution line as bytes, its fields padded, misspelt, short or holding invalid UTF-8."""
+    day = D1 + timedelta(days=draw(st.integers(-3, 12)))
+    fields = [
+        draw(padded(st.sampled_from(["C001", "C002", "C003", "C009", "C\u00d801"]))),
+        draw(st.sampled_from(NAME_SPELLINGS) | LINE_TEXT),
+        draw(st.sampled_from(ZIP_SPELLINGS + WIDE_ZIPS) | LINE_TEXT),
+        draw(padded(st.sampled_from([f"{day:%m%d%Y}", "0601_2019", "06012O19", "\u0660\u06616012019"]))),
+        draw(padded(st.sampled_from(["50", "12.34", "-25", "0", "1_000", "\u0661\u0665", "nan", "1e400"])
+                    | st.integers(1, 9999).map(str))),
+    ]
+    if draw(st.integers(0, 3)) == 0:
+        fields.append(draw(LINE_TEXT))
+    fields = [field.encode("utf-8", "surrogatepass") for field in fields]
+    if draw(st.integers(0, 2)) == 0:
+        at = draw(st.integers(0, len(fields) - 1))
+        cut = draw(st.integers(0, len(fields[at])))
+        fields[at] = fields[at][:cut] + draw(st.sampled_from(INVALID_UTF8)) + fields[at][cut:]
+    if draw(st.integers(0, 5)) == 0:
+        fields = fields[: draw(st.integers(1, 4))]
+    return b"|".join(fields)
+
+
+@st.composite
+def kernel_byte_files(draw):
+    """A contribution file of ``kernel_lines``: LF, CRLF and lone CR ends, blank lines, maybe a BOM."""
+    out = [b"\xef\xbb\xbf"] if draw(st.booleans()) else []
+    for line in draw(st.lists(kernel_lines(), max_size=12)):
+        out.append(line + draw(st.sampled_from(LINE_ENDS)))
+        if draw(st.integers(0, 5)) == 0:
+            out.append(draw(st.sampled_from(LINE_ENDS)))
+    data = b"".join(out)
+    return data.rstrip(b"\r\n") if draw(st.booleans()) else data
+
+
+class TestByteKernel:
+    RANGE = DateRange(D1, D1 + timedelta(days=9))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=kernel_byte_files(), block_bytes=st.integers(1, 8), by_position=st.booleans())
+    def test_kernel_matches_str_reference(self, data, block_bytes, by_position):
+        # Blocks of a few bytes make lines, CRLF pairs and the BOM straddle reads.
+        counters = IngestCounters()
+        accumulators = {c: MetricsAccumulator(c) for c in ("ALPHA", "BRAVO")}
+        with tempfile.TemporaryFile() as raw, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fec, "_BLOCK_BYTES", block_bytes)
+            raw.write(data)
+            raw.seek(0)
+            blocks = fec._range_blocks(raw, 0, len(data) if by_position else None)
+            accumulate_fec_file(blocks, KERNEL_TABLE, accumulators, counters)
+        records, want = parse_lines(text_lines(data), KERNEL_TABLE)
+        assert counters == want
+        for candidate, acc in accumulators.items():
+            single = daily_donation_metrics(records, candidate, self.RANGE)
+            assert len(acc.first_seen) == reference_metrics(records, candidate, self.RANGE)[1]
+            for label, series in single.series().items():
+                assert np.array_equal(acc.finalize(self.RANGE).series()[label].values, series.values), label
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.binary(max_size=12) | LINE_TEXT.map(lambda t: t.encode("utf-8", "surrogatepass")),
+           zip_=st.binary(max_size=8) | st.sampled_from(ZIP_SPELLINGS + WIDE_ZIPS).map(str.encode))
+    def test_donor_key_is_donor_key_of_the_decoded_fields(self, name, zip_):
+        name, zip_ = (field.translate(None, b"|\r\n") for field in (name, zip_))
+        acc = MetricsAccumulator("ALPHA")
+        line = b"C001|%b|%b|06012019|10" % (name, zip_)
+        accumulate_fec_file([line], TABLE, {"ALPHA": acc}, IngestCounters())
+        assert list(acc._donor_ids) == [_donor_key(*(field.decode("utf-8", "replace") for field in (name, zip_)))]
+
+    @pytest.mark.parametrize("data, blocks", [
+        (b"", [b""]),
+        (b"a\nb", [b"a\n", b"b"]),
+        (b"ab\ncd\nef\n", [b"ab\n", b"cd\n", b"ef\n", b""]),
+        (b"a\rb\rc", [b"a\r", b"b\r", b"c"]),  # no newline byte: cut after the last CR
+        (b"\xef\xbb\xbfa\nb\n", [b"a\n", b"b\n", b""]),
+        (b"a\n\xef\xbb\xbf", [b"a\n", b"\xef\xbb\xbf"]),  # a BOM past byte 0 is text
+    ])
+    def test_range_blocks_end_after_line_ends(self, monkeypatch, data, blocks):
+        monkeypatch.setattr(fec, "_BLOCK_BYTES", 3)
+        assert list(fec._range_blocks(io.BytesIO(data), 0, None)) == blocks
+
+
+def one_pass(path, table=TABLE):
+    """The str reference: ``parse_fec_file`` over the file as text mode reads it, each record added."""
     counters = IngestCounters()
     accumulators = {c: MetricsAccumulator(c) for c in ("ALPHA", "BRAVO")}
     with open(path, encoding="utf-8-sig", errors="replace") as handle:
-        accumulate_fec_file(handle, TABLE, accumulators, counters)
+        for record in parse_fec_file(handle, table, counters):
+            for acc in accumulators.values():
+                acc.add(record)
     return counters, accumulators
 
 
-def sharded(path, shards):
+def sharded(path, shards, table=TABLE):
     """accumulate_fec_path cutting ``path`` into at most ``shards`` ranges."""
     counters = IngestCounters()
     accumulators = {c: MetricsAccumulator(c) for c in ("ALPHA", "BRAVO")}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fec, "_usable_cpus", lambda: shards)
         patch.setattr(fec, "_SHARD_MIN_BYTES", 1)
-        accumulate_fec_path(path, TABLE, accumulators, counters)
+        accumulate_fec_path(path, table, accumulators, counters)
     return counters, accumulators
+
+
+@pytest.fixture
+def fixture_table(fixtures_dir):
+    """The committee map that maps the fixture FEC file's committees."""
+    with open(fixtures_dir / "committee_map.csv", encoding="utf-8") as handle:
+        return load_committee_map(handle)
 
 
 @pytest.fixture
@@ -588,8 +697,12 @@ def ingest_flags(fixtures_dir, fec_file, out):
     ]
 
 
-def assert_same_ingest(got, want, range_):
+def assert_same_ingest(got, want, range_, *, sums=False):
+    """Equal counters, donors and series; with ``sums``, also some parsed lines and nonzero sums."""
     assert got[0] == want[0]
+    if sums:
+        assert got[0].parsed > 0
+        assert all(acc.finalize(range_).amount.values.sum() > 0 for acc in got[1].values())
     for candidate, acc in want[1].items():
         other = got[1][candidate]
         assert len(other.first_seen) == len(acc.first_seen)
@@ -611,24 +724,25 @@ class TestShardedPath:
             assert_same_ingest(sharded(path, shards), one_pass(path), self.RANGE)
         assert multiprocessing.active_children() == []
 
-    def test_fixture_in_three_ranges_matches_one_pass(self, fixtures_dir):
+    def test_fixture_in_three_ranges_matches_one_pass(self, fixtures_dir, fixture_table):
         path = fixtures_dir / "fec_sample.txt"
         with open(path, "rb") as raw:
             assert len(_range_bounds(raw, path.stat().st_size, 3)) == 4
         range_ = DateRange(date(2019, 6, 1), date(2019, 7, 20))
-        assert_same_ingest(sharded(path, 3), one_pass(path), range_)
+        assert_same_ingest(sharded(path, 3, fixture_table), one_pass(path, fixture_table), range_, sums=True)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    def test_pipe_is_read_as_one_stream(self, fixtures_dir, tmp_path):
+    def test_pipe_is_read_as_one_stream(self, fixtures_dir, tmp_path, fixture_table):
         path = fixtures_dir / "fec_sample.txt"
         fifo = tmp_path / "fec.pipe"
         os.mkfifo(fifo)  # a pipe's size reads 0 and it cannot seek, so it is never cut
         writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True)
         writer.start()
-        got = sharded(fifo, 2)
+        got = sharded(fifo, 2, fixture_table)
         writer.join(timeout=30)
         assert not writer.is_alive()
-        assert_same_ingest(got, one_pass(path), DateRange(date(2019, 6, 1), date(2019, 7, 20)))
+        assert_same_ingest(
+            got, one_pass(path, fixture_table), DateRange(date(2019, 6, 1), date(2019, 7, 20)), sums=True)
 
     @pytest.mark.parametrize("data, shards, bounds", [
         (b"a\nb\nc\nd\n", 2, [0, 4, 8]),
@@ -736,17 +850,19 @@ class TestShardedPath:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     @pytest.mark.parametrize("deleted", [False, True])
-    def test_open_descriptor_path_matches_one_pass(self, fixtures_dir, tmp_path, started, deleted):
+    def test_open_descriptor_path_matches_one_pass(
+        self, fixtures_dir, tmp_path, started, fixture_table, deleted
+    ):
         # The worker is sent this process's descriptor, so a deleted file with no name left is cut too.
         path = tmp_path / "fec.txt"
         path.write_bytes((fixtures_dir / "fec_sample.txt").read_bytes())
-        want = one_pass(path)
+        want = one_pass(path, fixture_table)
         with open(path, "rb") as held:
             if deleted:
                 path.unlink()
-            got = sharded(f"/proc/self/fd/{held.fileno()}", 2)
+            got = sharded(f"/proc/self/fd/{held.fileno()}", 2, fixture_table)
         assert len(started) == 1
-        assert_same_ingest(got, want, DateRange(date(2019, 6, 1), date(2019, 7, 20)))
+        assert_same_ingest(got, want, DateRange(date(2019, 6, 1), date(2019, 7, 20)), sums=True)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("shards", [1, 2])
