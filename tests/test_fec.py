@@ -538,18 +538,23 @@ def fec_byte_files(draw):
     if draw(st.booleans()):
         name = draw(st.sampled_from(NAME_SPELLINGS)) * 300
         lines.insert(draw(st.integers(0, len(lines))), f"C001|{name}|22903|06052019|10".encode())
-    out = [b"\xef\xbb\xbf"] if draw(st.booleans()) else []
-    for line in lines:
+    for i, line in enumerate(lines):
         if draw(st.integers(0, 4)) == 0:
             cut = draw(st.integers(0, len(line)))
-            line = line[:cut] + draw(st.sampled_from(INVALID_UTF8)) + line[cut:]
+            lines[i] = line[:cut] + draw(st.sampled_from(INVALID_UTF8)) + line[cut:]
+    return draw(joined(lines))
+
+
+@st.composite
+def joined(draw, lines):
+    """``lines`` as one file: LF, CRLF and lone CR ends, blank lines, maybe a BOM, maybe no final line end."""
+    out = [b"\xef\xbb\xbf"] if draw(st.booleans()) else []
+    for line in lines:
         out.append(line + draw(st.sampled_from(LINE_ENDS)))
         if draw(st.integers(0, 5)) == 0:
             out.append(draw(st.sampled_from(LINE_ENDS)))
     data = b"".join(out)
-    if draw(st.booleans()):
-        data = data.rstrip(b"\r\n")
-    return data
+    return data.rstrip(b"\r\n") if draw(st.booleans()) else data
 
 
 # Whitespace that str.strip() removes: ASCII, the separators \x1c-\x1f, NEL, no-break and ideographic space.
@@ -587,16 +592,9 @@ def kernel_lines(draw):
     return b"|".join(fields)
 
 
-@st.composite
-def kernel_byte_files(draw):
-    """A contribution file of ``kernel_lines``: LF, CRLF and lone CR ends, blank lines, maybe a BOM."""
-    out = [b"\xef\xbb\xbf"] if draw(st.booleans()) else []
-    for line in draw(st.lists(kernel_lines(), max_size=12)):
-        out.append(line + draw(st.sampled_from(LINE_ENDS)))
-        if draw(st.integers(0, 5)) == 0:
-            out.append(draw(st.sampled_from(LINE_ENDS)))
-    data = b"".join(out)
-    return data.rstrip(b"\r\n") if draw(st.booleans()) else data
+def kernel_byte_files():
+    """A contribution file of ``kernel_lines``."""
+    return st.lists(kernel_lines(), max_size=12).flatmap(joined)
 
 
 class TestByteKernel:
