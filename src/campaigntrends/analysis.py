@@ -19,7 +19,7 @@ from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .exceptions import GridMismatchError, InvalidValueError
-from .store import read_csv_table
+from .store import parse_iso_date, read_csv_table
 from .timeseries import DateRange, TimeSeries
 from .trendfilter import TrendFit
 
@@ -261,13 +261,13 @@ def lead_lag(
 
 
 def load_events(stream: Iterable[str] | IO[str]) -> list[tuple[date, str]]:
-    """Read a date,label CSV of external events (ISO dates)."""
+    """Read a date,label CSV of external events (YYYY-MM-DD dates)."""
     events = []
     for lineno, row in read_csv_table(stream, "events CSV", ("date", "label")):
         if len(row) < 2:
             raise InvalidValueError(f"line {lineno}: expected date,label")
         try:
-            when = date.fromisoformat(row[0].strip())
+            when = parse_iso_date(row[0].strip())
         except ValueError:
             raise InvalidValueError(f"line {lineno}: bad date {row[0]!r}") from None
         events.append((when, row[1].strip()))

@@ -446,7 +446,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     try:
         knots = [int(k) for k in args.knots.split(",") if k.strip() != ""]
         slopes = [float(s) for s in args.slopes.split(",") if s.strip() != ""]
-        start = date.fromisoformat(args.start_date)
+        start = store.parse_iso_date(args.start_date)
     except ValueError as exc:
         raise CampaignTrendsError(str(exc)) from None
     if args.n_days - 1 > (date.max - start).days:

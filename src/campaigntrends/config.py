@@ -1,8 +1,9 @@
 """Run configuration: a flat key = value file plus command-line overrides.
 
 The config file is one flat table in TOML-like syntax: one ``key = value``
-per line, ``#`` comments, strings optionally quoted, dates in ISO form and
-lists comma-separated. An empty value, bare or quoted, is an error, and so
+per line, ``#`` comments, strings optionally quoted, dates written
+``YYYY-MM-DD`` only (``store.parse_iso_date``, on every Python) and lists
+comma-separated. An empty value, bare or quoted, is an error, and so
 is anything but a comment after a closing quote. ``parse_config_lines``
 parses the lines; the CLI reads them as it reads every user text file
 (``cli._input_lines``): UTF-8 with an optional byte-order mark, where a
@@ -38,6 +39,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable
 
 from .exceptions import InvalidValueError
+from .store import parse_iso_date
 from .timeseries import DateRange
 
 __all__ = ["KEYS", "AnalysisConfig", "build_config", "parse_config_lines"]
@@ -60,8 +62,8 @@ def _items(value: str) -> tuple[str, ...]:
 # key -> (AnalysisConfig field, value parser, flag help); a key whose field
 # has no default is required
 KEYS: dict[str, tuple[str, Callable[[str], Any], str]] = {
-    "from": ("date_from", _parser(date.fromisoformat, "date"), "range start, ISO date"),
-    "to": ("date_to", _parser(date.fromisoformat, "date"), "range end, ISO date"),
+    "from": ("date_from", _parser(parse_iso_date, "date"), "range start, YYYY-MM-DD"),
+    "to": ("date_to", _parser(parse_iso_date, "date"), "range end, YYYY-MM-DD"),
     "candidates": ("candidates", _items, "comma-separated candidate ids"),
     "committee_map": ("committee_map", Path, "committee_id,candidate_id CSV"),
     "fec_files": ("fec_files", lambda v: tuple(map(Path, _items(v))), "bulk contribution file"),

@@ -9,11 +9,12 @@ committee has no candidate mapping, are counted and skipped. Amounts are
 dollars and dates MMDDYYYY, both written in ASCII; a date or amount in other
 scripts' digits or holding ``_``, a non-finite amount, or one beyond
 ``MAX_AMOUNT_DOLLARS`` either way makes its line malformed. Donor identity
-is the normalized name plus the first five zip digits
-(``normalize_donor_name`` and ``zip5``), held as one ``bytes`` key per donor
-(``_donor_key``), and a donor counts as "new" to a candidate on the day of
-their first-ever positive donation to that candidate, no matter how often
-they have given to anyone else.
+is the normalized name plus the first five zip digits, held as one UTF-8
+key per donor, ``normalize_donor_name(name) + "|" + zip5(zip)``; a name
+holds only ``[0-9A-Z ]`` and a zip only digits, so the key is unambiguous
+and holds no newline byte. A donor counts as "new" to a candidate on the
+day of their first-ever positive donation to that candidate, no matter how
+often they have given to anyone else.
 
 Per candidate and day the module produces four series: distinct donors,
 first-time donors, total dollars, and dollars from first-time donors.
@@ -63,7 +64,7 @@ from typing import IO, BinaryIO, Iterable, Iterator, Mapping
 import numpy as np
 
 from .exceptions import CampaignTrendsError, InvalidValueError
-from .store import read_csv_table
+from .store import parse_ascii_number, read_csv_table
 from .timeseries import DateRange, TimeSeries
 
 __all__ = [
@@ -109,7 +110,7 @@ _CHUNK_ROWS = 1 << 16
 # A (donor id, day) pair packs into one int64: donor << _DAY_BITS | ordinal.
 _DAY_BITS = 22  # date.max.toordinal() < 2**22
 _DAY_MASK = (1 << _DAY_BITS) - 1
-# Distinct raw committee, date and amount texts cached per file, each.
+# Distinct raw committee, date and amount texts the kernel caches per file, each.
 _PARSE_CACHE_MAX = 1 << 16
 _UNSEEN = object()
 _UNMAPPED = object()  # a committee missing from the committee map
@@ -168,30 +169,6 @@ def zip5(raw: str) -> str:
     return digits[:5]
 
 
-def _name_key(raw: str) -> bytes:
-    """UTF-8 bytes of ``normalize_donor_name(raw)``; ASCII text skips the regex."""
-    if raw.isascii():
-        return b" ".join(raw.encode().translate(_ASCII_TABLE, _ASCII_DELETE).split())
-    return normalize_donor_name(raw).encode()
-
-
-def _zip_key(raw: str) -> str:
-    """``zip5(raw)``; text that starts with five ASCII digits skips the regex."""
-    head = raw[:5]
-    if len(head) == 5 and head.isascii() and head.isdigit():
-        return head
-    return zip5(raw)
-
-
-def _donor_key(name: str, zip_: str) -> bytes:
-    """One key per donor: ``_name_key(name) + b"|" + _zip_key(zip_)`` in UTF-8.
-
-    A name key holds only ``[0-9A-Z ]`` and a zip key only digits, so the
-    key is unambiguous and holds no newline byte.
-    """
-    return _name_key(name) + b"|" + _zip_key(zip_).encode()
-
-
 def _parse_day(text: str) -> int | None:
     """Ordinal of an MMDDYYYY date inside the plausible window, else None."""
     text = text.strip()
@@ -205,69 +182,14 @@ def _parse_day(text: str) -> int | None:
 
 
 def _parse_amount_cents(text: str) -> int | None:
-    """Cents of a dollar amount written in ASCII, else None.
-
-    ``float`` alone would also read other scripts' digits and ``_`` between
-    digits.
-    """
-    text = text.strip()
-    if not text or not text.isascii() or "_" in text:
-        return None
+    """Cents of a dollar amount that ``parse_ascii_number`` reads, else None."""
     try:
-        dollars = float(text)
+        dollars = parse_ascii_number(text)
     except ValueError:
         return None
     if not abs(dollars) <= MAX_AMOUNT_DOLLARS:  # also rejects nan
         return None
     return round(dollars * 100)
-
-
-def _valid_lines(
-    lines: Iterable[str] | IO[str],
-    committee_map: Mapping[str, str],
-    counters: IngestCounters,
-) -> Iterator[tuple[str, list[str], int, int]]:
-    """Yield (candidate, fields, day ordinal, cents) for each parsed line.
-
-    The line rules on text, checked in this order: fewer than five fields
-    is malformed; then an unparseable date or amount, or a date outside the
-    plausible window, is malformed; then a committee missing from
-    ``committee_map`` is unmapped. Every non-empty line is tallied in
-    ``counters``. ``accumulate_fec_file`` applies the same rules, in the
-    same order, to raw bytes.
-    """
-    days: dict[str, int | None] = {}
-    amounts: dict[str, int | None] = {}
-    for line in lines:
-        line = line.rstrip("\r\n")
-        if not line:
-            continue
-        counters.lines_total += 1
-        fields = line.split("|")
-        if len(fields) < _FIELDS:
-            counters.malformed += 1
-            continue
-        text = fields[_DATE]
-        day = days.get(text, _UNSEEN)
-        if day is _UNSEEN:
-            day = _parse_day(text)
-            if len(days) < _PARSE_CACHE_MAX:
-                days[text] = day
-        text = fields[_AMOUNT]
-        cents = amounts.get(text, _UNSEEN)
-        if cents is _UNSEEN:
-            cents = _parse_amount_cents(text)
-            if len(amounts) < _PARSE_CACHE_MAX:
-                amounts[text] = cents
-        if day is None or cents is None:
-            counters.malformed += 1
-            continue
-        candidate = committee_map.get(fields[_COMMITTEE].strip())
-        if candidate is None:
-            counters.unmapped += 1
-            continue
-        counters.parsed += 1
-        yield candidate, fields, day, cents
 
 
 def parse_fec_file(
@@ -277,13 +199,34 @@ def parse_fec_file(
 ) -> Iterator[DonationRecord]:
     """Stream DonationRecords out of a contribution file.
 
-    Malformed lines (too few fields, unparseable or out-of-bound date or
-    amount) and lines whose committee is not in ``committee_map`` are
-    skipped and tallied in ``counters``.
+    The line rules on text, checked in this order: fewer than five fields
+    is malformed; then an unparseable date or amount, or a date outside the
+    plausible window, is malformed; then a committee missing from
+    ``committee_map`` is unmapped. Such lines are skipped, and every
+    non-empty line is tallied in ``counters``. ``accumulate_fec_file``
+    applies the same rules, in the same order, to raw bytes.
     """
     if counters is None:
         counters = IngestCounters()
-    for candidate, fields, day, cents in _valid_lines(lines, committee_map, counters):
+    for line in lines:
+        line = line.rstrip("\r\n")
+        if not line:
+            continue
+        counters.lines_total += 1
+        fields = line.split("|")
+        if len(fields) < _FIELDS:
+            counters.malformed += 1
+            continue
+        day = _parse_day(fields[_DATE])
+        cents = _parse_amount_cents(fields[_AMOUNT])
+        if day is None or cents is None:
+            counters.malformed += 1
+            continue
+        candidate = committee_map.get(fields[_COMMITTEE].strip())
+        if candidate is None:
+            counters.unmapped += 1
+            continue
+        counters.parsed += 1
         yield DonationRecord(
             candidate_id=candidate,
             donor_name_raw=fields[_NAME],
@@ -322,7 +265,8 @@ class MetricsAccumulator:
     """Columnar, order-independent accumulation of one candidate's donations.
 
     Every positive gift enters through ``_push``, which interns the donor
-    key to an int and buffers a (donor, day, cents) row; ``add`` and
+    key (``normalize_donor_name`` and ``zip5`` joined by ``|``, in UTF-8)
+    to an int and buffers a (donor, day, cents) row; ``add`` and
     ``accumulate_fec_file`` drop refunds and zero amounts before it. Once
     ``max(_CHUNK_ROWS, pairs // 4)`` rows are buffered, ``_reduce`` folds
     them into the sorted distinct (donor, day) cent sums,
@@ -345,8 +289,8 @@ class MetricsAccumulator:
 
     def add(self, record: DonationRecord) -> None:
         if record.candidate_id == self.candidate_id and record.amount_cents > 0:
-            key = _donor_key(record.donor_name_raw, record.zip)
-            self._push(key, record.date.toordinal(), record.amount_cents)
+            key = normalize_donor_name(record.donor_name_raw) + "|" + zip5(record.zip)
+            self._push(key.encode(), record.date.toordinal(), record.amount_cents)
 
     def _push(self, key: bytes, day: int, cents: int) -> None:
         """The one entry: buffer a positive gift as a row under the donor's key."""
@@ -491,12 +435,13 @@ def accumulate_fec_file(
             parsed += 1
             if push is None or cents <= 0:
                 continue
-            # _donor_key of the decoded fields, with ASCII names and 5-digit zip heads kept as bytes
+            # The donor key of the decoded fields, as MetricsAccumulator.add makes it; an ASCII
+            # name and a zip that starts with five ASCII digits are keyed without decoding.
             name = fields[_NAME]
             if name.isascii():
                 name = b" ".join(name.translate(_ASCII_TABLE, _ASCII_DELETE).split())
             else:
-                name = _name_key(name.decode("utf-8", "replace"))
+                name = normalize_donor_name(name.decode("utf-8", "replace")).encode()
             zip_ = fields[_ZIP]
             head = zip_[:5]
             if len(head) != 5 or not head.isdigit():  # bytes.isdigit is ASCII digits only

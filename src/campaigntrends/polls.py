@@ -1,9 +1,9 @@
 """Ingestion of pre-aggregated daily national polling averages.
 
-Input is a curated CSV (date,candidate,pct with ISO dates), framed by
-``store.read_csv_table`` (header, blank rows, line numbers), so unlike the
-bulk donation parser this loader raises on the first bad row instead of
-skipping. Missing days are linearly interpolated because an aggregated
+Input is a curated CSV (date,candidate,pct with YYYY-MM-DD dates and pct
+written in ASCII), framed by ``store.read_csv_table`` (header, blank rows,
+line numbers), so unlike the bulk donation parser this loader raises on the
+first bad row instead of skipping. Missing days are linearly interpolated because an aggregated
 national average is expected to be near-daily; a run of more than
 MAX_POLL_GAP_DAYS consecutive missing days is treated as broken input.
 """
@@ -21,7 +21,7 @@ from .exceptions import (
     MissingDayError,
     UnknownCandidateError,
 )
-from .store import read_csv_table
+from .store import parse_ascii_number, parse_iso_date, read_csv_table
 from .timeseries import DateRange, TimeSeries
 
 __all__ = ["MAX_POLL_GAP_DAYS", "load_poll_series"]
@@ -37,11 +37,11 @@ def _parse_rows(stream: Iterable[str] | IO[str]) -> Iterator[tuple[date, str, fl
         if len(row) != 3:
             raise InvalidValueError(f"line {lineno}: expected 3 fields, got {len(row)}")
         try:
-            when = date.fromisoformat(row[0].strip())
+            when = parse_iso_date(row[0].strip())
         except ValueError:
             raise InvalidValueError(f"line {lineno}: bad date {row[0]!r}") from None
         try:
-            pct = float(row[2])
+            pct = parse_ascii_number(row[2])
         except ValueError:
             raise InvalidValueError(f"line {lineno}: bad pct {row[2]!r}") from None
         if not 0.0 <= pct <= 100.0:

@@ -31,6 +31,8 @@ __all__ = [
     "SCHEMA_VERSION",
     "fit_from_record",
     "fit_to_record",
+    "parse_ascii_number",
+    "parse_iso_date",
     "read_csv_table",
     "read_store",
     "series_from_json",
@@ -80,7 +82,7 @@ def series_to_json(ts: TimeSeries) -> dict[str, Any]:
 
 def series_from_json(obj: dict[str, Any]) -> TimeSeries:
     return TimeSeries(
-        start_date=date.fromisoformat(obj["start_date"]),
+        start_date=parse_iso_date(obj["start_date"]),
         values=obj["values"],
         label=obj["label"],
         candidate=obj["candidate"],
@@ -253,3 +255,25 @@ def _is_iso_date(value: str) -> bool:
         return date.fromisoformat(value).isoformat() == value
     except ValueError:
         return False
+
+
+def parse_iso_date(text: str) -> date:
+    """The date of a YYYY-MM-DD text; ValueError for any other text.
+
+    From Python 3.11, ``date.fromisoformat`` alone also reads ``20190601``
+    and ``2019-W22-6``.
+    """
+    if not _is_iso_date(text):
+        raise ValueError(f"bad date {text!r}, expected YYYY-MM-DD")
+    return date.fromisoformat(text)
+
+
+def parse_ascii_number(text: str) -> float:
+    """``float`` of a number written in ASCII without ``_``; ValueError for any other text.
+
+    ``float`` alone also reads other scripts' digits and ``_`` between digits.
+    """
+    text = text.strip()
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII number: {text!r}")
+    return float(text)

@@ -545,6 +545,9 @@ class TestPipeline:
                                     for c in ("ALPHA", "BRAVO")])),
             ("fit", "store.json", "fits.json", SHIFT_ALPHA_POLL),
             ("fit", "store.json", "fits.json", DROP_BRAVO_SERIES),
+            # From Python 3.11, date.fromisoformat alone reads this as 2019-06-01.
+            ("fit", "store.json", "fits.json",
+             edit_json(lambda doc: doc["series"]["ALPHA"]["poll"].update(start_date="20190601"))),
         ],
         ids=["truncated-store", "store-without-range", "store-values-not-numbers", "truncated-fits",
              "fits-not-an-object", "fits-infinite-slope", "fits-nan-fitted", "fits-infinite-observed",
@@ -552,7 +555,7 @@ class TestPipeline:
              "fits-string-fitted", "fits-bool-df", "fits-string-converged", "store-huge-values",
              "fits-one-observed-value", "fits-knots-emptied", "fits-float-df", "store-huge-integer",
              "fits-huge-integer-lambda", "store-share-overflow", "store-series-span-shifted",
-             "store-series-dropped"],
+             "store-series-dropped", "store-date-not-yyyy-mm-dd"],
     )
     def test_damaged_upstream_exit_2(self, pipeline, fixtures_dir, tmp_path, capsys, stage, upstream, output, damage):
         out_dir = tmp_path / "damaged"
@@ -841,6 +844,36 @@ class TestInputFiles:
             pipeline, fixtures_dir, tmp_path, capsys, monkeypatch, flag, bad)
         assert result.returncode == 2, result.stderr
         assert result.stderr.startswith("error: ") and message in result.stderr
+        assert result.stderr.count("\n") == 1
+        assert not output.exists()
+
+    # From Python 3.11, date.fromisoformat alone reads both of these as 2019-06-01.
+    @pytest.mark.parametrize("text", ["20190601", "2019-W22-6"])
+    @pytest.mark.parametrize("where", ["--from", "--to", "--config", "--poll-csv", "--events-csv", "--start-date"])
+    def test_date_not_yyyy_mm_dd_exit_2(self, pipeline, fixtures_dir, tmp_path, capsys, monkeypatch, where, text):
+        output = tmp_path / "out" / "store.json"
+        if where in ("--from", "--to"):
+            result, output = self.run_with_input(pipeline, fixtures_dir, tmp_path, capsys, monkeypatch, where, text)
+        elif where == "--config":  # alone, since a flag would override the file's value
+            config = tmp_path / "run.conf"
+            config.write_text(
+                f"from = {text}\nto = 2019-07-20\ncandidates = ALPHA\n"
+                f"committee_map = {fixtures_dir / 'committee_map.csv'}\n"
+                f"fec_files = {fixtures_dir / 'fec_sample.txt'}\n",
+                encoding="utf-8",
+            )
+            monkeypatch.setattr(fec, "accumulate_fec_path", no_fec_line)
+            result = run_main(capsys, ["ingest", "--config", str(config), "--out", str(output.parent)])
+        elif where == "--start-date":
+            result = run_main(capsys, ["synth", "--n-days", "5", "--knots", "2", "--slopes", "1,-1", where, text])
+            assert result.stdout == ""
+        else:
+            dated = tmp_path / "dated.csv"
+            header = "date,candidate,pct" if where == "--poll-csv" else "date,label"
+            dated.write_text(f"{header}\n{text},ALPHA,40\n", encoding="utf-8")
+            result, output = self.run_with_input(pipeline, fixtures_dir, tmp_path, capsys, monkeypatch, where, dated)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: ") and f"bad date {text!r}" in result.stderr
         assert result.stderr.count("\n") == 1
         assert not output.exists()
 

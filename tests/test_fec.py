@@ -32,15 +32,7 @@ from campaigntrends import (
 )
 from campaigntrends.cli import main
 from campaigntrends.exceptions import CampaignTrendsError
-from campaigntrends.fec import (
-    _donor_key,
-    _name_key,
-    _range_bounds,
-    _zip_key,
-    accumulate_fec_file,
-    accumulate_fec_path,
-    zip5,
-)
+from campaigntrends.fec import _range_bounds, accumulate_fec_file, accumulate_fec_path, zip5
 
 D1 = date(2019, 6, 1)
 D2 = date(2019, 6, 2)
@@ -58,6 +50,22 @@ def parse_lines(lines, table=TABLE):
 def text_lines(data):
     """``data`` as text mode reads a file: UTF-8 with replacement, a BOM skipped, universal newlines."""
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", errors="replace")
+
+
+def kernel_key(name, zip_):
+    """The donor key ``accumulate_fec_file`` interns for one line holding ``name`` and ``zip_``.
+
+    Each field is bytes, or text written as UTF-8 (a lone surrogate as invalid UTF-8).
+    """
+    name, zip_ = (f.encode("utf-8", "surrogatepass") if isinstance(f, str) else f for f in (name, zip_))
+    acc = MetricsAccumulator("ALPHA")
+    accumulate_fec_file([b"C001|%b|%b|06012019|10" % (name, zip_)], TABLE, {"ALPHA": acc}, IngestCounters())
+    (key,) = acc._donor_ids
+    return key
+
+
+# Text that fits in one field: no field separator or line end.
+FIELD_TEXT = st.text().map(lambda text: text.translate(dict.fromkeys(map(ord, "|\r\n"))))
 
 
 class TestNormalizeDonorName:
@@ -84,21 +92,23 @@ class TestZip5:
 
 
 class TestFastPaths:
-    @settings(max_examples=300, deadline=None)
-    @given(st.text())
-    def test_name_key_matches_normalize_donor_name(self, raw):
-        assert _name_key(raw) == normalize_donor_name(raw).encode()
+    """The kernel's ASCII name translate and 5-digit zip head against the regex rules."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.text())
+    @given(FIELD_TEXT)
+    def test_name_key_matches_normalize_donor_name(self, raw):
+        assert kernel_key(raw, "22903") == f"{normalize_donor_name(raw)}|22903".encode()
+
+    @settings(max_examples=300, deadline=None)
+    @given(FIELD_TEXT)
     def test_zip_key_matches_zip5(self, raw):
-        assert _zip_key(raw) == zip5(raw)
+        assert kernel_key("", raw) == f"|{zip5(raw)}".encode()
 
     @pytest.mark.parametrize("raw", [
         "Smith, John", "SMITH JOHN", "  o'brien,\tmary ", "a\x1cb", "x_y", "José Núñez", "straße",
     ])
     def test_name_key_examples(self, raw):
-        assert _name_key(raw) == normalize_donor_name(raw).encode()
+        assert kernel_key(raw, "22903") == f"{normalize_donor_name(raw)}|22903".encode()
 
     @pytest.mark.parametrize("raw, expected", [
         ("123", "00000"),
@@ -110,7 +120,7 @@ class TestFastPaths:
     ])
     def test_zip_key_examples(self, raw, expected):
         assert zip5(raw) == expected
-        assert _zip_key(raw) == expected
+        assert kernel_key("", raw) == f"|{expected}".encode()
 
 
 class TestParseFecFile:
@@ -505,7 +515,7 @@ class TestReduceWork:
 class TestDonorKey:
     def test_shared_exactly_when_identity_agrees_on_spellings(self):
         pairs = [(n, z) for n in NAME_SPELLINGS for z in ZIP_SPELLINGS + WIDE_ZIPS]
-        keys = [_donor_key(*pair) for pair in pairs]
+        keys = [kernel_key(*pair) for pair in pairs]
         identities = [donor_identity(*pair) for pair in pairs]
         assert len(set(keys)) == len(set(identities))
         for key_a, id_a in zip(keys, identities):
@@ -515,8 +525,8 @@ class TestDonorKey:
     @settings(max_examples=300, deadline=None)
     @given(a=DONOR_PAIRS, b=DONOR_PAIRS)
     def test_shared_exactly_when_identity_agrees(self, a, b):
-        assert (_donor_key(*a) == _donor_key(*b)) == (donor_identity(*a) == donor_identity(*b))
-        key = _donor_key(*a)
+        key = kernel_key(*a)
+        assert (key == kernel_key(*b)) == (donor_identity(*a) == donor_identity(*b))
         assert b"\n" not in key
         assert tuple(key.decode().split("|")) == donor_identity(*a)
 
@@ -625,10 +635,8 @@ class TestByteKernel:
            zip_=st.binary(max_size=8) | st.sampled_from(ZIP_SPELLINGS + WIDE_ZIPS).map(str.encode))
     def test_donor_key_is_donor_key_of_the_decoded_fields(self, name, zip_):
         name, zip_ = (field.translate(None, b"|\r\n") for field in (name, zip_))
-        acc = MetricsAccumulator("ALPHA")
-        line = b"C001|%b|%b|06012019|10" % (name, zip_)
-        accumulate_fec_file([line], TABLE, {"ALPHA": acc}, IngestCounters())
-        assert list(acc._donor_ids) == [_donor_key(*(field.decode("utf-8", "replace") for field in (name, zip_)))]
+        text_name, text_zip = (field.decode("utf-8", "replace") for field in (name, zip_))
+        assert kernel_key(name, zip_) == f"{normalize_donor_name(text_name)}|{zip5(text_zip)}".encode()
 
     @pytest.mark.parametrize("data, blocks", [
         (b"", [b""]),

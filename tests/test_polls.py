@@ -55,6 +55,13 @@ class TestLoadPollSeries:
         with pytest.raises(InvalidValueError, match="line 2"):
             load_poll_series(stream, "biden", DateRange(D0, D0 + timedelta(days=2)))
 
+    # float alone reads each of these: 10.0, 5.0 (an Arabic-Indic digit) and 40.0 (full-width digits).
+    @pytest.mark.parametrize("pct", ["1_0", "\u0665", "\uff14\uff10"])
+    def test_pct_not_in_ascii_reports_line(self, pct):
+        stream = csv_stream([f"{iso(0)},biden,30", f"{iso(1)},biden,{pct}"])
+        with pytest.raises(InvalidValueError, match=f"line 3: bad pct '{pct}'"):
+            load_poll_series(stream, "biden", DateRange(D0, D0 + timedelta(days=2)))
+
     def test_gap_over_limit_rejected(self):
         stream = csv_stream([f"{iso(0)},biden,30", f"{iso(9)},biden,32"])
         with pytest.raises(MissingDayError):
