@@ -261,11 +261,13 @@ def lead_lag(
 
 
 def load_events(stream: Iterable[str] | IO[str]) -> list[tuple[date, str]]:
-    """Read a date,label CSV of external events (YYYY-MM-DD dates)."""
+    """Read a date,label CSV of external events (YYYY-MM-DD dates).
+
+    Every row holds exactly the two fields (``store.read_csv_table``), so a
+    label with a comma in it must be quoted.
+    """
     events = []
     for lineno, row in read_csv_table(stream, "events CSV", ("date", "label")):
-        if len(row) < 2:
-            raise InvalidValueError(f"line {lineno}: expected date,label")
         try:
             when = parse_iso_date(row[0].strip())
         except ValueError:

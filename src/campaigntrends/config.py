@@ -12,6 +12,8 @@ missing file or one that is not UTF-8 exits 2.
 ``KEYS`` declares each key once: its ``AnalysisConfig`` field, its parser
 and the help of its flag ``--key`` (``_`` written ``-``). Flags win over file
 values, and their values are parsed and checked exactly as file values are.
+``AnalysisConfig`` checks the values together, so a range under 3 days (the
+shortest series a fit takes) exits 2 before any stage reads an input.
 
 Recognized keys::
 
@@ -38,7 +40,7 @@ from datetime import date
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
-from .exceptions import InvalidValueError
+from .exceptions import InvalidValueError, RangeTooNarrowError
 from .store import parse_iso_date
 from .timeseries import DateRange
 
@@ -100,6 +102,11 @@ class AnalysisConfig:
         if self.date_from > self.date_to:
             raise InvalidValueError(
                 f"'from' {self.date_from} is after 'to' {self.date_to}"
+            )
+        if len(self.range) < 3:
+            raise RangeTooNarrowError(
+                f"range {self.date_from}..{self.date_to} has {len(self.range)} days; "
+                "a time series needs at least 3 daily values"
             )
         if not self.candidates:
             raise InvalidValueError("candidate list must not be empty")

@@ -237,12 +237,19 @@ def parse_fec_file(
 
 
 def load_committee_map(stream: Iterable[str] | IO[str]) -> dict[str, str]:
-    """Read a committee_id,candidate_id CSV into a lookup table."""
+    """Read a committee_id,candidate_id CSV into a lookup table.
+
+    A committee may be listed again for the same candidate; one listed for
+    a second candidate raises InvalidValueError naming both and the line.
+    """
     table: dict[str, str] = {}
     for lineno, row in read_csv_table(stream, "committee map", ("committee_id", "candidate_id")):
-        if len(row) < 2:
-            raise InvalidValueError(f"line {lineno}: committee map row has no candidate: {row!r}")
-        table[row[0].strip()] = row[1].strip()
+        committee, candidate = (cell.strip() for cell in row)
+        if table.setdefault(committee, candidate) != candidate:
+            raise InvalidValueError(
+                f"line {lineno}: committee {committee!r} maps to {candidate!r}, "
+                f"but an earlier line maps it to {table[committee]!r}"
+            )
     return table
 
 

@@ -2,10 +2,11 @@
 
 Input is a curated CSV (date,candidate,pct with YYYY-MM-DD dates and pct
 written in ASCII), framed by ``store.read_csv_table`` (header, blank rows,
-line numbers), so unlike the bulk donation parser this loader raises on the
-first bad row instead of skipping. Missing days are linearly interpolated because an aggregated
-national average is expected to be near-daily; a run of more than
-MAX_POLL_GAP_DAYS consecutive missing days is treated as broken input.
+exactly three fields per row, line numbers), so unlike the bulk donation
+parser this loader raises on the first bad row instead of skipping. Missing
+days are linearly interpolated because an aggregated national average is
+expected to be near-daily; a run of more than MAX_POLL_GAP_DAYS consecutive
+missing days is treated as broken input.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ POLL_HEADER = ("date", "candidate", "pct")
 def _parse_rows(stream: Iterable[str] | IO[str]) -> Iterator[tuple[date, str, float]]:
     """Yield (date, candidate, pct) per data row; raise on the first bad row."""
     for lineno, row in read_csv_table(stream, "poll CSV", POLL_HEADER):
-        if len(row) != 3:
-            raise InvalidValueError(f"line {lineno}: expected 3 fields, got {len(row)}")
         try:
             when = parse_iso_date(row[0].strip())
         except ValueError:

@@ -2,10 +2,11 @@
 
 Every file the pipeline reads or writes is framed here. The three CSV
 inputs (committee map, poll CSV, events CSV) share one reader,
-``read_csv_table``: a fixed header, blank rows skipped, line numbers for the
-caller's row checks. Outputs are single self-describing JSON documents with
-a schema_version field; daily data reduces to at most a few thousand points
-per series, so no database is needed. Each fit is one fits.json record
+``read_csv_table``: a fixed header, blank rows skipped, exactly one cell per
+header field, line numbers for the caller's row checks. Outputs are single
+self-describing JSON documents with a schema_version field; daily data
+reduces to at most a few thousand points per series, so no database is
+needed. Each fit is one fits.json record
 (``fit_to_record`` / ``fit_from_record``), and ``fits_long.csv`` is the
 per-day view of those records (date, candidate, metric, observed, fitted),
 ready for any plotting tool.
@@ -52,8 +53,9 @@ def read_csv_table(
 
     The first row must equal ``header`` (cells compared stripped and
     lower-cased); ``what`` names the file in the errors. Rows whose cells
-    are all blank are skipped but still counted as lines. Rows are numbered
-    by the physical line they start on.
+    are all blank are skipped but still counted as lines. Every other row
+    must hold exactly one cell per header field, so a comma inside a cell
+    must be quoted. Rows are numbered by the physical line they start on.
     """
     reader = csv.reader(stream)
     try:
@@ -67,6 +69,8 @@ def read_csv_table(
     lineno = reader.line_num + 1
     for row in reader:
         if any(cell.strip() for cell in row):
+            if len(row) != len(header):
+                raise InvalidValueError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
             yield lineno, row
         lineno = reader.line_num + 1
 
@@ -147,7 +151,7 @@ def fit_from_record(record: dict[str, Any]) -> tuple[date, TrendFit]:
     (its first n - 2 entries) inverts it, clipped to the box |u| <= lambda.
     Malformed records raise KeyError, TypeError, ValueError or OverflowError.
     """
-    start = date.fromisoformat(record["start_date"])
+    start = parse_iso_date(record["start_date"])
     lam, gap, tol_knot = (float(record[key]) for key in ("lambda", "duality_gap", "tol_knot"))
     fitted = np.array(record["fitted"], dtype=float)
     observed = np.array(record["observed"], dtype=float)
@@ -177,7 +181,7 @@ def write_fits_long_csv(handle: IO[str], records: list[dict[str, Any]]) -> None:
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(["date", "candidate", "metric", "observed", "fitted"])
     for record in records:
-        start = date.fromisoformat(record["start_date"])
+        start = parse_iso_date(record["start_date"])
         for i, (observed, fitted) in enumerate(zip(record["observed"], record["fitted"])):
             day = (start + timedelta(days=i)).isoformat()
             writer.writerow([day, record["candidate"], record["metric"], repr(observed), repr(fitted)])

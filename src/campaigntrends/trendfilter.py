@@ -29,9 +29,9 @@ at each penalty by a KKT test, and an active-set loop with a box-feasible
 step rule repairs it when the walk missed simultaneous events.
 fit_with_target_df reads the df of each point until one hits its target
 and builds one TrendFit. The banded solves call LAPACK dpbsv from SciPy's
-compiled wrapper module scipy.linalg._flapack, loaded on its own at the
-first solve: importing this module costs only NumPy, and a fit never runs
-scipy.linalg's package import.
+compiled wrapper module scipy.linalg._flapack, which the path finder finds
+and _dpbsv loads on its own at the first solve: importing this module costs
+only NumPy, and a fit never runs scipy.linalg's package import.
 
 Degrees of freedom follow the standard unbiased estimate for order-1 trend
 filtering: df = number of knots + 2.
@@ -39,6 +39,7 @@ filtering: df = number of knots + 2.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import os
@@ -235,41 +236,33 @@ def _unconstrained_dual(y: np.ndarray) -> np.ndarray:
 
 _FLAPACK = "scipy.linalg._flapack"
 
-_dpbsv = None  # LAPACK dpbsv, looked up at the first solve; keeps SciPy off the import path
 
-
-def _flapack_path() -> str | None:
-    """File of SciPy's compiled LAPACK wrappers, found without importing SciPy, or None."""
-    spec = importlib.util.find_spec("scipy")  # a top-level lookup runs no __init__
-    roots = spec.submodule_search_locations if spec else None
-    for root in roots or []:
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(root, "linalg", "_flapack" + suffix)
-            if os.path.isfile(path):
-                return path
-    return None
-
-
-def _load_dpbsv():
+@functools.cache
+def _dpbsv():
     """LAPACK dpbsv from scipy.linalg._flapack, without scipy.linalg's __init__.
 
     That package import loads all of scipy.linalg for this one routine.
-    The extension is loaded from its file instead and registered under its
-    own name, so a later ``import scipy.linalg`` in the same process reuses
-    it. A module already loaded is taken as it is, and a missing or
-    unloadable file falls back to scipy.linalg.lapack.
+    The path finder looks the extension up in each scipy/linalg directory
+    instead (a top-level spec of scipy runs no __init__), and the module is
+    loaded from that spec and registered under its own name, so a later
+    ``import scipy.linalg`` in the same process reuses it. A module already
+    loaded is taken as it is; no spec, or one that does not load, falls
+    back to scipy.linalg.lapack.
     """
     flapack = sys.modules.get(_FLAPACK)
-    path = _flapack_path() if flapack is None else None
-    if path:
-        spec = importlib.util.spec_from_file_location(_FLAPACK, path)
-        try:
-            flapack = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(flapack)
-        except ImportError:
-            flapack = None
-        else:
-            sys.modules[_FLAPACK] = flapack
+    if flapack is None:
+        scipy = importlib.util.find_spec("scipy")
+        roots = scipy.submodule_search_locations if scipy else None
+        linalg = [os.path.join(root, "linalg") for root in roots or []]
+        spec = importlib.machinery.PathFinder.find_spec(_FLAPACK, linalg)
+        if spec is not None:
+            try:
+                flapack = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(flapack)
+            except ImportError:
+                flapack = None
+            else:
+                sys.modules[_FLAPACK] = flapack
     if flapack is None:
         from scipy.linalg.lapack import dpbsv
 
@@ -281,18 +274,14 @@ def _banded_solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the positive definite banded system (lower storage ``ab``) for ``rhs``.
 
     ``rhs`` is one right-hand side or a column per right-hand side. Calls
-    LAPACK dpbsv directly (_load_dpbsv, once per process), with the checks
-    SciPy's banded Hermitian solver makes around it: non-finite input
+    LAPACK dpbsv directly (_dpbsv, looked up once per process), with the
+    checks SciPy's banded Hermitian solver makes around it: non-finite input
     raises ValueError and a block that is not positive definite raises
     np.linalg.LinAlgError. Both arguments are overwritten.
     """
-    global _dpbsv
     if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
-    if _dpbsv is None:
-        _dpbsv = _load_dpbsv()
-
-    _, x, info = _dpbsv(ab, rhs, lower=1, overwrite_ab=1, overwrite_b=1)
+    _, x, info = _dpbsv()(ab, rhs, lower=1, overwrite_ab=1, overwrite_b=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
     if info < 0:

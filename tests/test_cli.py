@@ -63,6 +63,9 @@ def edit_json(change):
 # A store whose series are not the run its header names; fit must say to re-run ingest.
 SHIFT_ALPHA_POLL = edit_json(lambda doc: doc["series"]["ALPHA"]["poll"].update(start_date="2019-06-02"))
 DROP_BRAVO_SERIES = edit_json(lambda doc: doc["series"].pop("BRAVO"))
+# From Python 3.11, date.fromisoformat alone reads this start date as 2019-06-01.
+STORE_DATE_NOT_ISO = edit_json(lambda doc: doc["series"]["ALPHA"]["poll"].update(start_date="20190601"))
+FITS_DATE_NOT_ISO = edit_json(lambda doc: doc["records"][0].update(start_date="20190601"))
 
 
 def base_flags(fixtures_dir, out_dir):
@@ -545,9 +548,8 @@ class TestPipeline:
                                     for c in ("ALPHA", "BRAVO")])),
             ("fit", "store.json", "fits.json", SHIFT_ALPHA_POLL),
             ("fit", "store.json", "fits.json", DROP_BRAVO_SERIES),
-            # From Python 3.11, date.fromisoformat alone reads this as 2019-06-01.
-            ("fit", "store.json", "fits.json",
-             edit_json(lambda doc: doc["series"]["ALPHA"]["poll"].update(start_date="20190601"))),
+            ("fit", "store.json", "fits.json", STORE_DATE_NOT_ISO),
+            ("report", "fits.json", "report.json", FITS_DATE_NOT_ISO),
         ],
         ids=["truncated-store", "store-without-range", "store-values-not-numbers", "truncated-fits",
              "fits-not-an-object", "fits-infinite-slope", "fits-nan-fitted", "fits-infinite-observed",
@@ -555,7 +557,7 @@ class TestPipeline:
              "fits-string-fitted", "fits-bool-df", "fits-string-converged", "store-huge-values",
              "fits-one-observed-value", "fits-knots-emptied", "fits-float-df", "store-huge-integer",
              "fits-huge-integer-lambda", "store-share-overflow", "store-series-span-shifted",
-             "store-series-dropped", "store-date-not-yyyy-mm-dd"],
+             "store-series-dropped", "store-date-not-yyyy-mm-dd", "fits-date-not-yyyy-mm-dd"],
     )
     def test_damaged_upstream_exit_2(self, pipeline, fixtures_dir, tmp_path, capsys, stage, upstream, output, damage):
         out_dir = tmp_path / "damaged"
@@ -570,6 +572,8 @@ class TestPipeline:
         assert "Traceback" not in result.stderr
         if damage in (SHIFT_ALPHA_POLL, DROP_BRAVO_SERIES):
             assert "re-run ingest" in result.stderr
+        if damage in (STORE_DATE_NOT_ISO, FITS_DATE_NOT_ISO):
+            assert "bad date" in result.stderr
         assert (out_dir / output).read_bytes() == before
 
 
@@ -869,13 +873,41 @@ class TestInputFiles:
             assert result.stdout == ""
         else:
             dated = tmp_path / "dated.csv"
-            header = "date,candidate,pct" if where == "--poll-csv" else "date,label"
-            dated.write_text(f"{header}\n{text},ALPHA,40\n", encoding="utf-8")
+            header, row = ("date,candidate,pct", f"{text},ALPHA,40") if where == "--poll-csv" else (
+                "date,label", f"{text},debate")
+            dated.write_text(f"{header}\n{row}\n", encoding="utf-8")
             result, output = self.run_with_input(pipeline, fixtures_dir, tmp_path, capsys, monkeypatch, where, dated)
         assert result.returncode == 2, result.stderr
         assert result.stderr.startswith("error: ") and f"bad date {text!r}" in result.stderr
         assert result.stderr.count("\n") == 1
         assert not output.exists()
+
+    def test_committee_for_two_candidates_exit_2(self, pipeline, fixtures_dir, tmp_path, capsys, monkeypatch):
+        mapped = tmp_path / "committees.csv"
+        mapped.write_text("committee_id,candidate_id\nC00000101,ALPHA\nC00000101,BRAVO\n", encoding="utf-8")
+        result, output = self.run_with_input(
+            pipeline, fixtures_dir, tmp_path, capsys, monkeypatch, "--committee-map", mapped)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == (
+            "error: line 3: committee 'C00000101' maps to 'BRAVO', but an earlier line maps it to 'ALPHA'\n"
+        )
+        assert not output.exists()
+
+    def test_range_under_3_days_exit_2(self, fixtures_dir, tmp_path, capsys, monkeypatch):
+        # no poll CSV, so only the range check keeps ingest from reading the FEC file
+        out_dir = tmp_path / "out"
+        monkeypatch.setattr(fec, "accumulate_fec_path", no_fec_line)
+        result = run_main(capsys, [
+            "ingest", "--from", "2019-06-01", "--to", "2019-06-02", "--candidates", "ALPHA",
+            "--committee-map", str(fixtures_dir / "committee_map.csv"),
+            "--fec-file", str(fixtures_dir / "fec_sample.txt"),
+            "--out", str(out_dir),
+        ])
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == (
+            "error: range 2019-06-01..2019-06-02 has 2 days; a time series needs at least 3 daily values\n"
+        )
+        assert not (out_dir / "store.json").exists()
 
     def test_config_not_utf8_exit_2(self, pipeline, fixtures_dir, tmp_path, capsys, monkeypatch):
         bad = tmp_path / "bad.conf"

@@ -221,6 +221,10 @@ class TestCommitteeMap:
         with pytest.raises(InvalidValueError):
             load_committee_map(io.StringIO(""))
 
+    def test_repeated_row_allowed(self):
+        table = load_committee_map(io.StringIO("committee_id,candidate_id\nC1,ALPHA\nC2,BRAVO\n C1 ,ALPHA\n"))
+        assert table == {"C1": "ALPHA", "C2": "BRAVO"}
+
 
 def rec(candidate, donor, day, cents, zip_="22903"):
     return DonationRecord(candidate, donor, zip_, day, cents)

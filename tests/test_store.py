@@ -230,30 +230,23 @@ class TestValidateReport:
 
 POLL_RANGE = DateRange(date(2019, 6, 1), date(2019, 6, 3))
 
-# name -> (loader, header line, a short row, its message with the line number
-# left open, two valid rows with the loaded result)
+# name -> (loader, header line, two valid rows with the loaded result)
 CSV_READERS = {
     "committee map": (
         load_committee_map,
         "committee_id,candidate_id",
-        "C001",
-        "line {}: committee map row has no candidate: ['C001']",
         ("C001,ALPHA", "C002,BRAVO"),
         {"C001": "ALPHA", "C002": "BRAVO"},
     ),
     "poll CSV": (
         lambda stream: list(load_poll_series(stream, "ALPHA", POLL_RANGE).values),
         "date,candidate,pct",
-        "2019-06-01,ALPHA",
-        "line {}: expected 3 fields, got 2",
         ("2019-06-01,ALPHA,40", "2019-06-03,ALPHA,42"),
         [40.0, 41.0, 42.0],
     ),
     "events CSV": (
         load_events,
         "date,label",
-        "2019-06-27",
-        "line {}: expected date,label",
         ("2019-06-27,first debate", "2019-07-10,rally"),
         [(date(2019, 6, 27), "first debate"), (date(2019, 7, 10), "rally")],
     ),
@@ -264,11 +257,15 @@ CSV_READERS = {
 @pytest.mark.parametrize(
     "case",
     ["empty", "wrong-header", "blank-first-line", "blank-rows-skipped", "short-row",
-     "short-row-after-multi-line-cell"],
+     "short-row-after-multi-line-cell", "extra-field"],
 )
 def test_csv_reader_errors(what, case):
-    """Every CSV input frames its file alike: empty file, header, blank rows, line numbers."""
-    load, header, short, short_message, valid, loaded = CSV_READERS[what]
+    """Every CSV input frames its file alike: empty file, header, field count, blank rows, line numbers."""
+    load, header, valid, loaded = CSV_READERS[what]
+    fields = header.count(",") + 1
+    # a valid row without its last cell, and with one cell too many
+    short = valid[0].rpartition(",")[0]
+    short_message = f"line {{}}: expected {fields} fields, got {fields - 1}"
     # blank and whitespace-only rows are skipped but still counted as lines
     padded = f"{header}\n\n   \n , \n"
     # a valid row whose quoted second cell spans two physical lines
@@ -283,6 +280,9 @@ def test_csv_reader_errors(what, case):
         "short-row": (f"{padded}{short}\n", short_message.format(5)),
         "short-row-after-multi-line-cell": (
             f"{padded}{multi_line}\n{short}\n", short_message.format(7)
+        ),
+        "extra-field": (
+            f"{padded}{valid[0]},extra\n", f"line 5: expected {fields} fields, got {fields + 1}"
         ),
     }[case]
     if message is None:

@@ -1,4 +1,6 @@
 import dataclasses
+import importlib.machinery
+import importlib.util
 import subprocess
 import sys
 import time
@@ -489,14 +491,20 @@ class TestBandedSolve:
         # scipy.linalg.lapack when its file is missing or does not load
         from scipy.linalg.lapack import dpbsv
 
-        monkeypatch.setattr(trendfilter, "_dpbsv", None)
+        trendfilter._dpbsv.cache_clear()
         monkeypatch.delitem(sys.modules, trendfilter._FLAPACK)
-        if lookup == "missing-file":
-            monkeypatch.setattr(trendfilter, "_flapack_path", lambda: None)
-        elif lookup == "broken-file":
-            broken = tmp_path / "_flapack.so"
-            broken.write_bytes(b"not a shared object")
-            monkeypatch.setattr(trendfilter, "_flapack_path", lambda: str(broken))
+        if lookup != "direct":
+            spec = None
+            if lookup == "broken-file":
+                broken = tmp_path / "_flapack.so"
+                broken.write_bytes(b"not a shared object")
+                spec = importlib.util.spec_from_file_location(trendfilter._FLAPACK, broken)
+            find_spec = importlib.machinery.PathFinder.find_spec
+
+            def fake_find_spec(name, path=None, target=None):
+                return spec if name == trendfilter._FLAPACK else find_spec(name, path, target)
+
+            monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", fake_find_spec)
         rng = np.random.default_rng(92)
         for layout in ["contiguous", "single-gaps", "sparse"]:
             for size in [1, 2, 3, 4, 5, *rng.integers(6, 401, 10)]:
@@ -507,6 +515,7 @@ class TestBandedSolve:
                 assert np.array_equal(got, want), (lookup, layout, size)
         # only the direct load registers a module of its own
         assert (trendfilter._FLAPACK in sys.modules) == (lookup == "direct")
+        trendfilter._dpbsv.cache_clear()
 
     def test_direct_load_coexists_with_scipy_imports(self):
         code = (
@@ -520,7 +529,7 @@ class TestBandedSolve:
             "import scipy.linalg, scipy.optimize\n"
             "from scipy.linalg import _flapack\n"
             "assert _flapack is sys.modules['scipy.linalg._flapack']\n"
-            "assert scipy.linalg.lapack.dpbsv is trendfilter._dpbsv\n"
+            "assert scipy.linalg.lapack.dpbsv is trendfilter._dpbsv()\n"
             "assert np.array_equal(solve_tf(y, lam).fitted, fit.fitted)\n"
             "out = oracle_solve(y, lam, 20_000)\n"
             "assert np.max(np.abs(fit.fitted - out)) <= 1e-4 * np.ptp(y)\n"
