@@ -35,18 +35,19 @@ folded.
 ``accumulate_fec_path`` runs that kernel over a file in parallel: it cuts
 the file into byte ranges that end just after a newline byte, at most one
 per usable CPU and each at least ``_SHARD_MIN_BYTES`` long, parses range 0
-itself while spawned worker processes parse the others, and folds their
-counters and pair sums into its own accumulators. One reader,
-``_range_blocks``, cuts every range into blocks of whole lines and skips a
-UTF-8 BOM at the start of the file. The series do not depend on line
-order, so the result equals one pass over the file. A file under two
-ranges' worth of bytes, a pipe, a process allowed one CPU, or a platform
-without ``os.pread`` is all range 0, parsed in one process. Each worker
-is sent the descriptor this process opened and reads its range by
-position, so every range comes from the file that was cut. Workers
-import the caller's ``__main__`` script again, which must therefore guard
-its entry point. Each process holds the distinct (donor, day) pairs of its
-own range, so memory grows with those per process. The
+itself while worker processes parse the others, and folds their counters
+and pair sums into its own accumulators. One reader, ``_range_blocks``,
+cuts every range into blocks of whole lines and skips a UTF-8 BOM at the
+start of the file. The series do not depend on line order, so the result
+equals one pass over the file. A file under two ranges' worth of bytes, a
+pipe, a process allowed one CPU, or a platform without ``os.pread`` is all
+range 0, parsed in one process. Each worker is a new interpreter, started
+by ``subprocess``, that inherits the descriptor this process opened and
+reads its range by position, so every range comes from the file that was
+cut. A worker imports ``campaigntrends`` and never the caller's
+``__main__``, so a script that ingests needs no entry-point guard and may
+be read from stdin. Each process holds the distinct (donor, day) pairs of
+its own range, so memory grows with those per process. The
 committee_id,candidate_id map that assigns committees to candidates is a
 CSV read through ``store.read_csv_table``.
 """
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 import os
 import re
+import sys
 from array import array
 from codecs import BOM_UTF8
 from dataclasses import asdict, dataclass
@@ -117,9 +119,9 @@ _UNMAPPED = object()  # a committee missing from the committee map
 
 # A file is cut into at most one byte range per usable CPU, each at least
 # this long; a file under two ranges' worth is parsed in one process. A
-# spawned worker takes about 0.2 s to start, in which this process parses
-# about 4 MiB of lines (about 18 MiB/s on a 2-core x86_64 host), so smaller
-# ranges gain nothing.
+# worker takes about 0.2 s to start, in which this process parses about
+# 4 MiB of lines (about 18 MiB/s on a 2-core x86_64 host), so smaller ranges
+# gain nothing.
 _SHARD_MIN_BYTES = 8 << 20
 # A range is read in blocks of this many bytes, each parsed up to its last
 # newline. Larger blocks hold more line objects alive at once and raised the
@@ -144,15 +146,22 @@ class DonationRecord:
 
 @dataclass
 class IngestCounters:
-    """Line accounting for one parse pass."""
+    """Line accounting for one parse pass.
 
-    lines_total: int = 0
+    Every non-empty line is exactly one of parsed, malformed or unmapped,
+    so ``lines_total`` is their sum.
+    """
+
     parsed: int = 0
     malformed: int = 0
     unmapped: int = 0
 
+    @property
+    def lines_total(self) -> int:
+        return self.parsed + self.malformed + self.unmapped
+
     def as_dict(self) -> dict[str, int]:
-        return asdict(self)
+        return {"lines_total": self.lines_total, **asdict(self)}
 
 
 def normalize_donor_name(raw: str) -> str:
@@ -203,8 +212,9 @@ def parse_fec_file(
     is malformed; then an unparseable date or amount, or a date outside the
     plausible window, is malformed; then a committee missing from
     ``committee_map`` is unmapped. Such lines are skipped, and every
-    non-empty line is tallied in ``counters``. ``accumulate_fec_file``
-    applies the same rules, in the same order, to raw bytes.
+    non-empty line is tallied in ``counters`` under one of the three.
+    ``accumulate_fec_file`` applies the same rules, in the same order, to
+    raw bytes.
     """
     if counters is None:
         counters = IngestCounters()
@@ -212,7 +222,6 @@ def parse_fec_file(
         line = line.rstrip("\r\n")
         if not line:
             continue
-        counters.lines_total += 1
         fields = line.split("|")
         if len(fields) < _FIELDS:
             counters.malformed += 1
@@ -398,13 +407,11 @@ def accumulate_fec_file(
     pushes: dict[bytes, object] = {}  # committee -> its accumulator's _push, None or _UNMAPPED
     days: dict[bytes, int | None] = {}
     amounts: dict[bytes, int | None] = {}
-    lines_total = parsed = malformed = unmapped = 0
+    parsed = malformed = unmapped = 0
     for block in blocks:
         if b"\r" in block:  # universal newlines, as text mode reads them
             block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        lines = block.split(b"\n")
-        lines_total += len(lines) - lines.count(b"")  # empty lines are skipped, not counted
-        for line in lines:
+        for line in block.split(b"\n"):
             fields = line.split(b"|")
             if len(fields) < _FIELDS:
                 if line:
@@ -454,7 +461,6 @@ def accumulate_fec_file(
             if len(head) != 5 or not head.isdigit():  # bytes.isdigit is ASCII digits only
                 head = zip5(zip_.decode("utf-8", "replace")).encode()
             push(name + b"|" + head, day, cents)
-    counters.lines_total += lines_total
     counters.parsed += parsed
     counters.malformed += malformed
     counters.unmapped += unmapped
@@ -470,7 +476,7 @@ def accumulate_fec_path(
 
     The file is cut into byte ranges that end just after a newline byte, at
     most one per usable CPU and each at least ``_SHARD_MIN_BYTES`` long.
-    Spawned workers run ``accumulate_fec_file`` over ranges 1..k-1 while
+    Worker processes run ``accumulate_fec_file`` over ranges 1..k-1 while
     this process parses range 0, then their counters and (donor, day) cent
     sums are folded into ``counters`` and ``accumulators``. Each range is
     read by ``_range_blocks``, range 0 skipping a leading BOM, and a
@@ -480,14 +486,15 @@ def accumulate_fec_path(
     ``os.pread`` is missing, is one range 0 read as one stream by the same
     reader.
 
-    Each worker is sent the descriptor this process opened
-    (``multiprocessing.reduction.send_handle``) and reads its range by
+    Each worker is a new interpreter that inherits the descriptor this
+    process opened, under the same number, and reads its range by
     position, so every range is read from the file that was cut, even once
-    ``path`` names another file or none. A range that cannot be read raises
-    its error here. A worker that ends without a result raises
-    ``CampaignTrendsError``; every worker is joined. Spawned workers import
-    the caller's ``__main__`` script again, so a script that calls this on
-    a large file must do so under ``if __name__ == "__main__":``.
+    ``path`` names another file or none. A worker imports
+    ``campaigntrends`` and never the caller's ``__main__``, so a script
+    needs no entry-point guard. A range that cannot be read raises its
+    error here. A worker that ends without a result raises
+    ``CampaignTrendsError``. On any error every worker is terminated, and
+    every worker is waited for.
     """
     with open(path, "rb", buffering=0) as raw:
         size = os.fstat(raw.fileno()).st_size
@@ -497,12 +504,9 @@ def accumulate_fec_path(
         finished = False
         try:
             for start, stop in zip(bounds[1:-1], bounds[2:]):
-                workers.append(_start_worker(start, stop, committee_map, tuple(accumulators)))
-            if workers:  # only a sharded file pays for this import
-                from multiprocessing.reduction import send_handle
-            # send_handle may wait for the worker to acknowledge, so every worker starts first
-            for worker, conn in workers:
-                send_handle(conn, raw.fileno(), worker.pid)
+                workers.append(_start_worker(raw.fileno(), start, stop))
+                # sent once the worker is listed, so a failed send still stops and waits for it
+                workers[-1][1].send((dict(committee_map), tuple(accumulators)))
             accumulate_fec_file(_range_blocks(raw, 0, bounds[1]), committee_map, accumulators, counters)
             for worker, conn in workers:
                 _fold_worker(worker, conn, accumulators, counters)
@@ -511,7 +515,7 @@ def accumulate_fec_path(
             for worker, conn in workers:
                 if not finished:
                     worker.terminate()
-                worker.join()
+                worker.wait()
                 conn.close()
 
 
@@ -587,45 +591,47 @@ def _range_blocks(raw: BinaryIO, start: int, stop: int | None) -> Iterator[bytes
     yield block.removeprefix(BOM_UTF8) if bom else block
 
 
-def _start_worker(start: int, stop: int, committee_map: Mapping[str, str], candidates: tuple[str, ...]):
-    """Start a spawned ``_parse_range`` worker; returns it and this end of its connection."""
-    import multiprocessing  # only a sharded file pays for this import
+# A worker's command: this process's sys.path, then ``_parse_range`` on the
+# connection, descriptor and byte range that its arguments name.
+_WORKER_CODE = (
+    "import json, sys; sys.path[:] = json.loads(sys.argv[1]); "
+    "from multiprocessing.connection import Connection; from campaigntrends.fec import _parse_range; "
+    "_parse_range(Connection(int(sys.argv[2])), *map(int, sys.argv[3:]))"
+)
 
-    context = multiprocessing.get_context("spawn")
-    conn, child_conn = context.Pipe()  # duplex: a socket pair, which can carry a descriptor
-    worker = context.Process(
-        target=_parse_range,
-        args=(child_conn, start, stop, dict(committee_map), candidates),
-        daemon=True,
-    )
+
+def _start_worker(fd: int, start: int, stop: int):
+    """Start a ``_parse_range`` worker on bytes [start, stop) of ``fd``; returns it and its pipe's end."""
+    import json  # only a sharded file pays for these imports
+    import subprocess
+    from multiprocessing.connection import Pipe
+
+    conn, child_conn = Pipe()  # duplex, so the worker reads its task and sends its result on one end
     with child_conn:
-        worker.start()
+        args = [json.dumps(sys.path), child_conn.fileno(), fd, start, stop]
+        worker = subprocess.Popen(
+            [sys.executable, "-c", _WORKER_CODE, *map(str, args)],
+            pass_fds=(fd, child_conn.fileno()),
+            stdin=subprocess.DEVNULL,
+        )
     return worker, conn
 
 
-def _parse_range(
-    conn,
-    start: int,
-    stop: int,
-    committee_map: dict[str, str],
-    candidates: tuple[str, ...],
-) -> None:
-    """Worker: parse bytes [start, stop) of a file and send the result on ``conn``.
+def _parse_range(conn, fd: int, start: int, stop: int) -> None:
+    """Worker: parse bytes [start, stop) of the file open on ``fd`` and send the result on ``conn``.
 
-    The file arrives on ``conn`` as a descriptor (``recv_handle``) that
-    shares the ingest process's open file. The worker sends its
-    IngestCounters, then for each candidate the donor keys as one
+    ``conn`` first brings the committee map and the candidates. The worker
+    sends its IngestCounters, then for each candidate the donor keys as one
     newline-joined blob (in id order) and the packed (donor, day) pairs and
     their cent sums as raw int64 bytes. When the range cannot be read, it
     sends the error alone.
     """
-    from multiprocessing.reduction import recv_handle
-
     with conn:
+        committee_map, candidates = conn.recv()
         counters = IngestCounters()
         accumulators = {c: MetricsAccumulator(c) for c in candidates}
         try:
-            with open(recv_handle(conn), "rb", buffering=0) as raw:
+            with open(fd, "rb", buffering=0) as raw:
                 accumulate_fec_file(_range_blocks(raw, start, stop), committee_map, accumulators, counters)
         except OSError as exc:
             conn.send(exc)
@@ -640,32 +646,24 @@ def _parse_range(
 
 
 def _fold_worker(
-    worker,
-    conn,
-    accumulators: Mapping[str, MetricsAccumulator],
-    counters: IngestCounters,
+    worker, conn, accumulators: Mapping[str, MetricsAccumulator], counters: IngestCounters
 ) -> None:
     """Receive one ``_parse_range`` result and fold it into this process's state."""
     try:
         message = conn.recv()
         if isinstance(message, BaseException):
             raise message
-        for name, value in message.as_dict().items():
+        for name, value in asdict(message).items():  # the three counted fields, not lines_total
             setattr(counters, name, getattr(counters, name) + value)
         for candidate in accumulators:
             blob = conn.recv_bytes()
             pairs = np.frombuffer(conn.recv_bytes(), np.int64)
             cents = np.frombuffer(conn.recv_bytes(), np.int64)
             accumulators[candidate]._fold(blob.split(b"\n") if blob else [], pairs, cents)
-    except (EOFError, ConnectionResetError):  # a reset: it died with the descriptor unread
-        worker.join()
-        message = f"an ingest worker ended with exit code {worker.exitcode} before sending its result"
-        if worker.exitcode == 1:  # an uncaught exception, whose traceback the worker printed
-            message += (
-                " (see its traceback above; a script that runs ingest must do so under"
-                ' `if __name__ == "__main__":`, since each worker imports the script again)'
-            )
-        raise CampaignTrendsError(message) from None
+    except (EOFError, ConnectionResetError):  # a reset: it died with its task unread
+        raise CampaignTrendsError(
+            f"an ingest worker ended with exit code {worker.wait()} before sending its result"
+        ) from None
 
 
 def daily_donation_metrics(

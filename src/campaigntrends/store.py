@@ -99,9 +99,15 @@ def write_store(handle: IO[str], store: dict[str, Any]) -> None:
 
 
 def read_store(handle: IO[str]) -> dict[str, Any]:
+    """Load a JSON object whose ``schema_version`` is the integer ``SCHEMA_VERSION``.
+
+    Anything else raises InvalidValueError: a document that is not an
+    object, or a version that is missing, another number, or a JSON
+    ``true`` or ``1.0`` (which Python compares equal to 1).
+    """
     store = json.load(handle)
     version = store.get("schema_version") if isinstance(store, dict) else None
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise InvalidValueError(
             f"store schema_version {version!r} is not supported (expected {SCHEMA_VERSION})"
         )

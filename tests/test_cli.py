@@ -550,6 +550,8 @@ class TestPipeline:
             ("fit", "store.json", "fits.json", DROP_BRAVO_SERIES),
             ("fit", "store.json", "fits.json", STORE_DATE_NOT_ISO),
             ("report", "fits.json", "report.json", FITS_DATE_NOT_ISO),
+            ("fit", "store.json", "fits.json", edit_json(lambda doc: doc.update(schema_version=True))),
+            ("report", "fits.json", "report.json", edit_json(lambda doc: doc.update(schema_version=1.0))),
         ],
         ids=["truncated-store", "store-without-range", "store-values-not-numbers", "truncated-fits",
              "fits-not-an-object", "fits-infinite-slope", "fits-nan-fitted", "fits-infinite-observed",
@@ -557,7 +559,8 @@ class TestPipeline:
              "fits-string-fitted", "fits-bool-df", "fits-string-converged", "store-huge-values",
              "fits-one-observed-value", "fits-knots-emptied", "fits-float-df", "store-huge-integer",
              "fits-huge-integer-lambda", "store-share-overflow", "store-series-span-shifted",
-             "store-series-dropped", "store-date-not-yyyy-mm-dd", "fits-date-not-yyyy-mm-dd"],
+             "store-series-dropped", "store-date-not-yyyy-mm-dd", "fits-date-not-yyyy-mm-dd",
+             "store-version-true", "fits-version-float"],
     )
     def test_damaged_upstream_exit_2(self, pipeline, fixtures_dir, tmp_path, capsys, stage, upstream, output, damage):
         out_dir = tmp_path / "damaged"

@@ -10,7 +10,6 @@ import threading
 import tracemalloc
 from array import array
 from datetime import date, timedelta
-from multiprocessing.reduction import send_handle
 from pathlib import Path
 
 import numpy as np
@@ -666,14 +665,34 @@ def one_pass(path, table=TABLE):
     return counters, accumulators
 
 
+def keep_workers(patch, workers):
+    """Append each worker (a ``Popen``) that ``accumulate_fec_path`` starts to ``workers``."""
+    start = fec._start_worker
+
+    def keep(*args):
+        worker, conn = start(*args)
+        workers.append(worker)
+        return worker, conn
+
+    patch.setattr(fec, "_start_worker", keep)
+
+
+def all_waited(workers):
+    """Every worker has a return code, so none is left running or unreaped."""
+    return all(worker.returncode is not None for worker in workers)
+
+
 def sharded(path, shards, table=TABLE):
-    """accumulate_fec_path cutting ``path`` into at most ``shards`` ranges."""
+    """accumulate_fec_path cutting ``path`` into at most ``shards`` ranges; every worker is waited for."""
     counters = IngestCounters()
     accumulators = {c: MetricsAccumulator(c) for c in ("ALPHA", "BRAVO")}
+    workers = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fec, "_usable_cpus", lambda: shards)
         patch.setattr(fec, "_SHARD_MIN_BYTES", 1)
+        keep_workers(patch, workers)
         accumulate_fec_path(path, table, accumulators, counters)
+    assert all_waited(workers)
     return counters, accumulators
 
 
@@ -688,14 +707,7 @@ def fixture_table(fixtures_dir):
 def started(monkeypatch):
     """The workers ``accumulate_fec_path`` starts, in the order it starts them."""
     workers = []
-    start = fec._start_worker
-
-    def keep(*args):
-        worker, conn = start(*args)
-        workers.append(worker)
-        return worker, conn
-
-    monkeypatch.setattr(fec, "_start_worker", keep)
+    keep_workers(monkeypatch, workers)
     return workers
 
 
@@ -732,7 +744,6 @@ class TestShardedPath:
             path = Path(tmp) / "fec.txt"
             path.write_bytes(data)
             assert_same_ingest(sharded(path, shards), one_pass(path), self.RANGE)
-        assert multiprocessing.active_children() == []
 
     def test_fixture_in_three_ranges_matches_one_pass(self, fixtures_dir, fixture_table):
         path = fixtures_dir / "fec_sample.txt"
@@ -798,10 +809,10 @@ class TestShardedPath:
         assert len(started) == 1
         for name in ("store.json", "ingest_summary.json"):
             assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
-        assert multiprocessing.active_children() == []
+        assert all_waited(started)
 
     def test_dev_stdin_redirected_from_a_file_is_cut_and_read_whole(self, fixtures_dir, tmp_path):
-        # A spawned worker's stdin is /dev/null; it reads the file stdin names through the descriptor sent to it.
+        # A worker's stdin is /dev/null; it reads the file stdin names through the descriptor it inherits.
         path = fixtures_dir / "fec_sample.txt"
         code = (
             "import sys\n"
@@ -827,34 +838,40 @@ class TestShardedPath:
         def fail(*args):
             raise OSError("read error in range 0")
 
-        monkeypatch.setattr(fec, "accumulate_fec_file", fail)  # spawned workers keep the real one
+        monkeypatch.setattr(fec, "accumulate_fec_file", fail)  # a patch here never reaches a worker's interpreter
         code = main(["ingest", *ingest_flags(fixtures_dir, fixtures_dir / "fec_sample.txt", tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err == "error: read error in range 0\n"
-        assert multiprocessing.active_children() == []
+        assert all_waited(started)
         # stopped, not left to parse their ranges to the end
-        assert [worker.exitcode for worker in started] == [-signal.SIGTERM] * 2
+        assert [worker.returncode for worker in started] == [-signal.SIGTERM] * 2
 
     def test_worker_that_dies_without_a_result_is_an_error(self):
-        context = multiprocessing.get_context("spawn")
-        receiver, sender = context.Pipe(duplex=False)
-        worker = context.Process(target=os._exit, args=(3,))
-        with sender:
-            worker.start()
-        with receiver, pytest.raises(CampaignTrendsError, match="exit code 3"):
-            fec._fold_worker(worker, receiver, {}, IngestCounters())
-        worker.join()
-        assert multiprocessing.active_children() == []
+        # With its task sent but unread, the worker's exit resets the socket (ConnectionResetError) instead
+        # of closing it (EOFError); both are the same error here.
+        for task in (None, (TABLE, ("ALPHA",))):
+            conn, child_conn = multiprocessing.Pipe()
+            with child_conn:
+                worker = subprocess.Popen(
+                    [sys.executable, "-c", "import os, time; time.sleep(0.2); os._exit(3)"],
+                    pass_fds=(child_conn.fileno(),),
+                )
+            with conn:
+                if task:
+                    conn.send(task)
+                with pytest.raises(CampaignTrendsError, match="exit code 3"):
+                    fec._fold_worker(worker, conn, {"ALPHA": MetricsAccumulator("ALPHA")}, IngestCounters())
+            assert worker.returncode == 3
 
     def test_worker_error_reaches_the_ingest_process(self, tmp_path):
         # A worker sends back the error of a range it cannot read, here a directory's descriptor.
         conn, child_conn = multiprocessing.Pipe()
+        conn.send((TABLE, ("ALPHA",)))
         directory = os.open(tmp_path, os.O_RDONLY)
         try:
-            send_handle(conn, directory, os.getpid())
+            fec._parse_range(child_conn, directory, 0, 10)
         finally:
             os.close(directory)
-        fec._parse_range(child_conn, 0, 10, TABLE, ("ALPHA",))
         with conn, pytest.raises(IsADirectoryError):
             fec._fold_worker(None, conn, {"ALPHA": MetricsAccumulator("ALPHA")}, IngestCounters())
 
@@ -863,7 +880,7 @@ class TestShardedPath:
     def test_open_descriptor_path_matches_one_pass(
         self, fixtures_dir, tmp_path, started, fixture_table, deleted
     ):
-        # The worker is sent this process's descriptor, so a deleted file with no name left is cut too.
+        # The worker inherits this process's descriptor, so a deleted file with no name left is cut too.
         path = tmp_path / "fec.txt"
         path.write_bytes((fixtures_dir / "fec_sample.txt").read_bytes())
         want = one_pass(path, fixture_table)
@@ -873,31 +890,49 @@ class TestShardedPath:
             got = sharded(f"/proc/self/fd/{held.fileno()}", 2, fixture_table)
         assert len(started) == 1
         assert_same_ingest(got, want, DateRange(date(2019, 6, 1), date(2019, 7, 20)), sums=True)
-        assert multiprocessing.active_children() == []
+        assert all_waited(started)
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_leading_bom_is_skipped(self, tmp_path, shards):
         path = tmp_path / "fec.txt"
         path.write_bytes(b"\xef\xbb\xbfC001|DOE JANE|22903|06012019|100\nC001|ROE RICHARD|22903|06012019|50\n")
         counters, accumulators = sharded(path, shards)
-        assert counters == IngestCounters(lines_total=2, parsed=2)
+        assert counters == IngestCounters(parsed=2)
+        assert counters.lines_total == 2
         assert accumulators["ALPHA"].finalize(DateRange(D1, D3)).amount.values.tolist() == [150.0, 0.0, 0.0]
 
-    def test_unguarded_script_names_the_guard(self, fixtures_dir, tmp_path):
-        script = tmp_path / "unguarded.py"  # each spawned worker imports this script again
-        script.write_text(
-            "import sys\n"
-            "from campaigntrends import cli, fec\n"
-            "fec._usable_cpus = lambda: 2\n"
-            "fec._SHARD_MIN_BYTES = 1024\n"
-            f"sys.exit(cli.main(['ingest', *{ingest_flags(fixtures_dir, fixtures_dir / 'fec_sample.txt', tmp_path / 'out')!r}]))\n"
-        )
-        result = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=120)
-        assert result.returncode == 2
-        assert "RuntimeError" in result.stderr
-        assert result.stderr.splitlines()[-1] == (
-            "error: an ingest worker ended with exit code 1 before sending its result (see its"
-            ' traceback above; a script that runs ingest must do so under `if __name__ == "__main__":`,'
-            " since each worker imports the script again)"
-        )
-        assert not (tmp_path / "out").exists()
+    def test_unguarded_script_and_script_from_stdin_ingest_as_the_plain_run(self, fixtures_dir, tmp_path):
+        # A worker imports campaigntrends alone, never the caller's __main__, which it could not
+        # re-run when it is <stdin> and would run again when it has no entry-point guard.
+        fec_file = fixtures_dir / "fec_sample.txt"
+        assert main(["ingest", *ingest_flags(fixtures_dir, fec_file, tmp_path / "plain")]) == 0
+
+        def script(out, guard):
+            flags = ingest_flags(fixtures_dir, fec_file, tmp_path / out)
+            return (
+                "import sys\n"
+                f"sys.path.insert(0, {str(Path(fec.__file__).parents[1])!r})\n"
+                "from campaigntrends import cli, fec\n"
+                "fec._usable_cpus = lambda: 2\n"
+                "fec._SHARD_MIN_BYTES = 1024\n"
+                "start = fec._start_worker\n"
+                "fec._start_worker = lambda *args: print('started a worker', file=sys.stderr) or start(*args)\n"
+                "def run():\n"
+                f"    code = cli.main(['ingest', *{flags!r}])\n"
+                "    assert 'multiprocessing.resource_tracker' not in sys.modules  # nor started its process\n"
+                "    sys.exit(code)\n"
+            ) + ('if __name__ == "__main__":\n    run()\n' if guard else "run()\n")
+
+        unguarded = tmp_path / "unguarded.py"
+        unguarded.write_text(script("unguarded", guard=False))
+        # Without PYTHONPATH a worker finds campaigntrends only through the sys.path it is handed.
+        common = dict(env={k: v for k, v in os.environ.items() if k != "PYTHONPATH"},
+                      capture_output=True, text=True, timeout=120)
+        runs = {
+            "unguarded": subprocess.run([sys.executable, unguarded], **common),
+            "stdin": subprocess.run([sys.executable, "-"], input=script("stdin", guard=True), **common),
+        }
+        for out, result in runs.items():
+            assert (result.returncode, result.stderr) == (0, "started a worker\n")
+            for name in ("store.json", "ingest_summary.json"):
+                assert (tmp_path / out / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
