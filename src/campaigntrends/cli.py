@@ -9,6 +9,7 @@ Subcommands:
 
 Stage flags come from ``config.KEYS`` (dest = key), so build_config parses flag
 and file values alike; only ``--config`` and ``--fec-file`` are declared here.
+Every flag is spelled in full: argparse's prefix matching is off.
 One reader takes every user CSV and the config file, and one every upstream
 document, with one check that it was made for this run; one writer writes
 every document.
@@ -17,7 +18,8 @@ missing or bad poll CSV exits 2 at once.
 
 Exit codes: 0 clean, 1 completed with warnings (malformed input lines,
 non-converged fits, unreachable df targets), 2 unusable input, whose one
-``error: ...`` line only ``main`` prints. fit and report print one
+``error: ...`` line only ``main`` prints; it names the file, or for a fit
+the ``<candidate>/<metric>`` series, that it is about. fit and report print one
 ``warning: <candidate>/<metric>: ...`` line per such fit.
 """
 
@@ -78,6 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="campaigntrends",
         description="Joinpoint trend analysis for campaign polling and donation series.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -96,10 +99,11 @@ def _build_parser() -> argparse.ArgumentParser:
         ("fit", "fit trends for every candidate and metric"),
         ("report", "emit changepoint/event/lead-lag report"),
     ]:
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         add_config_flags(p)
 
-    p = sub.add_parser("synth", help="print a synthetic piecewise-linear series as CSV")
+    p = sub.add_parser("synth", help="print a synthetic piecewise-linear series as CSV",
+                       allow_abbrev=False)
     p.add_argument("--n-days", type=int, required=True)
     p.add_argument("--knots", required=True, help="comma-separated interior day indices")
     p.add_argument("--slopes", required=True, help="comma-separated per-segment slopes")
@@ -216,7 +220,10 @@ def _cmd_ingest(config: AnalysisConfig) -> int:
 
 
 def _read_upstream(path: Path, stage: str, what: str, decode: Callable[[dict], Any]) -> Any:
-    """Read and ``decode`` the pipeline file at ``path``, which ``stage`` writes."""
+    """Read and ``decode`` the pipeline file at ``path``, which ``stage`` writes.
+
+    Every error it raises names ``path``.
+    """
     if not path.exists():
         raise CampaignTrendsError(f"{path.stem} not found: {path} (run {stage} first)")
     with open(path, encoding="utf-8") as handle:
@@ -224,10 +231,14 @@ def _read_upstream(path: Path, stage: str, what: str, decode: Callable[[dict], A
             document = store.read_store(handle)
         except ValueError as exc:  # json.JSONDecodeError, UnicodeDecodeError
             raise CampaignTrendsError(f"{path} is not valid JSON: {exc}") from None
+        except CampaignTrendsError as exc:
+            raise CampaignTrendsError(f"{path}: {exc}") from None
     try:
         return decode(document)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CampaignTrendsError(f"malformed {what} in {path}: {exc!r}") from None
+    except CampaignTrendsError as exc:
+        raise CampaignTrendsError(f"{path}: {exc}") from None
 
 
 def _check_upstream(
@@ -286,17 +297,22 @@ def _cmd_fit(config: AnalysisConfig) -> int:
         metrics = {m for per_candidate in series_map.values() for m in per_candidate}
         for metric in sorted(metrics - {POLL_METRIC}):
             holders = {c: m[metric] for c, m in series_map.items() if metric in m}
-            for candidate, ts in normalize_share(holders).shares.items():
+            try:
+                shares = normalize_share(holders).shares
+            except CampaignTrendsError as exc:
+                raise CampaignTrendsError(f"{metric}: {exc}") from None
+            for candidate, ts in shares.items():
                 series_map[candidate][metric] = ts
     records = []
     warnings = []
     for candidate in sorted(series_map):
         for metric in sorted(series_map[candidate]):
             ts = series_map[candidate][metric]
-            target = config.df if config.df is not None else target_df_for_span(
-                len(ts), config.df_per_90
-            )
-            fit = fit_with_target_df(ts.values, target)
+            target = target_df_for_span(len(ts), config.df_per_90)
+            try:
+                fit = fit_with_target_df(ts.values, target)
+            except CampaignTrendsError as exc:
+                raise CampaignTrendsError(f"{candidate}/{metric}: {exc}") from None
             warnings.append(_fit_warning(candidate, metric, fit, target))
             records.append(store.fit_to_record(candidate, metric, ts, fit, target))
 
@@ -317,18 +333,21 @@ def _cmd_fit(config: AnalysisConfig) -> int:
 
 
 def _cmd_report(config: AnalysisConfig) -> int:
-    def decode(fits_doc: dict[str, Any]) -> list[tuple[str, str, int, date, TrendFit]]:
-        if fits_doc.get("normalize") != config.normalize:
-            raise CampaignTrendsError(
-                f"fits were produced with normalize={fits_doc.get('normalize')!r}; "
-                f"re-run fit or pass --normalize {fits_doc.get('normalize')}"
-            )
-        return [
-            (record["candidate"], record["metric"], record["target_df"], *store.fit_from_record(record))
-            for record in fits_doc["records"]
-        ]
-
-    decoded = _read_upstream(config.out_dir / "fits.json", "fit", "fit record", decode)
+    normalize, decoded = _read_upstream(
+        config.out_dir / "fits.json", "fit", "fit record", lambda fits_doc: (
+            fits_doc.get("normalize"),
+            [
+                (record["candidate"], record["metric"], record["target_df"],
+                 *store.fit_from_record(record))
+                for record in fits_doc["records"]
+            ],
+        ),
+    )
+    if normalize != config.normalize:
+        raise CampaignTrendsError(
+            f"fits were produced with normalize={normalize!r}; "
+            f"re-run fit or pass --normalize {normalize}"
+        )
     spans = {_span(start, len(fit.fitted)) for *_, start, fit in decoded}
     _check_upstream(config, "fits", "fit", spans, {candidate for candidate, *_ in decoded})
 

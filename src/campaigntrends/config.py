@@ -10,8 +10,11 @@ parses the lines; the CLI reads them as it reads every user text file
 missing file or one that is not UTF-8 exits 2.
 
 ``KEYS`` declares each key once: its ``AnalysisConfig`` field, its parser
-and the help of its flag ``--key`` (``_`` written ``-``). Flags win over file
-values, and their values are parsed and checked exactly as file values are.
+and the help of its flag ``--key`` (``_`` written ``-``, spelled in full).
+A key given twice in the file is an error. Flags win over file values, and
+their values are parsed and checked exactly as file values are. An n-day
+series is fit to df ``max(2, round(df_per_90 * n / 90))``, so an absolute
+target N on an n-day range is ``df_per_90 = 90 * N / n``.
 ``AnalysisConfig`` checks the values together, so a range under 3 days (the
 shortest series a fit takes) exits 2 before any stage reads an input.
 
@@ -24,7 +27,6 @@ Recognized keys::
     fec_files     = a.txt, b.txt        # bulk contribution files
     poll_csv      = polls.csv           # date,candidate,pct
     events_csv    = events.csv          # date,label
-    df            = 12                  # absolute df target (overrides rate)
     df_per_90     = 12                  # df budget per 90 days (default 12)
     normalize     = raw                 # raw | share
     window_days   = 10                  # event alignment window
@@ -71,7 +73,6 @@ KEYS: dict[str, tuple[str, Callable[[str], Any], str]] = {
     "fec_files": ("fec_files", lambda v: tuple(map(Path, _items(v))), "bulk contribution file"),
     "poll_csv": ("poll_csv", Path, "date,candidate,pct CSV"),
     "events_csv": ("events_csv", Path, "date,label CSV"),
-    "df": ("df", _parser(int, "integer"), "absolute df target for every series"),
     "df_per_90": ("df_per_90", _parser(float, "number"), "df budget per 90 days (default 12)"),
     "normalize": ("normalize", str, "fit raw values or daily cross-candidate shares"),
     "window_days": ("window_days", _parser(int, "integer"), "event alignment window"),
@@ -91,7 +92,6 @@ class AnalysisConfig:
     fec_files: tuple[Path, ...] = ()
     poll_csv: Path | None = None
     events_csv: Path | None = None
-    df: int | None = None
     df_per_90: float = 12.0
     normalize: str = "raw"
     window_days: int = 10
@@ -115,8 +115,6 @@ class AnalysisConfig:
             raise InvalidValueError(f"candidate {twice[0]!r} listed twice")
         if not (math.isfinite(self.df_per_90) and self.df_per_90 > 0):
             raise InvalidValueError(f"df_per_90 must be finite and > 0, got {self.df_per_90!r}")
-        if self.df is not None and self.df < 2:
-            raise InvalidValueError(f"df override must be >= 2, got {self.df}")
         if self.normalize not in ("raw", "share"):
             raise InvalidValueError(
                 f"normalize must be 'raw' or 'share', got {self.normalize!r}"
@@ -132,6 +130,7 @@ class AnalysisConfig:
 def parse_config_lines(lines: Iterable[str]) -> dict[str, str]:
     """Parse flat key = value lines into a raw string table."""
     table: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -156,7 +155,12 @@ def parse_config_lines(lines: Iterable[str]) -> dict[str, str]:
             raise InvalidValueError(f"config line {lineno}: unknown key {key!r}")
         if not value:
             raise InvalidValueError(f"config line {lineno}: empty value for {key!r}")
+        if key in table:
+            raise InvalidValueError(
+                f"config line {lineno}: key {key!r} given twice (first on line {first_line[key]})"
+            )
         table[key] = value
+        first_line[key] = lineno
     return table
 
 

@@ -109,7 +109,7 @@ def read_store(handle: IO[str]) -> dict[str, Any]:
     version = store.get("schema_version") if isinstance(store, dict) else None
     if type(version) is not int or version != SCHEMA_VERSION:
         raise InvalidValueError(
-            f"store schema_version {version!r} is not supported (expected {SCHEMA_VERSION})"
+            f"schema_version {version!r} is not supported (expected {SCHEMA_VERSION})"
         )
     return store
 

@@ -66,6 +66,11 @@ DROP_BRAVO_SERIES = edit_json(lambda doc: doc["series"].pop("BRAVO"))
 # From Python 3.11, date.fromisoformat alone reads this start date as 2019-06-01.
 STORE_DATE_NOT_ISO = edit_json(lambda doc: doc["series"]["ALPHA"]["poll"].update(start_date="20190601"))
 FITS_DATE_NOT_ISO = edit_json(lambda doc: doc["records"][0].update(start_date="20190601"))
+# Stores that decode but cannot be fit: the error names the series, not the file.
+HUGE_ALPHA_AMOUNT = edit_json(lambda doc: doc["series"]["ALPHA"]["amount"]["values"].__setitem__(
+    slice(0, 2), [1e308, -1e308]))
+SHARE_OVERFLOW = edit_json(lambda doc: [doc["series"][c]["amount"]["values"].__setitem__(
+    slice(0, 2), [1e308, 1e308]) for c in ("ALPHA", "BRAVO")])
 
 
 def base_flags(fixtures_dir, out_dir):
@@ -187,12 +192,12 @@ class TestConfigHandling:
 
     def test_empty_config_value_exit_2(self, tmp_path, fixtures_dir, capsys):
         config = tmp_path / "run.conf"
-        config.write_text("from = 2019-06-01\ndf =\n", encoding="utf-8")
+        config.write_text("from = 2019-06-01\ndf_per_90 =\n", encoding="utf-8")
         for stage in ("ingest", "fit", "report"):
             flags = base_flags(fixtures_dir, tmp_path / "out")
             result = run_main(capsys, [stage, "--config", str(config), *flags])
             assert result.returncode == 2, result.stderr
-            assert result.stderr.startswith("error: config line 2: empty value for 'df'")
+            assert result.stderr.startswith("error: config line 2: empty value for 'df_per_90'")
             assert "Traceback" not in result.stderr
         assert not (tmp_path / "out").exists()
 
@@ -200,8 +205,9 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--df", "abc", "error: config 'df': bad integer 'abc'"),
             ("--window-days", "x", "error: config 'window_days': bad integer 'x'"),
+            ("--window-days", "0", "error: window_days and max_gap_days must be positive"),
+            ("--max-gap-days", "-3", "error: window_days and max_gap_days must be positive"),
             ("--out", "", "error: empty value for 'out'"),
             ("--out", " ", "error: empty value for 'out'"),
             ("--candidates", "ALPHA,ALPHA,BRAVO", "error: candidate 'ALPHA' listed twice"),
@@ -211,7 +217,7 @@ class TestConfigHandling:
             ("--df-per-90", "-1", "error: df_per_90 must be finite and > 0, got -1.0"),
             ("--normalize", "bogus", "error: normalize must be 'raw' or 'share', got 'bogus'"),
         ],
-        ids=["df", "window-days", "empty-out", "blank-out", "duplicate-candidate",
+        ids=["window-days", "window-days-zero", "max-gap-days-negative", "empty-out", "blank-out", "duplicate-candidate",
              "df-per-90-inf", "df-per-90-nan", "df-per-90-zero", "df-per-90-negative",
              "normalize"],
     )
@@ -222,6 +228,16 @@ class TestConfigHandling:
             assert result.returncode == 2, result.stderr
             assert result.stderr.startswith(message)
             assert "Traceback" not in result.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("missing", ["--committee-map", "--fec-file"])
+    def test_ingest_without_committee_map_or_fec_file_exit_2(self, tmp_path, fixtures_dir, capsys, missing):
+        flags = base_flags(fixtures_dir, tmp_path / "out")
+        at = flags.index(missing)
+        del flags[at : at + 2]
+        result = run_main(capsys, ["ingest", *flags])
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == "error: ingest needs committee_map and at least one fec_files entry\n"
         assert not (tmp_path / "out").exists()
 
     def test_every_config_key_has_a_flag(self):
@@ -236,6 +252,28 @@ class TestConfigHandling:
                     assert flags["fec_file"] == ["--fec-file"], stage
                 else:
                     assert flags[key] == ["--" + key.replace("_", "-")], (stage, key)
+
+    def test_removed_or_abbreviated_flag_exit_2(self, pipeline, fixtures_dir, tmp_path, capsys):
+        # flags are spelled in full: with prefixes on, argparse read --cand as
+        # --candidates and --df, the removed df override, as --df-per-90
+        out_dir = tmp_path / "run"
+        out_dir.mkdir()
+        for name in ("store.json", "fits.json", "report.json"):
+            (out_dir / name).write_bytes((pipeline[0] / name).read_bytes())
+        flags = base_flags(fixtures_dir, out_dir)
+        runs = [
+            [stage, *flags, *extra]
+            for stage in ("ingest", "fit", "report")
+            for extra in (["--df", "12"], ["--cand", "ALPHA,BRAVO"], ["--window", "3"])
+        ]
+        runs.append(["synth", "--n-days", "5", "--knots", "2", "--slopes", "1,-1", "--see", "3"])
+        for args in runs:
+            result = run_main(capsys, args)
+            assert result.returncode == 2, args
+            assert "error: unrecognized arguments: " in result.stderr, args
+            assert result.stdout == "", args
+        for name in ("store.json", "fits.json", "report.json"):
+            assert (out_dir / name).read_bytes() == (pipeline[0] / name).read_bytes(), name
 
     def test_overflowing_df_target_exit_2(self, tmp_path, fixtures_dir, capsys):
         flags = base_flags(fixtures_dir, tmp_path / "out")
@@ -410,7 +448,8 @@ class TestPipeline:
 
     def test_df_override_two_forces_straight_lines(self, fixtures_dir, tmp_path):
         out_dir = tmp_path / "df2"
-        flags = base_flags(fixtures_dir, out_dir) + ["--df", "2"]
+        # df_per_90 = 90 * 2 / 50 is the df target 2 on the 50-day range
+        flags = base_flags(fixtures_dir, out_dir) + ["--df-per-90", str(90 * 2 / 50)]
         assert main(["ingest", *flags]) == 0
         assert main(["fit", *flags]) == 0
         fits = json.loads((out_dir / "fits.json").read_text())
@@ -533,9 +572,7 @@ class TestPipeline:
              lambda text: text.replace('"df": ', '"df": true, "was": ', 1)),
             ("report", "fits.json", "report.json",
              lambda text: text.replace('"converged": ', '"converged": "yes", "was": ', 1)),
-            ("fit", "store.json", "fits.json",
-             edit_json(lambda doc: doc["series"]["ALPHA"]["amount"]["values"].__setitem__(
-                 slice(0, 2), [1e308, -1e308]))),
+            ("fit", "store.json", "fits.json", HUGE_ALPHA_AMOUNT),
             ("report", "fits.json", "report.json", edit_json(lambda doc: doc["records"][0].update(observed=[3.0]))),
             ("report", "fits.json", "report.json", edit_json(lambda doc: doc["records"][0].update(knots=[]))),
             ("report", "fits.json", "report.json",
@@ -543,15 +580,17 @@ class TestPipeline:
             ("fit", "store.json", "fits.json",
              edit_json(lambda doc: doc["series"]["ALPHA"]["amount"]["values"].__setitem__(0, 10**400))),
             ("report", "fits.json", "report.json", edit_json(lambda doc: doc["records"][0].update({"lambda": 10**400}))),
-            ("fit --normalize share", "store.json", "fits.json",
-             edit_json(lambda doc: [doc["series"][c]["amount"]["values"].__setitem__(slice(0, 2), [1e308, 1e308])
-                                    for c in ("ALPHA", "BRAVO")])),
+            ("fit --normalize share", "store.json", "fits.json", SHARE_OVERFLOW),
             ("fit", "store.json", "fits.json", SHIFT_ALPHA_POLL),
             ("fit", "store.json", "fits.json", DROP_BRAVO_SERIES),
             ("fit", "store.json", "fits.json", STORE_DATE_NOT_ISO),
             ("report", "fits.json", "report.json", FITS_DATE_NOT_ISO),
             ("fit", "store.json", "fits.json", edit_json(lambda doc: doc.update(schema_version=True))),
             ("report", "fits.json", "report.json", edit_json(lambda doc: doc.update(schema_version=1.0))),
+            ("fit", "store.json", "fits.json",
+             edit_json(lambda doc: doc["series"]["ALPHA"]["poll"]["values"].__setitem__(0, float("nan")))),
+            ("fit", "store.json", "fits.json",
+             edit_json(lambda doc: doc["series"]["ALPHA"]["amount"].update(values=[1.0, 2.0]))),
         ],
         ids=["truncated-store", "store-without-range", "store-values-not-numbers", "truncated-fits",
              "fits-not-an-object", "fits-infinite-slope", "fits-nan-fitted", "fits-infinite-observed",
@@ -560,7 +599,7 @@ class TestPipeline:
              "fits-one-observed-value", "fits-knots-emptied", "fits-float-df", "store-huge-integer",
              "fits-huge-integer-lambda", "store-share-overflow", "store-series-span-shifted",
              "store-series-dropped", "store-date-not-yyyy-mm-dd", "fits-date-not-yyyy-mm-dd",
-             "store-version-true", "fits-version-float"],
+             "store-version-true", "fits-version-float", "store-nan-value", "store-two-values"],
     )
     def test_damaged_upstream_exit_2(self, pipeline, fixtures_dir, tmp_path, capsys, stage, upstream, output, damage):
         out_dir = tmp_path / "damaged"
@@ -575,6 +614,12 @@ class TestPipeline:
         assert "Traceback" not in result.stderr
         if damage in (SHIFT_ALPHA_POLL, DROP_BRAVO_SERIES):
             assert "re-run ingest" in result.stderr
+        elif damage is HUGE_ALPHA_AMOUNT:
+            assert result.stderr.startswith("error: ALPHA/amount: input series is too large")
+        elif damage is SHARE_OVERFLOW:
+            assert result.stderr.startswith("error: amount: the daily total on 2019-06-01 is too large")
+        else:
+            assert str(out_dir / upstream) in result.stderr
         if damage in (STORE_DATE_NOT_ISO, FITS_DATE_NOT_ISO):
             assert "bad date" in result.stderr
         assert (out_dir / output).read_bytes() == before
@@ -584,9 +629,9 @@ class TestReportReadsFits:
     """report decodes fits.json and never re-solves or reads store.json."""
 
     def test_df_warnings_reach_report(self, fixtures_dir, tmp_path):
-        # df 48 on a 50-day span is above every df the grid reaches
+        # df target 48 (df_per_90 = 90 * 48 / 50) on a 50-day span is above every df the grid reaches
         out_dir = tmp_path / "df48"
-        flags = base_flags(fixtures_dir, out_dir) + ["--df", "48"]
+        flags = base_flags(fixtures_dir, out_dir) + ["--df-per-90", str(90 * 48 / 50)]
         assert main(["ingest", *flags]) == 0
         assert main(["fit", *flags]) == 1
         assert main(["report", *flags]) == 1
@@ -603,7 +648,7 @@ class TestReportReadsFits:
 
     def test_each_warned_record_gets_one_stderr_line(self, fixtures_dir, tmp_path, capsys):
         out_dir = tmp_path / "df48"
-        flags = base_flags(fixtures_dir, out_dir) + ["--df", "48"]
+        flags = base_flags(fixtures_dir, out_dir) + ["--df-per-90", str(90 * 48 / 50)]
         assert main(["ingest", *flags]) == 0
         capsys.readouterr()
         assert main(["fit", *flags]) == 1

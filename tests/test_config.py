@@ -20,18 +20,25 @@ class TestParseConfigLines:
             "from = 2019-06-01",
             "to   = 2019-07-20",
             'candidates = "ALPHA, BRAVO"',
-            "df = 12  # absolute override",
+            "df_per_90 = 12  # df budget per 90 days",
             "",
         ]
         table = parse_config_lines(lines)
         assert table["from"] == "2019-06-01"
         assert table["candidates"] == "ALPHA, BRAVO"
-        assert table["df"] == "12"
+        assert table["df_per_90"] == "12"
 
     def test_unknown_key_rejected(self):
-        for line in ["bogus = 1", "max_iter = 1"]:
+        for line in ["bogus = 1", "max_iter = 1", "df = 12"]:
             with pytest.raises(InvalidValueError, match="unknown key"):
                 parse_config_lines([line])
+
+    def test_key_given_twice_rejected(self):
+        lines = ["from = 2019-06-01", "to = 2019-07-20", "# later", "FROM = 2019-06-05"]
+        with pytest.raises(
+            InvalidValueError, match=r"^config line 4: key 'from' given twice \(first on line 1\)$"
+        ):
+            parse_config_lines(lines)
 
     def test_docstring_lists_every_known_key(self):
         listing = config.__doc__.split("Recognized keys::", 1)[1]
@@ -48,8 +55,8 @@ class TestParseConfigLines:
 
 
     @pytest.mark.parametrize("line, key", [
-        ("df =", "df"),
-        ("df = ''", "df"),
+        ("df_per_90 =", "df_per_90"),
+        ("df_per_90 = ''", "df_per_90"),
         ('out = ""', "out"),
         ("out = # note", "out"),
         ("out =   ", "out"),
@@ -78,7 +85,6 @@ class TestBuildConfig:
         config = build_config(make_raw())
         assert config.date_from == date(2019, 6, 1)
         assert config.candidates == ("ALPHA", "BRAVO")
-        assert config.df is None
         assert config.df_per_90 == 12.0
         assert config.normalize == "raw"
         assert config.window_days == 10
@@ -92,7 +98,7 @@ class TestBuildConfig:
                 fec_files="a.txt, b.txt",
                 poll_csv="p.csv",
                 events_csv="e.csv",
-                df="8",
+                df_per_90="8",
                 normalize="share",
                 window_days="5",
                 max_gap_days="21",
@@ -100,7 +106,7 @@ class TestBuildConfig:
             )
         )
         assert config.fec_files == (Path("a.txt"), Path("b.txt"))
-        assert config.df == 8
+        assert config.df_per_90 == 8.0
         assert config.normalize == "share"
         assert config.window_days == 5
         assert config.out_dir == Path("results")
@@ -112,10 +118,6 @@ class TestBuildConfig:
     def test_empty_candidates_rejected(self):
         with pytest.raises(InvalidValueError):
             build_config(make_raw(candidates=" , "))
-
-    def test_df_below_two_rejected(self):
-        with pytest.raises(InvalidValueError):
-            build_config(make_raw(df="1"))
 
     def test_bad_normalize_rejected(self):
         with pytest.raises(InvalidValueError):
@@ -130,7 +132,7 @@ class TestBuildConfig:
             build_config(make_raw(candidates="ALPHA,BRAVO, ALPHA"))
 
     @pytest.mark.parametrize("value", ["", "  "])
-    @pytest.mark.parametrize("key", ["candidates", "out", "df", "committee_map", "fec_files"])
+    @pytest.mark.parametrize("key", ["candidates", "out", "df_per_90", "committee_map", "fec_files"])
     def test_empty_value_rejected(self, key, value):
         with pytest.raises(InvalidValueError, match=f"empty value for '{key}'"):
             build_config(make_raw(**{key: value}))
