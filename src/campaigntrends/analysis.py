@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date, timedelta
 from enum import Enum
-from statistics import median
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -256,7 +255,7 @@ def lead_lag(
         pairs=tuple(pairs),
         unmatched_a=unmatched_a,
         unmatched_b=unmatched_b,
-        median_offset=float(median(offsets)) if offsets else None,
+        median_offset=float(np.median(offsets)) if offsets else None,
     )
 
 

@@ -15,6 +15,11 @@ document, with one check that it was made for this run; one writer writes
 every document.
 ingest reads the committee map and the poll CSV before any FEC line, so a
 missing or bad poll CSV exits 2 at once.
+Only ingest imports the ingest modules (``fec``, ``polls``) and only synth
+imports ``synth``, each inside its command, so fit and report never load them.
+The analysis and trendfilter names stay at module level, where
+perfbench/trace.py replaces them; fec, polls and store are reached through
+their module attributes.
 
 Exit codes: 0 clean, 1 completed with warnings (malformed input lines,
 non-converged fits, unreachable df targets), 2 unusable input, whose one
@@ -33,7 +38,7 @@ from datetime import date, timedelta
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
-from . import fec, polls, store, synth
+from . import store
 from .analysis import (
     Changepoint,
     align_events,
@@ -164,6 +169,8 @@ def _exit_with_warnings(warnings: list[str | None]) -> int:
 
 
 def _cmd_ingest(config: AnalysisConfig) -> int:
+    from . import fec, polls  # only ingest loads the ingest modules
+
     if config.committee_map is None or not config.fec_files:
         raise CampaignTrendsError("ingest needs committee_map and at least one fec_files entry")
     committee_map = fec.load_committee_map(_input_lines(config.committee_map))
@@ -333,8 +340,9 @@ def _cmd_fit(config: AnalysisConfig) -> int:
 
 
 def _cmd_report(config: AnalysisConfig) -> int:
+    fits_path = config.out_dir / "fits.json"
     normalize, decoded = _read_upstream(
-        config.out_dir / "fits.json", "fit", "fit record", lambda fits_doc: (
+        fits_path, "fit", "fit record", lambda fits_doc: (
             fits_doc.get("normalize"),
             [
                 (record["candidate"], record["metric"], record["target_df"],
@@ -355,6 +363,8 @@ def _cmd_report(config: AnalysisConfig) -> int:
     series_entries = []
     cps_by_series: dict[tuple[str, str], list[Changepoint]] = {}
     for candidate, metric, target, start_date, fit in decoded:
+        if (candidate, metric) in cps_by_series:
+            raise CampaignTrendsError(f"{fits_path}: {candidate}/{metric} has more than one record")
         warnings.append(_fit_warning(candidate, metric, fit, target))
         cps = classify_changepoints(fit, start_date)
         regions = trend_regions(fit, start_date)
@@ -462,6 +472,8 @@ def _cmd_report(config: AnalysisConfig) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from . import synth
+
     try:
         knots = [int(k) for k in args.knots.split(",") if k.strip() != ""]
         slopes = [float(s) for s in args.slopes.split(",") if s.strip() != ""]

@@ -19,7 +19,6 @@ import functools
 import json
 import re
 from datetime import date, timedelta
-from importlib import resources
 from typing import IO, Any, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -102,16 +101,27 @@ def read_store(handle: IO[str]) -> dict[str, Any]:
     """Load a JSON object whose ``schema_version`` is the integer ``SCHEMA_VERSION``.
 
     Anything else raises InvalidValueError: a document that is not an
-    object, or a version that is missing, another number, or a JSON
-    ``true`` or ``1.0`` (which Python compares equal to 1).
+    object, an object anywhere in it that repeats a key (``json.load``
+    alone keeps the last value), or a version that is missing, another
+    number, or a JSON ``true`` or ``1.0`` (which Python compares equal to 1).
     """
-    store = json.load(handle)
+    store = json.load(handle, object_pairs_hook=_unique_keys)
     version = store.get("schema_version") if isinstance(store, dict) else None
     if type(version) is not int or version != SCHEMA_VERSION:
         raise InvalidValueError(
             f"schema_version {version!r} is not supported (expected {SCHEMA_VERSION})"
         )
     return store
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """The dict of one JSON object's (key, value) pairs; InvalidValueError if a key repeats."""
+    obj: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise InvalidValueError(f"an object repeats the key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def fit_to_record(
@@ -207,6 +217,8 @@ def validate_report(report: dict[str, Any]) -> list[str]:
 
 @functools.cache
 def _report_schema() -> dict[str, Any]:
+    from importlib import resources  # only report reads the schema
+
     path = resources.files(__package__) / "schemas" / "report.schema.json"
     return json.loads(path.read_text(encoding="utf-8"))
 

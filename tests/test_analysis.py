@@ -1,4 +1,5 @@
 import io
+import statistics
 from datetime import date, timedelta
 
 import numpy as np
@@ -254,6 +255,21 @@ class TestLeadLag:
     def test_offsets_respect_gap(self, a_days, b_days, gap):
         report = lead_lag([cp(d) for d in sorted(a_days)], [cp(d) for d in sorted(b_days)], gap)
         assert all(abs(p.offset_days) <= gap for p in report.pairs)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        a_days=st.lists(st.integers(0, 60), min_size=0, max_size=40, unique=True),
+        b_days=st.lists(st.integers(0, 60), min_size=0, max_size=40, unique=True),
+        gap=st.integers(1, 30),
+    )
+    def test_median_offset_is_statistics_median(self, a_days, b_days, gap):
+        report = lead_lag([cp(d) for d in sorted(a_days)], [cp(d) for d in sorted(b_days)], gap)
+        offsets = [p.offset_days for p in report.pairs]
+        if not offsets:
+            assert report.median_offset is None
+        else:
+            assert type(report.median_offset) is float
+            assert report.median_offset == float(statistics.median(offsets))
 
 
 class TestLoadEvents:

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import importlib
 import json
 import subprocess
 import sys
@@ -35,13 +36,13 @@ def run_main(capsys, args):
 def run_stages_fresh(stages, flags):
     """Run ``stages`` through cli.main in one fresh interpreter.
 
-    Returns their exit codes and the scipy modules loaded by the end.
+    Returns their exit codes and the names of the modules loaded by the end.
     """
     code = (
         "import json, sys\n"
         "from campaigntrends.cli import main\n"
         "codes = [main([stage, *json.loads(sys.argv[2])]) for stage in sys.argv[1].split(',')]\n"
-        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))"
+        "print(json.dumps([codes, sorted(sys.modules)]))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code, ",".join(stages), json.dumps(flags)],
@@ -49,6 +50,21 @@ def run_stages_fresh(stages, flags):
     )
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout.splitlines()[-1])
+
+
+def modules_after(code):
+    """The names of the modules a fresh interpreter holds after running ``code``."""
+    result = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys; print(*sorted(sys.modules))"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.split())
+
+
+def replace_once(old, new):
+    """A damage that replaces the first ``old`` in the text with ``new``."""
+    return lambda text: text.replace(old, new, 1)
 
 
 def edit_json(change):
@@ -69,6 +85,10 @@ FITS_DATE_NOT_ISO = edit_json(lambda doc: doc["records"][0].update(start_date="2
 # Stores that decode but cannot be fit: the error names the series, not the file.
 HUGE_ALPHA_AMOUNT = edit_json(lambda doc: doc["series"]["ALPHA"]["amount"]["values"].__setitem__(
     slice(0, 2), [1e308, -1e308]))
+# json.load alone keeps the last of a repeated key; here that is the right value
+STORE_REPEATED_KEY = replace_once('"poll": {', '"poll": null, "poll": {')
+FITS_REPEATED_KEY = replace_once('"lambda": ', '"lambda": 0.0, "lambda": ')
+FITS_REPEATED_RECORD = edit_json(lambda doc: doc["records"].append(doc["records"][0]))
 SHARE_OVERFLOW = edit_json(lambda doc: [doc["series"][c]["amount"]["values"].__setitem__(
     slice(0, 2), [1e308, 1e308]) for c in ("ALPHA", "BRAVO")])
 
@@ -591,6 +611,9 @@ class TestPipeline:
              edit_json(lambda doc: doc["series"]["ALPHA"]["poll"]["values"].__setitem__(0, float("nan")))),
             ("fit", "store.json", "fits.json",
              edit_json(lambda doc: doc["series"]["ALPHA"]["amount"].update(values=[1.0, 2.0]))),
+            ("report", "fits.json", "report.json", FITS_REPEATED_RECORD),
+            ("fit", "store.json", "fits.json", STORE_REPEATED_KEY),
+            ("report", "fits.json", "report.json", FITS_REPEATED_KEY),
         ],
         ids=["truncated-store", "store-without-range", "store-values-not-numbers", "truncated-fits",
              "fits-not-an-object", "fits-infinite-slope", "fits-nan-fitted", "fits-infinite-observed",
@@ -599,7 +622,8 @@ class TestPipeline:
              "fits-one-observed-value", "fits-knots-emptied", "fits-float-df", "store-huge-integer",
              "fits-huge-integer-lambda", "store-share-overflow", "store-series-span-shifted",
              "store-series-dropped", "store-date-not-yyyy-mm-dd", "fits-date-not-yyyy-mm-dd",
-             "store-version-true", "fits-version-float", "store-nan-value", "store-two-values"],
+             "store-version-true", "fits-version-float", "store-nan-value", "store-two-values",
+             "fits-repeated-record", "store-repeated-key", "fits-repeated-key"],
     )
     def test_damaged_upstream_exit_2(self, pipeline, fixtures_dir, tmp_path, capsys, stage, upstream, output, damage):
         out_dir = tmp_path / "damaged"
@@ -622,6 +646,11 @@ class TestPipeline:
             assert str(out_dir / upstream) in result.stderr
         if damage in (STORE_DATE_NOT_ISO, FITS_DATE_NOT_ISO):
             assert "bad date" in result.stderr
+        elif damage is FITS_REPEATED_RECORD:
+            assert "ALPHA/amount has more than one record" in result.stderr
+        elif damage in (STORE_REPEATED_KEY, FITS_REPEATED_KEY):
+            assert "repeats the key" in result.stderr
+        assert result.stderr.count("\n") == 1
         assert (out_dir / output).read_bytes() == before
 
 
@@ -777,7 +806,47 @@ class TestReportReadsFits:
         assert "scipy.linalg" not in loaded and "scipy.optimize" not in loaded
         codes, loaded = run_stages_fresh(["ingest", "report"], flags)
         assert codes == [0, 0]
-        assert loaded == []
+        assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+class TestWhatEachProcessLoads:
+    """Each process loads only the modules it runs; the package import loads none."""
+
+    NOT_IN_FIT_OR_REPORT = {"campaigntrends.fec", "campaigntrends.polls", "campaigntrends.synth", "statistics"}
+
+    def test_package_import_loads_no_module(self):
+        loaded = modules_after("import campaigntrends")
+        assert {m for m in loaded if m.startswith("campaigntrends.")} == set()
+        assert "numpy" not in loaded
+
+    def test_submodule_resolves_after_package_import(self):
+        loaded = modules_after("import campaigntrends\nassert campaigntrends.fec.parse_fec_file")
+        assert "campaigntrends.fec" in loaded
+
+    @pytest.mark.parametrize("stage", ["fit", "report"])
+    def test_stage_skips_ingest_modules(self, fixtures_dir, tmp_path, stage):
+        flags = base_flags(fixtures_dir, tmp_path / "out")
+        assert main(["ingest", *flags]) == 0
+        if stage == "report":
+            assert main(["fit", *flags]) == 0
+        codes, loaded = run_stages_fresh([stage], flags)
+        assert codes == [0]
+        assert self.NOT_IN_FIT_OR_REPORT.isdisjoint(loaded)
+
+    def test_worker_import_line_loads_only_what_it_parses_with(self):
+        imports = [part for part in fec._WORKER_CODE.split("; ") if part.startswith(("import ", "from "))]
+        loaded = modules_after("; ".join(imports))
+        assert "campaigntrends.fec" in loaded
+        for name in ("analysis", "cli", "config", "polls", "synth"):
+            assert f"campaigntrends.{name}" not in loaded
+
+    def test_public_names_are_their_modules_objects(self):
+        import campaigntrends
+
+        assert set(campaigntrends.__all__) <= set(dir(campaigntrends))
+        for name in campaigntrends.__all__:
+            value = getattr(campaigntrends, name)
+            assert value is getattr(importlib.import_module(value.__module__), name), name
 
 
 class TestWarningPaths:

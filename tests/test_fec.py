@@ -27,11 +27,10 @@ from campaigntrends import (
     fec,
     load_committee_map,
     normalize_donor_name,
-    parse_fec_file,
 )
 from campaigntrends.cli import main
 from campaigntrends.exceptions import CampaignTrendsError
-from campaigntrends.fec import _range_bounds, accumulate_fec_file, accumulate_fec_path, zip5
+from campaigntrends.fec import _range_bounds, accumulate_fec_file, accumulate_fec_path, parse_fec_file, zip5
 
 D1 = date(2019, 6, 1)
 D2 = date(2019, 6, 2)

@@ -159,6 +159,12 @@ class TestStoreIo:
         with pytest.raises(InvalidValueError):
             read_store(buffer)
 
+    def test_repeated_key_rejected(self):
+        # json.load alone keeps the last value, so the right value goes last
+        buffer = io.StringIO('{"schema_version": 1, "series": {"a": {"x": 0, "x": 1}}}')
+        with pytest.raises(InvalidValueError, match="repeats the key 'x'"):
+            read_store(buffer)
+
 
 class TestValidateReport:
     def test_clean_report_passes(self):
