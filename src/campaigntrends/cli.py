@@ -61,8 +61,6 @@ EXIT_OK = 0
 EXIT_WARNINGS = 1
 EXIT_UNUSABLE = 2
 
-POLL_METRIC = "poll"
-
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
@@ -179,7 +177,7 @@ def _cmd_ingest(config: AnalysisConfig) -> int:
         poll_lines = _input_lines(config.poll_csv)
         for candidate, metrics in series.items():
             poll = polls.load_poll_series(poll_lines, candidate, config.range)
-            metrics[POLL_METRIC] = store.series_to_json(poll)
+            metrics[store.POLL_METRIC] = store.series_to_json(poll)
     # one file under two spellings would be counted twice
     files_seen: set[tuple[int, int]] = set()
     for path in config.fec_files:
@@ -201,7 +199,6 @@ def _cmd_ingest(config: AnalysisConfig) -> int:
     _write(config, "store.json", {
         "schema_version": store.SCHEMA_VERSION,
         "range": {"from": config.date_from.isoformat(), "to": config.date_to.isoformat()},
-        "candidates": sorted(config.candidates),
         "metadata": {
             "donation_fill": "zero on days without positive donations",
             "poll_fill": (
@@ -209,7 +206,6 @@ def _cmd_ingest(config: AnalysisConfig) -> int:
                 f"runs above {polls.MAX_POLL_GAP_DAYS} missing days are rejected"
             ),
         },
-        "ingest_summary": summary,
         "series": series,
     })
     _write(config, "ingest_summary.json", summary)
@@ -249,20 +245,37 @@ def _read_upstream(path: Path, stage: str, what: str, decode: Callable[[dict], A
 
 
 def _check_upstream(
-    config: AnalysisConfig, name: str, stage: str, spans: set[str], candidates: Iterable[str]
+    config: AnalysisConfig, path: Path, stage: str, spans: set[str], series: Iterable[tuple[str, str]]
 ) -> None:
-    """Reject an upstream file whose 'from..to' spans or candidates are not this run's."""
+    """Reject an upstream file whose series are not this run's.
+
+    Their 'from..to' spans and candidates must be the run's, and each
+    candidate must hold the four donation metrics, plus a poll series when
+    any candidate holds one.
+    """
     if spans != {f"{config.date_from}..{config.date_to}"}:
         raise CampaignTrendsError(
-            f"{name} range is {', '.join(sorted(spans))}; "
+            f"{path.stem} range is {', '.join(sorted(spans))}; "
             f"re-run {stage} or pass --from and --to to match"
         )
-    held = sorted(candidates)
+    metrics: dict[str, set[str]] = {}
+    for candidate, metric in series:
+        metrics.setdefault(candidate, set()).add(metric)
+    held = sorted(metrics)
     if held != sorted(config.candidates):
         raise CampaignTrendsError(
-            f"{name} candidates are {','.join(held)}; "
+            f"{path.stem} candidates are {','.join(held)}; "
             f"re-run {stage} or pass --candidates {','.join(held)}"
         )
+    expected = set(store.METRIC_LABELS)
+    if any(store.POLL_METRIC in names for names in metrics.values()):
+        expected.add(store.POLL_METRIC)
+    for candidate in held:
+        if metrics[candidate] != expected:
+            raise CampaignTrendsError(
+                f"{path}: {candidate} holds the series {','.join(sorted(metrics[candidate]))}, "
+                f"not {','.join(sorted(expected))}; re-run {stage}"
+            )
 
 
 def _span(start: date, days: int) -> str:
@@ -286,26 +299,26 @@ def _cmd_fit(config: AnalysisConfig) -> int:
             "normalize = share needs at least two candidates (each day's share of a "
             f"one-candidate total is 1.0); got {','.join(config.candidates)}"
         )
-    span, series_map = _read_upstream(
-        config.out_dir / "store.json", "ingest", "store", lambda document: (
-            f"{document['range']['from']}..{document['range']['to']}",
-            {
-                candidate: {metric: store.series_from_json(obj) for metric, obj in metrics.items()}
-                for candidate, metrics in document["series"].items()
-            },
-        ),
-    )
-    # the header's range, and the spans and candidates of the series fit reads, must be this run's
+    store_path = config.out_dir / "store.json"
+
+    def decode(document: dict) -> tuple[str, dict[str, dict[str, Any]]]:
+        start = store.parse_iso_date(document["range"]["from"])
+        return f"{start}..{document['range']['to']}", {
+            c: {m: store.series_from_json(obj, start, c, m) for m, obj in metrics.items()}
+            for c, metrics in document["series"].items()
+        }
+
+    span, series_map = _read_upstream(store_path, "ingest", "store", decode)
+    # the header's range, and the spans and names of the series fit reads, must be this run's
     spans = {_span(ts.start_date, len(ts)) for metrics in series_map.values() for ts in metrics.values()}
-    _check_upstream(config, "store", "ingest", {span, *spans}, series_map)
+    _check_upstream(config, store_path, "ingest", {span, *spans},
+                    ((c, m) for c, metrics in series_map.items() for m in metrics))
     if config.normalize == "share":
         # each donation metric becomes its daily cross-candidate share;
         # poll averages are already population shares
-        metrics = {m for per_candidate in series_map.values() for m in per_candidate}
-        for metric in sorted(metrics - {POLL_METRIC}):
-            holders = {c: m[metric] for c, m in series_map.items() if metric in m}
+        for metric in sorted(store.METRIC_LABELS):
             try:
-                shares = normalize_share(holders).shares
+                shares = normalize_share({c: m[metric] for c, m in series_map.items()}).shares
             except CampaignTrendsError as exc:
                 raise CampaignTrendsError(f"{metric}: {exc}") from None
             for candidate, ts in shares.items():
@@ -357,7 +370,7 @@ def _cmd_report(config: AnalysisConfig) -> int:
             f"re-run fit or pass --normalize {normalize}"
         )
     spans = {_span(start, len(fit.fitted)) for *_, start, fit in decoded}
-    _check_upstream(config, "fits", "fit", spans, {candidate for candidate, *_ in decoded})
+    _check_upstream(config, fits_path, "fit", spans, ((candidate, metric) for candidate, metric, *_ in decoded))
 
     warnings = []
     series_entries = []
@@ -423,14 +436,14 @@ def _cmd_report(config: AnalysisConfig) -> int:
 
     lead_lag_entries = []
     for candidate, metric in sorted(cps_by_series):
-        poll_cps = cps_by_series.get((candidate, POLL_METRIC))
-        if metric == POLL_METRIC or poll_cps is None:
+        poll_cps = cps_by_series.get((candidate, store.POLL_METRIC))
+        if metric == store.POLL_METRIC or poll_cps is None:
             continue
         report = lead_lag(poll_cps, cps_by_series[(candidate, metric)], config.max_gap_days)
         lead_lag_entries.append(
             {
                 "candidate": candidate,
-                "series_a": POLL_METRIC,
+                "series_a": store.POLL_METRIC,
                 "series_b": metric,
                 "pairs": [
                     {

@@ -66,7 +66,7 @@ from typing import IO, BinaryIO, Iterable, Iterator, Mapping
 import numpy as np
 
 from .exceptions import CampaignTrendsError, InvalidValueError
-from .store import parse_ascii_number, read_csv_table
+from .store import METRIC_LABELS, parse_ascii_number, read_csv_table
 from .timeseries import DateRange, TimeSeries
 
 __all__ = [
@@ -82,9 +82,6 @@ __all__ = [
     "normalize_donor_name",
     "parse_fec_file",
 ]
-
-# The four donation metrics, in output order; each names a DailyDonationMetrics field.
-METRIC_LABELS = ("donors", "new_donors", "amount", "new_donor_amount")
 
 _NON_ALNUM = re.compile(r"[^0-9A-Z\s]", re.UNICODE)
 _WS = re.compile(r"\s+")
@@ -273,7 +270,7 @@ class DailyDonationMetrics:
     new_donor_amount: TimeSeries
 
     def series(self) -> dict[str, TimeSeries]:
-        """The four series by metric name, in METRIC_LABELS order."""
+        """The four series by metric name, in METRIC_LABELS order; each label names a field."""
         return {label: getattr(self, label) for label in METRIC_LABELS}
 
 

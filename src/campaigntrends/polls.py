@@ -22,7 +22,7 @@ from .exceptions import (
     MissingDayError,
     UnknownCandidateError,
 )
-from .store import parse_ascii_number, parse_iso_date, read_csv_table
+from .store import POLL_METRIC, parse_ascii_number, parse_iso_date, read_csv_table
 from .timeseries import DateRange, TimeSeries
 
 __all__ = ["MAX_POLL_GAP_DAYS", "load_poll_series"]
@@ -93,5 +93,5 @@ def load_poll_series(
         )
 
     values = np.interp(np.arange(len(grid)), obs_idx, grid[obs_idx])
-    return TimeSeries(range_.start, values, label="poll", candidate=candidate)
+    return TimeSeries(range_.start, values, label=POLL_METRIC, candidate=candidate)
 

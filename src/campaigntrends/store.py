@@ -4,12 +4,18 @@ Every file the pipeline reads or writes is framed here. The three CSV
 inputs (committee map, poll CSV, events CSV) share one reader,
 ``read_csv_table``: a fixed header, blank rows skipped, exactly one cell per
 header field, line numbers for the caller's row checks. Outputs are single
-self-describing JSON documents with a schema_version field; daily data
-reduces to at most a few thousand points per series, so no database is
-needed. Each fit is one fits.json record
-(``fit_to_record`` / ``fit_from_record``), and ``fits_long.csv`` is the
-per-day view of those records (date, candidate, metric, observed, fitted),
-ready for any plotting tool.
+self-describing JSON documents that share one ``SCHEMA_VERSION``; daily
+data reduces to at most a few thousand points per series, so no database is
+needed.
+
+store.json is ``{"schema_version", "range": {"from", "to"}, "metadata",
+"series": {<candidate>: {<metric>: {"values": [...]}}}}``. A series is named
+by its two keys alone and holds one value per day of ``range``
+(``series_to_json`` / ``series_from_json``). Each candidate holds the four
+``METRIC_LABELS``, and ``POLL_METRIC`` too when the run read a poll CSV.
+Each fit is one fits.json record (``fit_to_record`` / ``fit_from_record``),
+and ``fits_long.csv`` is the per-day view of those records (date,
+candidate, metric, observed, fitted), ready for any plotting tool.
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ from .timeseries import TimeSeries
 from .trendfilter import TrendFit
 
 __all__ = [
+    "METRIC_LABELS",
+    "POLL_METRIC",
     "SCHEMA_VERSION",
     "fit_from_record",
     "fit_to_record",
@@ -42,7 +50,11 @@ __all__ = [
     "write_store",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+# The four donation metrics, in output order, and the poll average's metric.
+METRIC_LABELS = ("donors", "new_donors", "amount", "new_donor_amount")
+POLL_METRIC = "poll"
 
 
 def read_csv_table(
@@ -75,21 +87,14 @@ def read_csv_table(
 
 
 def series_to_json(ts: TimeSeries) -> dict[str, Any]:
-    return {
-        "start_date": ts.start_date.isoformat(),
-        "label": ts.label,
-        "candidate": ts.candidate,
-        "values": [float(v) for v in ts.values],
-    }
+    return {"values": [float(v) for v in ts.values]}
 
 
-def series_from_json(obj: dict[str, Any]) -> TimeSeries:
-    return TimeSeries(
-        start_date=parse_iso_date(obj["start_date"]),
-        values=obj["values"],
-        label=obj["label"],
-        candidate=obj["candidate"],
-    )
+def series_from_json(obj: dict[str, Any], start: date, candidate: str, metric: str) -> TimeSeries:
+    """The ``candidate``/``metric`` series of a store whose range starts on ``start``."""
+    if list(obj) != ["values"]:
+        raise InvalidValueError(f"series {candidate}/{metric} holds the keys {sorted(obj)}, not 'values' alone")
+    return TimeSeries(start, obj["values"], label=metric, candidate=candidate)
 
 
 def write_store(handle: IO[str], store: dict[str, Any]) -> None:

@@ -14,7 +14,7 @@ import pytest
 from campaigntrends import TimeSeries, fit_with_target_df, solve_tf
 from campaigntrends import config, fec
 from campaigntrends.cli import _build_parser, _fit_warning, main
-from campaigntrends.store import fit_from_record, fit_to_record, validate_report
+from campaigntrends.store import SCHEMA_VERSION, fit_from_record, fit_to_record, validate_report
 from conftest import bendy_signal
 
 
@@ -77,10 +77,16 @@ def edit_json(change):
 
 
 # A store whose series are not the run its header names; fit must say to re-run ingest.
-SHIFT_ALPHA_POLL = edit_json(lambda doc: doc["series"]["ALPHA"]["poll"].update(start_date="2019-06-02"))
+SHORT_ALPHA_POLL = edit_json(lambda doc: doc["series"]["ALPHA"]["poll"]["values"].pop())
 DROP_BRAVO_SERIES = edit_json(lambda doc: doc["series"].pop("BRAVO"))
+# Each candidate holds the four donation metrics, and a poll series for all candidates or none.
+RENAME_ALPHA_AMOUNT = edit_json(lambda doc: doc["series"]["BRAVO"].update(bogus=doc["series"]["ALPHA"].pop("amount")))
+DROP_ALPHA_POLL_RECORD = edit_json(lambda doc: doc.update(records=[
+    r for r in doc["records"] if (r["candidate"], r["metric"]) != ("ALPHA", "poll")]))
+# A series is named by its keys alone; one that names another is refused.
+ALPHA_POLL_NAMES_BRAVO = edit_json(lambda doc: doc["series"]["ALPHA"]["poll"].update(candidate="BRAVO"))
 # From Python 3.11, date.fromisoformat alone reads this start date as 2019-06-01.
-STORE_DATE_NOT_ISO = edit_json(lambda doc: doc["series"]["ALPHA"]["poll"].update(start_date="20190601"))
+STORE_DATE_NOT_ISO = edit_json(lambda doc: doc["range"].update({"from": "20190601"}))
 FITS_DATE_NOT_ISO = edit_json(lambda doc: doc["records"][0].update(start_date="20190601"))
 # Stores that decode but cannot be fit: the error names the series, not the file.
 HUGE_ALPHA_AMOUNT = edit_json(lambda doc: doc["series"]["ALPHA"]["amount"]["values"].__setitem__(
@@ -342,7 +348,8 @@ class TestPipeline:
     def test_store_contents(self, pipeline):
         out_dir, _ = pipeline
         store = json.loads((out_dir / "store.json").read_text())
-        assert store["schema_version"] == 1
+        assert store["schema_version"] == SCHEMA_VERSION
+        assert sorted(store) == ["metadata", "range", "schema_version", "series"]
         assert sorted(store["series"]) == ["ALPHA", "BRAVO"]
         for candidate in ("ALPHA", "BRAVO"):
             metrics = store["series"][candidate]
@@ -350,8 +357,9 @@ class TestPipeline:
                 "amount", "donors", "new_donor_amount", "new_donors", "poll",
             ]
             for obj in metrics.values():
+                assert list(obj) == ["values"]
                 assert len(obj["values"]) == 50
-        summary = store["ingest_summary"]
+        summary = json.loads((out_dir / "ingest_summary.json").read_text())
         assert summary["parsed"] > 0
         assert summary["malformed"] == 0
         assert summary["unmapped"] == 1
@@ -601,12 +609,13 @@ class TestPipeline:
              edit_json(lambda doc: doc["series"]["ALPHA"]["amount"]["values"].__setitem__(0, 10**400))),
             ("report", "fits.json", "report.json", edit_json(lambda doc: doc["records"][0].update({"lambda": 10**400}))),
             ("fit --normalize share", "store.json", "fits.json", SHARE_OVERFLOW),
-            ("fit", "store.json", "fits.json", SHIFT_ALPHA_POLL),
+            ("fit", "store.json", "fits.json", SHORT_ALPHA_POLL),
             ("fit", "store.json", "fits.json", DROP_BRAVO_SERIES),
             ("fit", "store.json", "fits.json", STORE_DATE_NOT_ISO),
             ("report", "fits.json", "report.json", FITS_DATE_NOT_ISO),
             ("fit", "store.json", "fits.json", edit_json(lambda doc: doc.update(schema_version=True))),
-            ("report", "fits.json", "report.json", edit_json(lambda doc: doc.update(schema_version=1.0))),
+            ("report", "fits.json", "report.json",
+             edit_json(lambda doc: doc.update(schema_version=float(SCHEMA_VERSION)))),
             ("fit", "store.json", "fits.json",
              edit_json(lambda doc: doc["series"]["ALPHA"]["poll"]["values"].__setitem__(0, float("nan")))),
             ("fit", "store.json", "fits.json",
@@ -614,6 +623,9 @@ class TestPipeline:
             ("report", "fits.json", "report.json", FITS_REPEATED_RECORD),
             ("fit", "store.json", "fits.json", STORE_REPEATED_KEY),
             ("report", "fits.json", "report.json", FITS_REPEATED_KEY),
+            ("fit", "store.json", "fits.json", RENAME_ALPHA_AMOUNT),
+            ("report", "fits.json", "report.json", DROP_ALPHA_POLL_RECORD),
+            ("fit", "store.json", "fits.json", ALPHA_POLL_NAMES_BRAVO),
         ],
         ids=["truncated-store", "store-without-range", "store-values-not-numbers", "truncated-fits",
              "fits-not-an-object", "fits-infinite-slope", "fits-nan-fitted", "fits-infinite-observed",
@@ -623,7 +635,8 @@ class TestPipeline:
              "fits-huge-integer-lambda", "store-share-overflow", "store-series-span-shifted",
              "store-series-dropped", "store-date-not-yyyy-mm-dd", "fits-date-not-yyyy-mm-dd",
              "store-version-true", "fits-version-float", "store-nan-value", "store-two-values",
-             "fits-repeated-record", "store-repeated-key", "fits-repeated-key"],
+             "fits-repeated-record", "store-repeated-key", "fits-repeated-key", "store-metric-renamed",
+             "fits-poll-record-dropped", "store-series-names-another"],
     )
     def test_damaged_upstream_exit_2(self, pipeline, fixtures_dir, tmp_path, capsys, stage, upstream, output, damage):
         out_dir = tmp_path / "damaged"
@@ -636,7 +649,7 @@ class TestPipeline:
         assert result.returncode == 2, result.stderr
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.stderr
-        if damage in (SHIFT_ALPHA_POLL, DROP_BRAVO_SERIES):
+        if damage in (SHORT_ALPHA_POLL, DROP_BRAVO_SERIES):
             assert "re-run ingest" in result.stderr
         elif damage is HUGE_ALPHA_AMOUNT:
             assert result.stderr.startswith("error: ALPHA/amount: input series is too large")
@@ -650,6 +663,12 @@ class TestPipeline:
             assert "ALPHA/amount has more than one record" in result.stderr
         elif damage in (STORE_REPEATED_KEY, FITS_REPEATED_KEY):
             assert "repeats the key" in result.stderr
+        elif damage is RENAME_ALPHA_AMOUNT:
+            assert "re-run ingest" in result.stderr
+        elif damage is DROP_ALPHA_POLL_RECORD:
+            assert "re-run fit" in result.stderr
+        elif damage is ALPHA_POLL_NAMES_BRAVO:
+            assert "ALPHA/poll" in result.stderr
         assert result.stderr.count("\n") == 1
         assert (out_dir / output).read_bytes() == before
 

@@ -139,11 +139,16 @@ def minimal_report():
 class TestSeriesJson:
     def test_round_trip(self):
         ts = TimeSeries(date(2019, 6, 1), [1.0, 2.5, 3.25], label="poll", candidate="ALPHA")
-        again = series_from_json(series_to_json(ts))
+        again = series_from_json(series_to_json(ts), date(2019, 6, 1), "ALPHA", "poll")
         assert again.start_date == ts.start_date
         assert again.label == ts.label
         assert again.candidate == ts.candidate
         assert np.array_equal(again.values, ts.values)
+
+    def test_key_besides_values_refused(self):
+        obj = {"values": [1.0, 2.5, 3.25], "candidate": "BRAVO"}
+        with pytest.raises(InvalidValueError, match="ALPHA/poll"):
+            series_from_json(obj, date(2019, 6, 1), "ALPHA", "poll")
 
 
 class TestStoreIo:
@@ -161,7 +166,7 @@ class TestStoreIo:
 
     def test_repeated_key_rejected(self):
         # json.load alone keeps the last value, so the right value goes last
-        buffer = io.StringIO('{"schema_version": 1, "series": {"a": {"x": 0, "x": 1}}}')
+        buffer = io.StringIO(f'{{"schema_version": {SCHEMA_VERSION}, "series": {{"a": {{"x": 0, "x": 1}}}}}}')
         with pytest.raises(InvalidValueError, match="repeats the key 'x'"):
             read_store(buffer)
 
