@@ -225,7 +225,8 @@ def _cmd_ingest(config: AnalysisConfig) -> int:
 def _read_upstream(path: Path, stage: str, what: str, decode: Callable[[dict], Any]) -> Any:
     """Read and ``decode`` the pipeline file at ``path``, which ``stage`` writes.
 
-    Every error it raises names ``path``.
+    Every error it raises names ``path``; one for a file that ``store.read_store``
+    refuses also names ``stage``, whose re-run rewrites it.
     """
     if not path.exists():
         raise CampaignTrendsError(f"{path.stem} not found: {path} (run {stage} first)")
@@ -234,8 +235,8 @@ def _read_upstream(path: Path, stage: str, what: str, decode: Callable[[dict], A
             document = store.read_store(handle)
         except ValueError as exc:  # json.JSONDecodeError, UnicodeDecodeError
             raise CampaignTrendsError(f"{path} is not valid JSON: {exc}") from None
-        except CampaignTrendsError as exc:
-            raise CampaignTrendsError(f"{path}: {exc}") from None
+        except CampaignTrendsError as exc:  # another schema_version, or a repeated key
+            raise CampaignTrendsError(f"{path}: {exc}; re-run {stage}") from None
     try:
         return decode(document)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -26,17 +26,19 @@ line gives, because ``|``, CR and LF are ASCII, so the kernel counts and
 sums exactly what ``parse_fec_file`` yields from the file read as UTF-8
 with replacement. Each positive gift enters its candidate's
 ``MetricsAccumulator`` through ``_push``, which buffers at most
-``max(_CHUNK_ROWS, pairs / 4)`` rows before folding them into per-candidate
-(donor, day) cent sums in NumPy arrays, so ingest memory and sorting work
-grow with the distinct (donor, day) pairs, not with the number of lines.
-A fold is one sort of the pairs so far and the rows, then one sum per run
-of equal pairs, and its temporaries stay within six 8-byte words per row
+``max(_CHUNK_ROWS, pairs / 4)`` rows before folding them into NumPy tables
+per candidate: the distinct (donor, day) pairs, each donor's first gift
+day and its cents that day, and each day's cents. So ingest memory and
+sorting work grow with the distinct (donor, day) pairs and donors, not
+with the number of lines. A fold adds the rows' cents to the totals, then
+sorts the pairs so far and the rows in place and keeps one of each run of
+equal pairs; its temporaries stay within three 8-byte words per row
 folded.
 ``accumulate_fec_path`` runs that kernel over a file in parallel: it cuts
 the file into byte ranges that end just after a newline byte, at most one
 per usable CPU and each at least ``_SHARD_MIN_BYTES`` long, parses range 0
 itself while worker processes parse the others, and folds their counters
-and pair sums into its own accumulators. One reader, ``_range_blocks``,
+and tables into its own accumulators. One reader, ``_range_blocks``,
 cuts every range into blocks of whole lines and skips a UTF-8 BOM at the
 start of the file. The series do not depend on line order, so the result
 equals one pass over the file. A file under two ranges' worth of bytes, a
@@ -101,14 +103,19 @@ _PLAUSIBLE_MAX = date(2021, 12, 31)
 
 # Amounts beyond this many dollars either way are malformed. A line then
 # holds at most 1e11 cents, so the int64 cent sums cannot wrap short of
-# about 9e7 maximal gifts from one donor on one day.
+# about 9e7 maximal gifts on one day.
 MAX_AMOUNT_DOLLARS = 1e9
 
-# Rows an accumulator buffers before folding them into its pair sums.
+# Rows an accumulator buffers before folding them into its tables.
 _CHUNK_ROWS = 1 << 16
+# Rows a fold adds to the cent totals at a time, so that step's temporaries
+# stay a few 128 KiB arrays however many rows are folded. Arrays of rows
+# instead raised the ingest process's peak RSS.
+_CENTS_ROWS = 1 << 14
 # A (donor id, day) pair packs into one int64: donor << _DAY_BITS | ordinal.
 _DAY_BITS = 22  # date.max.toordinal() < 2**22
 _DAY_MASK = (1 << _DAY_BITS) - 1
+_NO_DAY = 1 << _DAY_BITS  # the first-gift day of a donor without one, after every day
 # Distinct raw committee, date and amount texts the kernel caches per file, each.
 _PARSE_CACHE_MAX = 1 << 16
 _UNSEEN = object()
@@ -282,14 +289,23 @@ class MetricsAccumulator:
     to an int and buffers a (donor, day, cents) row; ``add`` and
     ``accumulate_fec_file`` drop refunds and zero amounts before it. Once
     ``max(_CHUNK_ROWS, pairs // 4)`` rows are buffered, ``_reduce`` folds
-    them into the sorted distinct (donor, day) cent sums,
-    so memory holds one row per distinct pair plus at most that many rows,
-    and each buffered row pays for at most five rows sorted. A fold is one
-    ``argsort`` of the table and the rows, then ``np.add.reduceat`` over
-    each run of equal pairs; at most four of the row-sized arrays it makes
-    are alive at a time, which keeps its temporaries within six 8-byte
-    words per row folded. Gifts dated before any analysis window still
-    decide who is a first-time donor inside it.
+    them into three tables:
+
+    - the sorted distinct packed (donor, day) pairs, one int64 each, which
+      count the donors of each day;
+    - per donor id, the day of its first gift and the cents given that day
+      (an earlier day replaces both, the same day adds its cents), which
+      give the first-time donors and their dollars;
+    - per day from the earliest gift to the latest, the cents of all gifts.
+
+    So memory holds 8 bytes per distinct pair, 16 per donor and 8 per day,
+    plus at most the buffered rows, and each buffered row pays for at most
+    five pairs sorted. A fold adds the rows' cents into the totals,
+    ``_CENTS_ROWS`` rows at a time, then sorts the pairs and the rows in
+    place as one array and keeps the first of each run of equal pairs; its
+    temporaries stay within three 8-byte words per row folded. Gifts dated
+    before any analysis window still decide who is a first-time donor
+    inside it.
     """
 
     def __init__(self, candidate_id: str) -> None:
@@ -298,7 +314,10 @@ class MetricsAccumulator:
         self._rows = array("q")  # pending packed (donor, day) pairs
         self._row_cents = array("q")
         self._pairs = np.empty(0, np.int64)  # sorted distinct packed pairs
-        self._pair_cents = np.empty(0, np.int64)
+        self._first_day = np.empty(0, np.int64)  # by donor id
+        self._first_cents = np.empty(0, np.int64)
+        self._day_start = 0  # ordinal of _day_cents[0], the earliest gift's day
+        self._day_cents = np.empty(0, np.int64)
 
     def add(self, record: DonationRecord) -> None:
         if record.candidate_id == self.candidate_id and record.amount_cents > 0:
@@ -314,73 +333,124 @@ class MetricsAccumulator:
         if len(rows) >= _CHUNK_ROWS and len(rows) >= len(self._pairs) >> 2:
             self._reduce()
 
-    def _reduce(self, *, pairs: np.ndarray | None = None, cents: np.ndarray | None = None) -> None:
-        """Fold the buffered rows, and the reduced table ``pairs``/``cents`` if given, into the sums."""
+    def _reduce(self, *, pairs: np.ndarray | None = None) -> None:
+        """Fold the buffered rows, and the packed pairs ``pairs`` if given, into the tables."""
         if pairs is None:
-            pairs = cents = np.empty(0, np.int64)
-        if not self._rows and not len(pairs):
+            pairs = np.empty(0, np.int64)
+        rows = np.frombuffer(self._rows, np.int64)
+        if not len(rows) and not len(pairs):
             return
-        pairs = np.concatenate([self._pairs, np.frombuffer(self._rows, np.int64), pairs])
-        cents = np.concatenate([self._pair_cents, np.frombuffer(self._row_cents, np.int64), cents])
-        # The copies now hold the old table and the rows, so both are freed before the sort.
-        self._pairs = self._pair_cents = np.empty(0, np.int64)
+        cents = np.frombuffer(self._row_cents, np.int64)
+        for at in range(0, len(rows), _CENTS_ROWS):
+            self._add_cents(rows[at:at + _CENTS_ROWS], cents[at:at + _CENTS_ROWS])
+        del cents
+        folded = np.concatenate([self._pairs, rows, pairs])
+        # The copy now holds the old table and the rows, so both are freed before the sort.
+        del rows
+        self._pairs = np.empty(0, np.int64)
         self._rows, self._row_cents = array("q"), array("q")
-        # One sort, then one sum per run of equal pairs; integer sums do not depend on the order.
-        # Each row-sized array is dropped once used, so at most four new ones are alive at a time.
-        order = pairs.argsort()
-        pairs = pairs[order]
-        cents = cents[order]
-        del order
-        starts = np.flatnonzero(np.concatenate(([True], pairs[1:] != pairs[:-1])))
-        self._pairs = pairs[starts]
-        del pairs
-        self._pair_cents = np.add.reduceat(cents, starts)
+        folded.sort()
+        keep = np.empty(len(folded), bool)
+        keep[:1] = True
+        np.not_equal(folded[1:], folded[:-1], out=keep[1:])
+        self._pairs = folded[keep]
 
-    def _fold(self, keys: list[bytes], pairs: np.ndarray, cents: np.ndarray) -> None:
-        """Add another accumulator's (donor, day) cent sums, its donor keys in id order."""
+    def _add_cents(self, rows: np.ndarray, cents: np.ndarray) -> None:
+        """Add the cents of the packed ``rows`` to the per-day and first-gift totals."""
+        day = rows & _DAY_MASK
+        self._cover_days(int(day.min()), int(day.max()))
+        day -= self._day_start  # in place, as below: each temporary not made lowered the peak RSS
+        np.add.at(self._day_cents, day, cents)
+        day += self._day_start
+        self._add_first_gifts(rows >> _DAY_BITS, day, cents)
+
+    def _add_first_gifts(self, donor: np.ndarray, day: np.ndarray, cents: np.ndarray) -> None:
+        """Merge gifts of ``cents`` on ``day`` by ``donor`` id into the first-gift totals.
+
+        An earlier day than a donor's first replaces it and its cents; the
+        same day adds its cents; a later day changes nothing.
+        """
+        self._grow_donors()
+        first = self._first_day
+        seen = first[donor]
+        self._first_cents[donor[day < seen]] = 0
+        np.minimum.at(first, donor, day)
+        fresh = day == np.take(first, donor, out=seen)  # the first days after the update
+        np.add.at(self._first_cents, donor[fresh], cents[fresh])
+
+    def _cover_days(self, low: int, high: int) -> None:
+        """Widen the per-day totals to span the ordinals ``low..high`` too."""
+        start, size = self._day_start, len(self._day_cents)
+        if size and start <= low and high < start + size:
+            return
+        new_start = min(low, start) if size else low
+        grown = np.zeros(max(high + 1, start + size) - new_start, np.int64)
+        grown[start - new_start:start - new_start + size] = self._day_cents
+        self._day_start, self._day_cents = new_start, grown
+
+    def _grow_donors(self) -> None:
+        """Extend the first-gift tables to every interned donor; a new donor has no gift yet."""
+        held, n = len(self._first_day), len(self._donor_ids)
+        if held < n:
+            day, cents = np.full(n, _NO_DAY, np.int64), np.zeros(n, np.int64)
+            day[:held], cents[:held] = self._first_day, self._first_cents
+            self._first_day, self._first_cents = day, cents
+
+    def _fold(
+        self, keys: list[bytes], pairs: np.ndarray, first_day: np.ndarray, first_cents: np.ndarray,
+        day_cents: np.ndarray,
+    ) -> None:
+        """Add another accumulator's tables, its donor keys in id order."""
         ids = self._donor_ids
+        local = np.array([ids.setdefault(key, len(ids)) for key in keys], np.int64)
+        self._add_first_gifts(local, first_day, first_cents)
+        if len(day_cents):  # they start on the other's earliest gift day, its earliest first gift day
+            start = int(first_day.min())
+            self._cover_days(start, start + len(day_cents) - 1)
+            self._day_cents[start - self._day_start:][:len(day_cents)] += day_cents
         # A packed pair of its donor i plus shift[i] is the same pair under that donor's id here.
-        shift = np.array([ids.setdefault(key, len(ids)) for key in keys], np.int64)
-        shift -= np.arange(len(keys))
+        shift = local - np.arange(len(keys))
         shift <<= _DAY_BITS
         # The one new pair-sized array. take reads each index before it writes that slot, and
         # writes out directly in any mode but "raise", which would copy out first.
         folded = pairs >> _DAY_BITS
         np.take(shift, folded, out=folded, mode="clip")
         folded += pairs
-        self._reduce(pairs=folded, cents=cents)
+        self._reduce(pairs=folded)
 
     @property
     def first_seen(self) -> np.ndarray:
         """Ordinal day of each donor's first positive gift, indexed by donor id."""
         self._reduce()
-        first = np.full(len(self._donor_ids), date.max.toordinal(), np.int64)
-        np.minimum.at(first, self._pairs >> _DAY_BITS, self._pairs & _DAY_MASK)
-        return first
+        return self._first_day.copy()
 
     def finalize(self, range_: DateRange) -> DailyDonationMetrics:
         """Collapse the accumulated state into the four daily series."""
-        first = self.first_seen  # folds the pending rows into self._pairs
+        self._reduce()
         n = len(range_)
-        day = self._pairs & _DAY_MASK
-        offset = day - range_.start.toordinal()
-        inside = (offset >= 0) & (offset < n)
-        fresh = inside & (day == first[self._pairs >> _DAY_BITS])
+        start = range_.start.toordinal()
 
-        def dollars(mask: np.ndarray) -> np.ndarray:
-            cents = np.zeros(n, np.int64)
-            np.add.at(cents, offset[mask], self._pair_cents[mask])
-            return cents / 100.0
+        def bins(days: np.ndarray) -> np.ndarray:
+            """Each day's bin, in place: 1..n inside the range, 0 before it and n + 1 after it."""
+            days -= start - 1
+            return np.clip(days, 0, n + 1, out=days)
+
+        donors = np.bincount(bins(self._pairs & _DAY_MASK), minlength=n + 2)
+        first = bins(self._first_day.copy())
+        new_donors = np.bincount(first, minlength=n + 2)
+        cents = np.zeros((2, n + 2), np.int64)  # of all gifts, of first gifts
+        np.add.at(cents[0], bins(np.arange(len(self._day_cents)) + self._day_start), self._day_cents)
+        np.add.at(cents[1], first, self._first_cents)
 
         def mk(label: str, values: np.ndarray) -> TimeSeries:
             return TimeSeries(range_.start, values, label=label, candidate=self.candidate_id)
 
         return DailyDonationMetrics(
             candidate_id=self.candidate_id,
-            donors=mk("donors", np.bincount(offset[inside], minlength=n).astype(float)),
-            new_donors=mk("new_donors", np.bincount(offset[fresh], minlength=n).astype(float)),
-            amount=mk("amount", dollars(inside)),
-            new_donor_amount=mk("new_donor_amount", dollars(fresh)),
+            donors=mk("donors", donors[1:-1].astype(float)),
+            new_donors=mk("new_donors", new_donors[1:-1].astype(float)),
+            amount=mk("amount", cents[0, 1:-1] / 100.0),
+            new_donor_amount=mk("new_donor_amount", cents[1, 1:-1] / 100.0),
         )
 
 
@@ -474,8 +544,8 @@ def accumulate_fec_path(
     The file is cut into byte ranges that end just after a newline byte, at
     most one per usable CPU and each at least ``_SHARD_MIN_BYTES`` long.
     Worker processes run ``accumulate_fec_file`` over ranges 1..k-1 while
-    this process parses range 0, then their counters and (donor, day) cent
-    sums are folded into ``counters`` and ``accumulators``. Each range is
+    this process parses range 0, then their counters and per-candidate
+    tables are folded into ``counters`` and ``accumulators``. Each range is
     read by ``_range_blocks``, range 0 skipping a leading BOM, and a
     newline byte never falls inside a character or a CRLF pair, so the
     result equals one pass over the file. A file that is not cut, such as
@@ -618,10 +688,12 @@ def _parse_range(conn, fd: int, start: int, stop: int) -> None:
     """Worker: parse bytes [start, stop) of the file open on ``fd`` and send the result on ``conn``.
 
     ``conn`` first brings the committee map and the candidates. The worker
-    sends its IngestCounters, then for each candidate the donor keys as one
-    newline-joined blob (in id order) and the packed (donor, day) pairs and
-    their cent sums as raw int64 bytes. When the range cannot be read, it
-    sends the error alone.
+    sends its IngestCounters, then five messages per candidate: the donor
+    keys as one newline-joined blob (in id order), then as raw int64 bytes
+    the sorted packed (donor, day) pairs, each donor's first gift day and
+    its cents that day (by id), and the cents of each day from the range's
+    earliest gift day, which is its earliest first gift day. When the range
+    cannot be read, it sends the error alone.
     """
     with conn:
         committee_map, candidates = conn.recv()
@@ -638,14 +710,19 @@ def _parse_range(conn, fd: int, start: int, stop: int) -> None:
             acc = accumulators[candidate]
             acc._reduce()
             conn.send_bytes(b"\n".join(acc._donor_ids))
-            conn.send_bytes(acc._pairs)
-            conn.send_bytes(acc._pair_cents)
+            for table in (acc._pairs, acc._first_day, acc._first_cents, acc._day_cents):
+                conn.send_bytes(table)
 
 
 def _fold_worker(
     worker, conn, accumulators: Mapping[str, MetricsAccumulator], counters: IngestCounters
 ) -> None:
-    """Receive one ``_parse_range`` result and fold it into this process's state."""
+    """Receive one ``_parse_range`` result and fold it into this process's state.
+
+    After the counters come five messages per candidate, in the order of
+    ``accumulators``: the keys, then the pairs, first gift days, first gift
+    cents and per-day cents that ``MetricsAccumulator._fold`` merges.
+    """
     try:
         message = conn.recv()
         if isinstance(message, BaseException):
@@ -654,9 +731,8 @@ def _fold_worker(
             setattr(counters, name, getattr(counters, name) + value)
         for candidate in accumulators:
             blob = conn.recv_bytes()
-            pairs = np.frombuffer(conn.recv_bytes(), np.int64)
-            cents = np.frombuffer(conn.recv_bytes(), np.int64)
-            accumulators[candidate]._fold(blob.split(b"\n") if blob else [], pairs, cents)
+            tables = [np.frombuffer(conn.recv_bytes(), np.int64) for _ in range(4)]
+            accumulators[candidate]._fold(blob.split(b"\n") if blob else [], *tables)
     except (EOFError, ConnectionResetError):  # a reset: it died with its task unread
         raise CampaignTrendsError(
             f"an ingest worker ended with exit code {worker.wait()} before sending its result"

@@ -94,6 +94,9 @@ HUGE_ALPHA_AMOUNT = edit_json(lambda doc: doc["series"]["ALPHA"]["amount"]["valu
 # json.load alone keeps the last of a repeated key; here that is the right value
 STORE_REPEATED_KEY = replace_once('"poll": {', '"poll": null, "poll": {')
 FITS_REPEATED_KEY = replace_once('"lambda": ', '"lambda": 0.0, "lambda": ')
+# A file another version wrote names the stage that rewrites it.
+STORE_VERSION_1 = edit_json(lambda doc: doc.update(schema_version=1))
+FITS_VERSION_1 = edit_json(lambda doc: doc.update(schema_version=1))
 FITS_REPEATED_RECORD = edit_json(lambda doc: doc["records"].append(doc["records"][0]))
 SHARE_OVERFLOW = edit_json(lambda doc: [doc["series"][c]["amount"]["values"].__setitem__(
     slice(0, 2), [1e308, 1e308]) for c in ("ALPHA", "BRAVO")])
@@ -626,6 +629,8 @@ class TestPipeline:
             ("fit", "store.json", "fits.json", RENAME_ALPHA_AMOUNT),
             ("report", "fits.json", "report.json", DROP_ALPHA_POLL_RECORD),
             ("fit", "store.json", "fits.json", ALPHA_POLL_NAMES_BRAVO),
+            ("fit", "store.json", "fits.json", STORE_VERSION_1),
+            ("report", "fits.json", "report.json", FITS_VERSION_1),
         ],
         ids=["truncated-store", "store-without-range", "store-values-not-numbers", "truncated-fits",
              "fits-not-an-object", "fits-infinite-slope", "fits-nan-fitted", "fits-infinite-observed",
@@ -636,7 +641,8 @@ class TestPipeline:
              "store-series-dropped", "store-date-not-yyyy-mm-dd", "fits-date-not-yyyy-mm-dd",
              "store-version-true", "fits-version-float", "store-nan-value", "store-two-values",
              "fits-repeated-record", "store-repeated-key", "fits-repeated-key", "store-metric-renamed",
-             "fits-poll-record-dropped", "store-series-names-another"],
+             "fits-poll-record-dropped", "store-series-names-another", "store-version-1",
+             "fits-version-1"],
     )
     def test_damaged_upstream_exit_2(self, pipeline, fixtures_dir, tmp_path, capsys, stage, upstream, output, damage):
         out_dir = tmp_path / "damaged"
@@ -669,6 +675,12 @@ class TestPipeline:
             assert "re-run fit" in result.stderr
         elif damage is ALPHA_POLL_NAMES_BRAVO:
             assert "ALPHA/poll" in result.stderr
+        elif damage is STORE_VERSION_1:
+            assert "schema_version 1 is not supported" in result.stderr
+            assert "re-run ingest" in result.stderr
+        elif damage is FITS_VERSION_1:
+            assert "schema_version 1 is not supported" in result.stderr
+            assert "re-run fit" in result.stderr
         assert result.stderr.count("\n") == 1
         assert (out_dir / output).read_bytes() == before
 

@@ -276,6 +276,16 @@ class TestDailyDonationMetrics:
         assert list(m.new_donors.values) == [0.0, 0.0, 0.0]
         assert list(m.new_donor_amount.values) == [0.0, 0.0, 0.0]
 
+    def test_dates_outside_the_parser_window_count_on_their_own_day(self):
+        # add() takes any date; the one before 2017 must not wrap onto the range that ends 2022-01-02.
+        gifts = {date(2016, 12, 31): ("A", 1234), date(2022, 1, 1): ("B", 5678)}
+        records = [rec("X", donor, day, cents) for day, (donor, cents) in gifts.items()]
+        for day, (donor, cents) in gifts.items():
+            around = DateRange(day - timedelta(days=1), day + timedelta(days=1))
+            m = daily_donation_metrics(records, "X", around)
+            assert list(m.donors.values) == list(m.new_donors.values) == [0.0, 1.0, 0.0]
+            assert list(m.amount.values) == list(m.new_donor_amount.values) == [0.0, cents / 100, 0.0]
+
     def test_donor_identity_uses_zip5(self):
         records = [
             rec("X", "Smith, John", D1, 1000, zip_="22903-1234"),
@@ -491,16 +501,22 @@ class TestReduceWork:
         assert sum(sorted_rows) <= 8 * n
 
     def test_reduce_transient_memory_is_bounded(self):
-        # A fold is one sort and segment sums: its temporaries stay within six words per row folded.
+        # A fold is one in-place sort and a keep-first mask, after the rows' cents are added to the
+        # per-day and first-gift totals: its temporaries stay within three words per row folded.
         table_pairs, buffered = 400_000, 100_000
         rng = np.random.default_rng(0)
         i = rng.permutation(table_pairs + buffered)
         packed = (i // 3) << fec._DAY_BITS | (D1.toordinal() + i % 3)  # all distinct
         acc = MetricsAccumulator("ALPHA")
-        acc._pairs = np.sort(packed[:table_pairs])
-        acc._pair_cents = np.full(table_pairs, 100, np.int64)
+        acc._donor_ids = {b"%d" % donor: donor for donor in range(len(i) // 3 + 1)}
+        acc._rows = array("q", packed[:table_pairs].tobytes())
+        acc._row_cents = array("q", np.full(table_pairs, 100, np.int64).tobytes())
+        acc._reduce()  # the table the buffered rows fold into
         acc._rows = array("q", packed[table_pairs:].tobytes())
         acc._row_cents = array("q", np.full(buffered, 7, np.int64).tobytes())
+        # Each donor's first gift is its pair on D1, in the table or among the buffered rows.
+        first_cents = 100 * np.sum(i[:table_pairs] % 3 == 0) + 7 * np.sum(i[table_pairs:] % 3 == 0)
+        donors = len(acc._donor_ids)
         del i, packed
         tracemalloc.start()
         try:
@@ -508,10 +524,14 @@ class TestReduceWork:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * 8 * (table_pairs + buffered)
+        assert peak <= 3 * 8 * (table_pairs + buffered)
         assert len(acc._pairs) == table_pairs + buffered
         assert np.all(np.diff(acc._pairs) > 0)
-        assert acc._pair_cents.sum() == 100 * table_pairs + 7 * buffered
+        metrics = acc.finalize(DateRange(D1, D3))
+        assert metrics.donors.values.sum() == table_pairs + buffered
+        assert metrics.amount.values.sum() * 100 == 100 * table_pairs + 7 * buffered
+        assert metrics.new_donors.values.tolist() == [donors, 0, 0]
+        assert metrics.new_donor_amount.values.tolist() == [first_cents / 100, 0, 0]
 
 
 class TestDonorKey:
@@ -750,6 +770,34 @@ class TestShardedPath:
             assert len(_range_bounds(raw, path.stat().st_size, 3)) == 4
         range_ = DateRange(date(2019, 6, 1), date(2019, 7, 20))
         assert_same_ingest(sharded(path, 3, fixture_table), one_pass(path, fixture_table), range_, sums=True)
+
+    @CHUNKS
+    def test_first_gifts_split_across_two_ranges_match_one_pass(self, tmp_path, monkeypatch, chunk_rows):
+        # The worker's range 1 holds ONE's first gift (replaces), TWO's second gift on the same first
+        # day (adds) and TRE's later gift (kept out of the first-gift totals). With one-row chunks this
+        # process has folded its rows into its tables before the worker's tables arrive.
+        monkeypatch.setattr(fec, "_CHUNK_ROWS", chunk_rows)
+        lines = [
+            "C001|DONOR ONE|22903|06052019|10.00", "C001|DONOR TWO|22903|06032019|20.00",
+            "C001|DONOR TRE|22903|06022019|40.00",
+            "C001|DONOR ONE|22903|06012019|15.00", "C001|DONOR TWO|22903|06032019|25.00",
+            "C001|DONOR TRE|22903|06042019|30.00",
+        ]
+        path = tmp_path / "fec.txt"
+        path.write_text("".join(line + "\n" for line in lines))
+        size = path.stat().st_size
+        with open(path, "rb") as raw:
+            assert _range_bounds(raw, size, 2) == [0, size // 2, size]  # three lines of equal length each
+        range_ = DateRange(D1, D1 + timedelta(days=4))
+        got = sharded(path, 2)
+        assert_same_ingest(got, one_pass(path), range_)
+        series = {label: s.values.tolist() for label, s in got[1]["ALPHA"].finalize(range_).series().items()}
+        assert series == {
+            "donors": [1.0, 1.0, 1.0, 1.0, 1.0],
+            "new_donors": [1.0, 1.0, 1.0, 0.0, 0.0],
+            "amount": [15.0, 40.0, 45.0, 30.0, 10.0],
+            "new_donor_amount": [15.0, 40.0, 45.0, 0.0, 0.0],
+        }
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_pipe_is_read_as_one_stream(self, fixtures_dir, tmp_path, fixture_table):
