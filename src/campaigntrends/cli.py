@@ -188,12 +188,9 @@ def _cmd_ingest(config: AnalysisConfig) -> int:
         files_seen.add(identity)
 
     counters = fec.IngestCounters()
-    accumulators = {c: fec.MetricsAccumulator(c) for c in config.candidates}
-    for path in config.fec_files:
-        fec.accumulate_fec_path(path, committee_map, accumulators, counters)
+    donations = fec.ingest_fec_paths(config.fec_files, committee_map, config.candidates, config.range, counters)
     for candidate, metrics in series.items():
-        donations = accumulators[candidate].finalize(config.range).series()
-        metrics.update((label, store.series_to_json(ts)) for label, ts in donations.items())
+        metrics.update((label, store.series_to_json(ts)) for label, ts in donations[candidate].series().items())
 
     summary = counters.as_dict()
     _write(config, "store.json", {

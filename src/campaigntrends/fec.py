@@ -38,7 +38,11 @@ folded.
 the file into byte ranges that end just after a newline byte, at most one
 per usable CPU and each at least ``_SHARD_MIN_BYTES`` long, parses range 0
 itself while worker processes parse the others, and folds their counters
-and tables into its own accumulators. One reader, ``_range_blocks``,
+and then their tables into its own accumulators, one candidate at a time.
+``ingest_fec_paths`` is the ingest job from the files to the series: in
+the last file's fold it finalizes each candidate as soon as that
+candidate's tables are folded and drops its accumulator before the next
+candidate's tables arrive. One reader, ``_range_blocks``,
 cuts every range into blocks of whole lines and skips a UTF-8 BOM at the
 start of the file. The series do not depend on line order, so the result
 equals one pass over the file. A file under two ranges' worth of bytes, a
@@ -48,8 +52,10 @@ by ``subprocess``, that inherits the descriptor this process opened and
 reads its range by position, so every range comes from the file that was
 cut. A worker imports ``campaigntrends`` and never the caller's
 ``__main__``, so a script that ingests needs no entry-point guard and may
-be read from stdin. Each process holds the distinct (donor, day) pairs of
-its own range, so memory grows with those per process. The
+be read from stdin. A worker holds the tables of its own range and drops
+each candidate's once it has sent them. While the last file's tables are
+folded, the ingest process holds those of its range 0 plus one
+candidate's merged tables, not every candidate's. The
 committee_id,candidate_id map that assigns committees to candidates is a
 CSV read through ``store.read_csv_table``.
 """
@@ -63,7 +69,7 @@ from array import array
 from codecs import BOM_UTF8
 from dataclasses import asdict, dataclass
 from datetime import date
-from typing import IO, BinaryIO, Iterable, Iterator, Mapping
+from typing import IO, BinaryIO, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -80,6 +86,7 @@ __all__ = [
     "accumulate_fec_file",
     "accumulate_fec_path",
     "daily_donation_metrics",
+    "ingest_fec_paths",
     "load_committee_map",
     "normalize_donor_name",
     "parse_fec_file",
@@ -281,6 +288,23 @@ class DailyDonationMetrics:
         return {label: getattr(self, label) for label in METRIC_LABELS}
 
 
+def _intake_ended(*_args: object) -> NoReturn:
+    raise CampaignTrendsError("a finalized MetricsAccumulator takes no more gifts")
+
+
+class _FinalizedKeys:
+    """What ``finalize`` keeps of the donor-key table: the count. Taking a key raises."""
+
+    __slots__ = ("count",)
+    setdefault = staticmethod(_intake_ended)
+
+    def __init__(self, count: int) -> None:
+        self.count = count
+
+    def __len__(self) -> int:
+        return self.count
+
+
 class MetricsAccumulator:
     """Columnar, order-independent accumulation of one candidate's donations.
 
@@ -306,6 +330,11 @@ class MetricsAccumulator:
     temporaries stay within three 8-byte words per row folded. Gifts dated
     before any analysis window still decide who is a first-time donor
     inside it.
+
+    ``finalize`` ends intake: it drops the donor-key table, keeping its
+    count, before its own fold, and from then on ``add``, ``_push`` and
+    ``_fold`` raise ``CampaignTrendsError``. The tables stay, so a repeated
+    ``finalize`` and ``first_seen`` give the same results.
     """
 
     def __init__(self, candidate_id: str) -> None:
@@ -320,6 +349,8 @@ class MetricsAccumulator:
         self._day_cents = np.empty(0, np.int64)
 
     def add(self, record: DonationRecord) -> None:
+        if isinstance(self._donor_ids, _FinalizedKeys):
+            _intake_ended()
         if record.candidate_id == self.candidate_id and record.amount_cents > 0:
             key = normalize_donor_name(record.donor_name_raw) + "|" + zip5(record.zip)
             self._push(key.encode(), record.date.toordinal(), record.amount_cents)
@@ -402,6 +433,8 @@ class MetricsAccumulator:
     ) -> None:
         """Add another accumulator's tables, its donor keys in id order."""
         ids = self._donor_ids
+        if isinstance(ids, _FinalizedKeys):
+            _intake_ended()
         local = np.array([ids.setdefault(key, len(ids)) for key in keys], np.int64)
         self._add_first_gifts(local, first_day, first_cents)
         if len(day_cents):  # they start on the other's earliest gift day, its earliest first gift day
@@ -425,8 +458,14 @@ class MetricsAccumulator:
         return self._first_day.copy()
 
     def finalize(self, range_: DateRange) -> DailyDonationMetrics:
-        """Collapse the accumulated state into the four daily series."""
-        self._reduce()
+        """End intake and collapse the accumulated state into the four daily series.
+
+        The donor keys are dropped before the buffered rows are folded, since
+        nothing reads them again; only their count is kept.
+        """
+        if not isinstance(self._donor_ids, _FinalizedKeys):
+            self._donor_ids = _FinalizedKeys(len(self._donor_ids))
+            self._reduce()
         n = len(range_)
         start = range_.start.toordinal()
 
@@ -533,19 +572,53 @@ def accumulate_fec_file(
     counters.unmapped += unmapped
 
 
+def ingest_fec_paths(
+    paths: Sequence[str | os.PathLike[str]],
+    committee_map: Mapping[str, str],
+    candidates: Iterable[str],
+    range_: DateRange,
+    counters: IngestCounters,
+) -> dict[str, DailyDonationMetrics]:
+    """The four daily series over ``range_`` of each of ``candidates``, from the files at ``paths``.
+
+    Each file goes through ``accumulate_fec_path`` into one accumulator per
+    candidate, and its lines are tallied in ``counters``. In the last
+    file's fold each candidate is finalized as soon as its tables are
+    folded, and its accumulator is dropped before the next candidate's
+    tables arrive, so this process holds at most one candidate's merged
+    tables at a time.
+    """
+    accumulators = {c: MetricsAccumulator(c) for c in candidates}
+    metrics: dict[str, DailyDonationMetrics] = {}
+
+    def finish(candidate: str) -> None:
+        metrics[candidate] = accumulators.pop(candidate).finalize(range_)
+
+    for i, path in enumerate(paths, 1):
+        accumulate_fec_path(path, committee_map, accumulators, counters, finish if i == len(paths) else None)
+    for candidate in list(accumulators):  # left only when there is no file
+        finish(candidate)
+    return metrics
+
+
 def accumulate_fec_path(
     path: str | os.PathLike[str],
     committee_map: Mapping[str, str],
     accumulators: Mapping[str, MetricsAccumulator],
     counters: IngestCounters,
+    folded: Callable[[str], None] | None = None,
 ) -> None:
     """Parse the contribution file at ``path`` into ``accumulators``, in parallel.
 
     The file is cut into byte ranges that end just after a newline byte, at
     most one per usable CPU and each at least ``_SHARD_MIN_BYTES`` long.
     Worker processes run ``accumulate_fec_file`` over ranges 1..k-1 while
-    this process parses range 0, then their counters and per-candidate
-    tables are folded into ``counters`` and ``accumulators``. Each range is
+    this process parses range 0. Then their counters are added to
+    ``counters``, and one candidate at a time, in the order of
+    ``accumulators``, every worker's tables for it are folded into its
+    accumulator and ``folded(candidate)`` is called if given; it may drop
+    that accumulator from ``accumulators``, freeing its tables before the
+    next candidate's are received. Each range is
     read by ``_range_blocks``, range 0 skipping a leading BOM, and a
     newline byte never falls inside a character or a CRLF pair, so the
     result equals one pass over the file. A file that is not cut, such as
@@ -575,8 +648,7 @@ def accumulate_fec_path(
                 # sent once the worker is listed, so a failed send still stops and waits for it
                 workers[-1][1].send((dict(committee_map), tuple(accumulators)))
             accumulate_fec_file(_range_blocks(raw, 0, bounds[1]), committee_map, accumulators, counters)
-            for worker, conn in workers:
-                _fold_worker(worker, conn, accumulators, counters)
+            _fold_workers(workers, accumulators, counters, folded)
             finished = True
         finally:
             for worker, conn in workers:
@@ -692,8 +764,9 @@ def _parse_range(conn, fd: int, start: int, stop: int) -> None:
     keys as one newline-joined blob (in id order), then as raw int64 bytes
     the sorted packed (donor, day) pairs, each donor's first gift day and
     its cents that day (by id), and the cents of each day from the range's
-    earliest gift day, which is its earliest first gift day. When the range
-    cannot be read, it sends the error alone.
+    earliest gift day, which is its earliest first gift day. Each
+    candidate's accumulator is dropped once sent, before the next one's
+    fold. When the range cannot be read, it sends the error alone.
     """
     with conn:
         committee_map, candidates = conn.recv()
@@ -707,32 +780,40 @@ def _parse_range(conn, fd: int, start: int, stop: int) -> None:
             return
         conn.send(counters)
         for candidate in candidates:
-            acc = accumulators[candidate]
+            acc = accumulators.pop(candidate)  # the one reference, replaced by the next pop
             acc._reduce()
             conn.send_bytes(b"\n".join(acc._donor_ids))
             for table in (acc._pairs, acc._first_day, acc._first_cents, acc._day_cents):
                 conn.send_bytes(table)
 
 
-def _fold_worker(
-    worker, conn, accumulators: Mapping[str, MetricsAccumulator], counters: IngestCounters
+def _fold_workers(
+    workers: list, accumulators: Mapping[str, MetricsAccumulator], counters: IngestCounters,
+    folded: Callable[[str], None] | None,
 ) -> None:
-    """Receive one ``_parse_range`` result and fold it into this process's state.
+    """Receive the ``_parse_range`` results of ``workers`` and fold them into this process's state.
 
-    After the counters come five messages per candidate, in the order of
-    ``accumulators``: the keys, then the pairs, first gift days, first gift
-    cents and per-day cents that ``MetricsAccumulator._fold`` merges.
+    Every worker's counters come first. Then, for each candidate in the
+    order of ``accumulators``, each worker's five messages for it (the
+    keys, then the pairs, first gift days, first gift cents and per-day
+    cents that ``MetricsAccumulator._fold`` merges) are folded into its
+    accumulator, and ``folded(candidate)`` is called if given.
     """
     try:
-        message = conn.recv()
-        if isinstance(message, BaseException):
-            raise message
-        for name, value in asdict(message).items():  # the three counted fields, not lines_total
-            setattr(counters, name, getattr(counters, name) + value)
-        for candidate in accumulators:
-            blob = conn.recv_bytes()
-            tables = [np.frombuffer(conn.recv_bytes(), np.int64) for _ in range(4)]
-            accumulators[candidate]._fold(blob.split(b"\n") if blob else [], *tables)
+        for worker, conn in workers:
+            message = conn.recv()
+            if isinstance(message, BaseException):
+                raise message
+            for name, value in asdict(message).items():  # the three counted fields, not lines_total
+                setattr(counters, name, getattr(counters, name) + value)
+        for candidate in list(accumulators):  # a copy, since ``folded`` may drop candidates
+            for worker, conn in workers:
+                blob = conn.recv_bytes()
+                tables = [np.frombuffer(conn.recv_bytes(), np.int64) for _ in range(4)]
+                accumulators[candidate]._fold(blob.split(b"\n") if blob else [], *tables)
+                del blob, tables  # freed before the candidate may be finalized
+            if folded is not None:
+                folded(candidate)
     except (EOFError, ConnectionResetError):  # a reset: it died with its task unread
         raise CampaignTrendsError(
             f"an ingest worker ended with exit code {worker.wait()} before sending its result"

@@ -1,4 +1,5 @@
 import io
+import json
 import multiprocessing
 import os
 import random
@@ -8,8 +9,9 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+import weakref
 from array import array
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -534,6 +536,46 @@ class TestReduceWork:
         assert metrics.new_donor_amount.values.tolist() == [first_cents / 100, 0, 0]
 
 
+class TestFinalize:
+    def test_intake_after_finalize_raises(self):
+        acc = MetricsAccumulator("X")
+        acc.add(rec("X", "A", D1, 100))
+        acc.finalize(FIXTURE_RANGE)
+        no_tables = [np.empty(0, np.int64)] * 4
+        for intake in (
+            lambda: acc.add(rec("X", "B", D2, 50)),
+            lambda: acc.add(rec("Y", "B", D2, 50)),  # a record it would have skipped
+            lambda: acc._push(b"B|22903", D2.toordinal(), 50),
+            lambda: acc._fold([b"B|22903"], np.array([D2.toordinal()]), *no_tables[1:]),
+            lambda: acc._fold([], *no_tables),
+        ):
+            with pytest.raises(CampaignTrendsError, match="finalized"):
+                intake()
+        assert acc.finalize(FIXTURE_RANGE).amount.values.tolist() == [1.0, 0.0, 0.0]
+
+    def test_finalize_releases_the_donor_keys_and_repeats(self):
+        tracemalloc.start()
+        try:
+            acc = MetricsAccumulator("X")
+            for i in range(5000):
+                acc.add(rec("X", f"DONOR {i}", D1 + timedelta(days=i % 4 - 1), 100 + i))
+            first_seen = acc.first_seen  # folds the buffered rows, and intake goes on
+            acc.add(rec("X", "DONOR 0", D1 - timedelta(days=2), 7))
+            keys = sum(map(sys.getsizeof, acc._donor_ids))
+            held = tracemalloc.get_traced_memory()[0]
+            metrics = acc.finalize(FIXTURE_RANGE)
+            released = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert released >= keys
+        assert metrics.new_donors.values.tolist() == [1250, 1250, 1250]
+        again = acc.finalize(FIXTURE_RANGE)
+        for label, series in metrics.series().items():
+            assert again.series()[label].values.tobytes() == series.values.tobytes()
+        first_seen[0] = (D1 - timedelta(days=2)).toordinal()
+        assert acc.first_seen.tolist() == first_seen.tolist() == acc.first_seen.tolist()
+
+
 class TestDonorKey:
     def test_shared_exactly_when_identity_agrees_on_spellings(self):
         pairs = [(n, z) for n in NAME_SPELLINGS for z in ZIP_SPELLINGS + WIDE_ZIPS]
@@ -751,15 +793,61 @@ def assert_same_ingest(got, want, range_, *, sums=False):
             assert other.finalize(range_).series()[label].values.tobytes() == series.values.tobytes()
 
 
+# Three lines of equal length in each half. The second half holds ONE's first gift (an earlier day
+# replaces the first half's), TWO's second gift on the same first day (adds) and TRE's later gift
+# (kept out of the first-gift totals).
+FIRST_GIFTS_SPLIT = [
+    "C001|DONOR ONE|22903|06052019|10.00", "C001|DONOR TWO|22903|06032019|20.00",
+    "C001|DONOR TRE|22903|06022019|40.00",
+    "C001|DONOR ONE|22903|06012019|15.00", "C001|DONOR TWO|22903|06032019|25.00",
+    "C001|DONOR TRE|22903|06042019|30.00",
+]
+# The candidates of KERNEL_TABLE's committees C001, C002 and C003.
+THREE_CANDIDATES = ("ALPHA", "BRAVO", "CHARLIE")
+
+
+def three_candidate_file(path):
+    """300 gifts spread over the three candidates of ``KERNEL_TABLE``, as a file at ``path``."""
+    lines = (f"C00{i % 3 + 1}|DONOR {i % 40}|22903|06{i % 9 + 1:02d}2019|{i}\n" for i in range(300))
+    path.write_text("".join(lines))
+    return path
+
+
+def track_accumulators(patch):
+    """A weak reference to each MetricsAccumulator made from now on, by candidate."""
+    alive = {}
+    init = MetricsAccumulator.__init__
+
+    def tracked(acc, candidate_id):
+        init(acc, candidate_id)
+        alive[candidate_id] = weakref.ref(acc)
+
+    patch.setattr(MetricsAccumulator, "__init__", tracked)
+    return alive
+
+
+def one_day_earlier(line):
+    """A contribution line dated one day earlier."""
+    fields = line.split(b"|")
+    day = datetime.strptime(fields[fec._DATE].decode(), "%m%d%Y") - timedelta(days=1)
+    fields[fec._DATE] = day.strftime("%m%d%Y").encode()
+    return b"|".join(fields)
+
+
 class TestShardedPath:
     RANGE = DateRange(D1 - timedelta(days=20), D1 + timedelta(days=12))
 
-    @settings(max_examples=20, deadline=None)
-    @given(data=fec_byte_files(), shards=st.integers(2, 3))
+    # With one- or three-row chunks this process folds its rows into its tables before the workers'
+    # tables arrive, so a worker's fold meets first-gift tables that are not empty.
+    @settings(max_examples=30, deadline=None)
+    @given(data=fec_byte_files(), shards=st.integers(2, 3), chunk_rows=st.sampled_from([1, 3, fec._CHUNK_ROWS]))
     @example(data="C001|Smith\ud800|22903|06012019|10\nC001|Smith|22903|06012019|5\n".encode(
-        "utf-8", "surrogatepass"), shards=2)
-    def test_matches_one_pass(self, data, shards):
-        with tempfile.TemporaryDirectory() as tmp:
+        "utf-8", "surrogatepass"), shards=2, chunk_rows=fec._CHUNK_ROWS)
+    @example(data="".join(line + "\n" for line in FIRST_GIFTS_SPLIT).encode(), shards=2, chunk_rows=1)
+    @example(data="".join(line + "\n" for line in FIRST_GIFTS_SPLIT).encode(), shards=2, chunk_rows=3)
+    def test_matches_one_pass(self, data, shards, chunk_rows):
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fec, "_CHUNK_ROWS", chunk_rows)
             path = Path(tmp) / "fec.txt"
             path.write_bytes(data)
             assert_same_ingest(sharded(path, shards), one_pass(path), self.RANGE)
@@ -773,18 +861,11 @@ class TestShardedPath:
 
     @CHUNKS
     def test_first_gifts_split_across_two_ranges_match_one_pass(self, tmp_path, monkeypatch, chunk_rows):
-        # The worker's range 1 holds ONE's first gift (replaces), TWO's second gift on the same first
-        # day (adds) and TRE's later gift (kept out of the first-gift totals). With one-row chunks this
+        # The worker's range 1 is the second half of FIRST_GIFTS_SPLIT. With one-row chunks this
         # process has folded its rows into its tables before the worker's tables arrive.
         monkeypatch.setattr(fec, "_CHUNK_ROWS", chunk_rows)
-        lines = [
-            "C001|DONOR ONE|22903|06052019|10.00", "C001|DONOR TWO|22903|06032019|20.00",
-            "C001|DONOR TRE|22903|06022019|40.00",
-            "C001|DONOR ONE|22903|06012019|15.00", "C001|DONOR TWO|22903|06032019|25.00",
-            "C001|DONOR TRE|22903|06042019|30.00",
-        ]
         path = tmp_path / "fec.txt"
-        path.write_text("".join(line + "\n" for line in lines))
+        path.write_text("".join(line + "\n" for line in FIRST_GIFTS_SPLIT))
         size = path.stat().st_size
         with open(path, "rb") as raw:
             assert _range_bounds(raw, size, 2) == [0, size // 2, size]  # three lines of equal length each
@@ -798,6 +879,88 @@ class TestShardedPath:
             "amount": [15.0, 40.0, 45.0, 30.0, 10.0],
             "new_donor_amount": [15.0, 40.0, 45.0, 0.0, 0.0],
         }
+
+    def test_each_candidate_is_finalized_and_freed_before_the_next_fold(self, tmp_path, monkeypatch, started):
+        # In the last file's fold a candidate is finalized and its accumulator dropped before any
+        # worker's tables of the next candidate are folded, so one merged candidate is held at a time.
+        path = three_candidate_file(tmp_path / "fec.txt")
+        monkeypatch.setattr(fec, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(fec, "_SHARD_MIN_BYTES", 1)
+        alive = track_accumulators(monkeypatch)
+        folds, finalized = [], []
+        fold, finalize = MetricsAccumulator._fold, MetricsAccumulator.finalize
+
+        def checked_fold(acc, *tables):
+            earlier = list(THREE_CANDIDATES[:THREE_CANDIDATES.index(acc.candidate_id)])
+            assert finalized == earlier
+            assert [alive[c]() for c in earlier] == [None] * len(earlier)
+            folds.append(acc.candidate_id)
+            fold(acc, *tables)
+
+        def recorded_finalize(acc, range_):
+            finalized.append(acc.candidate_id)
+            return finalize(acc, range_)
+
+        monkeypatch.setattr(MetricsAccumulator, "_fold", checked_fold)
+        monkeypatch.setattr(MetricsAccumulator, "finalize", recorded_finalize)
+        counters = IngestCounters()
+        got = fec.ingest_fec_paths([path], KERNEL_TABLE, THREE_CANDIDATES, self.RANGE, counters)
+        assert len(started) == 2 and all_waited(started)
+        assert folds == [c for c in THREE_CANDIDATES for _ in started]
+        assert finalized == list(got) == list(THREE_CANDIDATES)
+        assert [alive[c]() for c in THREE_CANDIDATES] == [None] * 3
+        want = IngestCounters()
+        with open(path, encoding="utf-8") as handle:
+            records = list(parse_fec_file(handle, KERNEL_TABLE, want))
+        assert counters == want
+        for candidate, metrics in got.items():
+            for label, series in daily_donation_metrics(records, candidate, self.RANGE).series().items():
+                assert metrics.series()[label].values.tobytes() == series.values.tobytes()
+
+    def test_worker_drops_each_candidate_once_sent(self, tmp_path, monkeypatch):
+        path = three_candidate_file(tmp_path / "fec.txt")
+        alive = track_accumulators(monkeypatch)
+        sent = []
+        reduce = MetricsAccumulator._reduce
+
+        def checked_reduce(acc, **folded):  # each candidate's last fold, just before it is sent
+            earlier = THREE_CANDIDATES[:THREE_CANDIDATES.index(acc.candidate_id)]
+            assert [alive[c]() for c in earlier] == [None] * len(earlier)
+            sent.append(acc.candidate_id)
+            reduce(acc, **folded)
+
+        monkeypatch.setattr(MetricsAccumulator, "_reduce", checked_reduce)
+        conn, child_conn = multiprocessing.Pipe()
+        conn.send((KERNEL_TABLE, THREE_CANDIDATES))
+        fec._parse_range(child_conn, os.open(path, os.O_RDONLY), 0, path.stat().st_size)  # closes both
+        assert sent == list(THREE_CANDIDATES)
+        monkeypatch.setattr(MetricsAccumulator, "_reduce", reduce)
+        counters = IngestCounters()
+        got = {c: MetricsAccumulator(c) for c in THREE_CANDIDATES}
+        with conn:
+            fec._fold_workers([(None, conn)], got, counters, None)
+        want = IngestCounters(), {c: MetricsAccumulator(c) for c in THREE_CANDIDATES}
+        accumulate_fec_file([path.read_bytes()], KERNEL_TABLE, want[1], want[0])
+        assert_same_ingest((counters, got), want, self.RANGE, sums=True)
+
+    def test_two_files_ingest_as_their_concatenation(self, fixtures_dir, tmp_path, monkeypatch, started):
+        # The second file is the fixture one day earlier, so its donors' first gifts replace those of
+        # the first file, and its fold is the one that finalizes. Each file is cut in two ranges.
+        first = fixtures_dir / "fec_sample.txt"
+        second = tmp_path / "earlier.txt"
+        second.write_bytes(b"".join(map(one_day_earlier, first.read_bytes().splitlines(keepends=True))))
+        both = tmp_path / "both.txt"
+        both.write_bytes(first.read_bytes() + second.read_bytes())
+        monkeypatch.setattr(fec, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(fec, "_SHARD_MIN_BYTES", 1024)
+        two_files = [*ingest_flags(fixtures_dir, first, tmp_path / "two"), "--fec-file", str(second)]
+        assert main(["ingest", *two_files]) == 0
+        assert len(started) == 2
+        assert main(["ingest", *ingest_flags(fixtures_dir, both, tmp_path / "one")]) == 0
+        assert len(started) == 3 and all_waited(started)
+        for name in ("store.json", "ingest_summary.json"):
+            assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+        assert json.loads((tmp_path / "one" / "ingest_summary.json").read_bytes())["parsed"] > 0
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_pipe_is_read_as_one_stream(self, fixtures_dir, tmp_path, fixture_table):
@@ -907,7 +1070,8 @@ class TestShardedPath:
                 if task:
                     conn.send(task)
                 with pytest.raises(CampaignTrendsError, match="exit code 3"):
-                    fec._fold_worker(worker, conn, {"ALPHA": MetricsAccumulator("ALPHA")}, IngestCounters())
+                    fec._fold_workers(
+                        [(worker, conn)], {"ALPHA": MetricsAccumulator("ALPHA")}, IngestCounters(), None)
             assert worker.returncode == 3
 
     def test_worker_error_reaches_the_ingest_process(self, tmp_path):
@@ -920,7 +1084,7 @@ class TestShardedPath:
         finally:
             os.close(directory)
         with conn, pytest.raises(IsADirectoryError):
-            fec._fold_worker(None, conn, {"ALPHA": MetricsAccumulator("ALPHA")}, IngestCounters())
+            fec._fold_workers([(None, conn)], {"ALPHA": MetricsAccumulator("ALPHA")}, IngestCounters(), None)
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     @pytest.mark.parametrize("deleted", [False, True])
