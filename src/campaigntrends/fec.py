@@ -36,9 +36,10 @@ equal pairs; its temporaries stay within three 8-byte words per row
 folded.
 ``accumulate_fec_path`` runs that kernel over a file in parallel: it cuts
 the file into byte ranges that end just after a newline byte, at most one
-per usable CPU and each at least ``_SHARD_MIN_BYTES`` long, parses range 0
-itself while worker processes parse the others, and folds their counters
-and then their tables into its own accumulators, one candidate at a time.
+per usable CPU and each at least ``_SHARD_MIN_BYTES`` long, starts one
+worker process per range, and folds their counters and then their tables
+into its own accumulators, one candidate at a time; it parses no range of
+a cut file itself.
 ``ingest_fec_paths`` is the ingest job from the files to the series: in
 the last file's fold it finalizes each candidate as soon as that
 candidate's tables are folded and drops its accumulator before the next
@@ -46,18 +47,18 @@ candidate's tables arrive. One reader, ``_range_blocks``,
 cuts every range into blocks of whole lines and skips a UTF-8 BOM at the
 start of the file. The series do not depend on line order, so the result
 equals one pass over the file. A file under two ranges' worth of bytes, a
-pipe, a process allowed one CPU, or a platform without ``os.pread`` is all
-range 0, parsed in one process. Each worker is a new interpreter, started
-by ``subprocess``, that inherits the descriptor this process opened and
-reads its range by position, so every range comes from the file that was
-cut. A worker imports ``campaigntrends`` and never the caller's
-``__main__``, so a script that ingests needs no entry-point guard and may
-be read from stdin. A worker holds the tables of its own range and drops
-each candidate's once it has sent them. While the last file's tables are
-folded, the ingest process holds those of its range 0 plus one
-candidate's merged tables, not every candidate's. The
-committee_id,candidate_id map that assigns committees to candidates is a
-CSV read through ``store.read_csv_table``.
+pipe, a process allowed one CPU, or a platform without ``os.pread`` is not
+cut: it is one range 0, parsed by the ingest process itself. Each worker
+is a new interpreter, started by ``subprocess``, that inherits the
+descriptor this process opened and reads its range by position, so every
+range comes from the file that was cut. A worker imports
+``campaigntrends`` and never the caller's ``__main__``, so a script that
+ingests needs no entry-point guard and may be read from stdin. A worker
+holds the tables of its own range and drops each candidate's once it has
+sent them. While the last file's tables are folded, the ingest process
+holds one candidate's merged tables plus the tables coming in, and no
+range's own state. The committee_id,candidate_id map that assigns
+committees to candidates is a CSV read through ``store.read_csv_table``.
 """
 
 from __future__ import annotations
@@ -129,10 +130,11 @@ _UNSEEN = object()
 _UNMAPPED = object()  # a committee missing from the committee map
 
 # A file is cut into at most one byte range per usable CPU, each at least
-# this long; a file under two ranges' worth is parsed in one process. A
-# worker takes about 0.2 s to start, in which this process parses about
-# 4 MiB of lines (about 18 MiB/s on a 2-core x86_64 host), so smaller ranges
-# gain nothing.
+# this long; a file under two ranges' worth is parsed in one process. Each
+# range pays one worker's start, about 0.2 s, in which one process parses
+# about 4 MiB of lines (about 18 MiB/s on a 2-core x86_64 host). The workers
+# start side by side, so a 2-range cut still pays at about 8 MiB per range,
+# and smaller ranges gain nothing.
 _SHARD_MIN_BYTES = 8 << 20
 # A range is read in blocks of this many bytes, each parsed up to its last
 # newline. Larger blocks hold more line objects alive at once and raised the
@@ -612,19 +614,19 @@ def accumulate_fec_path(
 
     The file is cut into byte ranges that end just after a newline byte, at
     most one per usable CPU and each at least ``_SHARD_MIN_BYTES`` long.
-    Worker processes run ``accumulate_fec_file`` over ranges 1..k-1 while
-    this process parses range 0. Then their counters are added to
-    ``counters``, and one candidate at a time, in the order of
-    ``accumulators``, every worker's tables for it are folded into its
-    accumulator and ``folded(candidate)`` is called if given; it may drop
-    that accumulator from ``accumulators``, freeing its tables before the
-    next candidate's are received. Each range is
-    read by ``_range_blocks``, range 0 skipping a leading BOM, and a
-    newline byte never falls inside a character or a CRLF pair, so the
-    result equals one pass over the file. A file that is not cut, such as
-    a small one or a pipe (whose size reads 0), or any file where
-    ``os.pread`` is missing, is one range 0 read as one stream by the same
-    reader.
+    One worker process per range, range 0 included, runs
+    ``accumulate_fec_file`` over it; this process parses none. Then the
+    workers' counters are added to ``counters``, and one candidate at a
+    time, in the order of ``accumulators``, every worker's tables for it
+    are folded into its accumulator, in range order, and
+    ``folded(candidate)`` is called if given; it may drop that accumulator
+    from ``accumulators``, freeing its tables before the next candidate's
+    are received. Each range is read by ``_range_blocks``, range 0 skipping
+    a leading BOM, and a newline byte never falls inside a character or a
+    CRLF pair, so the result equals one pass over the file. A file that is
+    not cut, such as a small one or a pipe (whose size reads 0), or any
+    file where ``os.pread`` is missing, is one range 0 that this process
+    reads as one stream by the same reader, and starts no worker.
 
     Each worker is a new interpreter that inherits the descriptor this
     process opened, under the same number, and reads its range by
@@ -643,11 +645,13 @@ def accumulate_fec_path(
         workers = []
         finished = False
         try:
-            for start, stop in zip(bounds[1:-1], bounds[2:]):
-                workers.append(_start_worker(raw.fileno(), start, stop))
-                # sent once the worker is listed, so a failed send still stops and waits for it
-                workers[-1][1].send((dict(committee_map), tuple(accumulators)))
-            accumulate_fec_file(_range_blocks(raw, 0, bounds[1]), committee_map, accumulators, counters)
+            if len(bounds) == 2:  # not cut: this process parses the one range
+                accumulate_fec_file(_range_blocks(raw, *bounds), committee_map, accumulators, counters)
+            else:
+                for start, stop in zip(bounds, bounds[1:]):
+                    workers.append(_start_worker(raw.fileno(), start, stop))
+                    # sent once the worker is listed, so a failed send still stops and waits for it
+                    workers[-1][1].send((dict(committee_map), tuple(accumulators)))
             _fold_workers(workers, accumulators, counters, folded)
             finished = True
         finally:
@@ -759,14 +763,16 @@ def _start_worker(fd: int, start: int, stop: int):
 def _parse_range(conn, fd: int, start: int, stop: int) -> None:
     """Worker: parse bytes [start, stop) of the file open on ``fd`` and send the result on ``conn``.
 
-    ``conn`` first brings the committee map and the candidates. The worker
-    sends its IngestCounters, then five messages per candidate: the donor
-    keys as one newline-joined blob (in id order), then as raw int64 bytes
-    the sorted packed (donor, day) pairs, each donor's first gift day and
-    its cents that day (by id), and the cents of each day from the range's
-    earliest gift day, which is its earliest first gift day. Each
-    candidate's accumulator is dropped once sent, before the next one's
-    fold. When the range cannot be read, it sends the error alone.
+    Every range of a cut file is parsed here, range 0 too, which skips a
+    leading BOM because it starts at byte 0. ``conn`` first brings the
+    committee map and the candidates. The worker sends its IngestCounters,
+    then five messages per candidate: the donor keys as one newline-joined
+    blob (in id order), then as raw int64 bytes the sorted packed (donor,
+    day) pairs, each donor's first gift day and its cents that day (by id),
+    and the cents of each day from the range's earliest gift day, which is
+    its earliest first gift day. Each candidate's accumulator is dropped
+    once sent, before the next one's fold. When the range cannot be read,
+    it sends the error alone.
     """
     with conn:
         committee_map, candidates = conn.recv()

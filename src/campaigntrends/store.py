@@ -25,13 +25,15 @@ import functools
 import json
 import re
 from datetime import date, timedelta
-from typing import IO, Any, Iterable, Iterator, Sequence
+from typing import IO, TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .exceptions import InvalidValueError
 from .timeseries import TimeSeries
-from .trendfilter import TrendFit
+
+if TYPE_CHECKING:
+    from .trendfilter import TrendFit
 
 __all__ = [
     "METRIC_LABELS",
@@ -172,6 +174,8 @@ def fit_from_record(record: dict[str, Any]) -> tuple[date, TrendFit]:
     (its first n - 2 entries) inverts it, clipped to the box |u| <= lambda.
     Malformed records raise KeyError, TypeError, ValueError or OverflowError.
     """
+    from .trendfilter import TrendFit  # only fit records need it, so an ingest worker never loads it
+
     start = parse_iso_date(record["start_date"])
     lam, gap, tol_knot = (float(record[key]) for key in ("lambda", "duality_gap", "tol_knot"))
     fitted = np.array(record["fitted"], dtype=float)

@@ -868,7 +868,7 @@ class TestWhatEachProcessLoads:
         imports = [part for part in fec._WORKER_CODE.split("; ") if part.startswith(("import ", "from "))]
         loaded = modules_after("; ".join(imports))
         assert "campaigntrends.fec" in loaded
-        for name in ("analysis", "cli", "config", "polls", "synth"):
+        for name in ("analysis", "cli", "config", "polls", "synth", "trendfilter"):
             assert f"campaigntrends.{name}" not in loaded
 
     def test_public_names_are_their_modules_objects(self):

@@ -837,8 +837,8 @@ def one_day_earlier(line):
 class TestShardedPath:
     RANGE = DateRange(D1 - timedelta(days=20), D1 + timedelta(days=12))
 
-    # With one- or three-row chunks this process folds its rows into its tables before the workers'
-    # tables arrive, so a worker's fold meets first-gift tables that are not empty.
+    # The workers' tables are folded in range order, so from range 1 on a fold meets the first-gift
+    # tables of the ranges before it; with one- or three-row chunks a worker's reduces meet its own.
     @settings(max_examples=30, deadline=None)
     @given(data=fec_byte_files(), shards=st.integers(2, 3), chunk_rows=st.sampled_from([1, 3, fec._CHUNK_ROWS]))
     @example(data="C001|Smith\ud800|22903|06012019|10\nC001|Smith|22903|06012019|5\n".encode(
@@ -859,10 +859,49 @@ class TestShardedPath:
         range_ = DateRange(date(2019, 6, 1), date(2019, 7, 20))
         assert_same_ingest(sharded(path, 3, fixture_table), one_pass(path, fixture_table), range_, sums=True)
 
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    def test_cut_file_is_parsed_by_its_workers_alone(
+        self, fixtures_dir, fixture_table, monkeypatch, started, shards
+    ):
+        # A cut file starts one worker per range; only a file that is not cut runs the kernel here.
+        calls = []
+        kernel = fec.accumulate_fec_file
+        monkeypatch.setattr(fec, "accumulate_fec_file", lambda *args: calls.append(args) or kernel(*args))
+        path = fixtures_dir / "fec_sample.txt"
+        got = sharded(path, shards, fixture_table)
+        assert (len(calls), len(started)) == ((1, 0) if shards == 1 else (0, shards))
+        range_ = DateRange(date(2019, 6, 1), date(2019, 7, 20))
+        assert_same_ingest(got, one_pass(path, fixture_table), range_, sums=True)
+
+    def test_each_candidate_first_fold_meets_an_empty_accumulator(self, tmp_path, monkeypatch):
+        # This process parses no range of a cut file: it holds one merged candidate and the tables coming in.
+        path = three_candidate_file(tmp_path / "fec.txt")
+        monkeypatch.setattr(fec, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(fec, "_SHARD_MIN_BYTES", 1)
+        met = {}
+        fold = MetricsAccumulator._fold
+
+        def checked_fold(acc, *tables):
+            held = acc._donor_ids, acc._pairs, acc._rows, acc._row_cents, acc._first_day, acc._day_cents
+            met.setdefault(acc.candidate_id, [len(state) for state in held])
+            fold(acc, *tables)
+
+        monkeypatch.setattr(MetricsAccumulator, "_fold", checked_fold)
+        counters = IngestCounters()
+        got = fec.ingest_fec_paths([path], KERNEL_TABLE, THREE_CANDIDATES, self.RANGE, counters)
+        assert met == {c: [0] * 6 for c in THREE_CANDIDATES}
+        want = IngestCounters()
+        with open(path, encoding="utf-8") as handle:
+            records = list(parse_fec_file(handle, KERNEL_TABLE, want))
+        assert counters == want
+        for candidate, metrics in got.items():
+            for label, series in daily_donation_metrics(records, candidate, self.RANGE).series().items():
+                assert metrics.series()[label].values.tobytes() == series.values.tobytes()
+
     @CHUNKS
     def test_first_gifts_split_across_two_ranges_match_one_pass(self, tmp_path, monkeypatch, chunk_rows):
-        # The worker's range 1 is the second half of FIRST_GIFTS_SPLIT. With one-row chunks this
-        # process has folded its rows into its tables before the worker's tables arrive.
+        # Range 1 is the second half of FIRST_GIFTS_SPLIT. Its worker's tables are folded onto those
+        # that range 0's worker sent, so the merge rules decide the first gifts.
         monkeypatch.setattr(fec, "_CHUNK_ROWS", chunk_rows)
         path = tmp_path / "fec.txt"
         path.write_text("".join(line + "\n" for line in FIRST_GIFTS_SPLIT))
@@ -905,7 +944,7 @@ class TestShardedPath:
         monkeypatch.setattr(MetricsAccumulator, "finalize", recorded_finalize)
         counters = IngestCounters()
         got = fec.ingest_fec_paths([path], KERNEL_TABLE, THREE_CANDIDATES, self.RANGE, counters)
-        assert len(started) == 2 and all_waited(started)
+        assert len(started) == 3 and all_waited(started)
         assert folds == [c for c in THREE_CANDIDATES for _ in started]
         assert finalized == list(got) == list(THREE_CANDIDATES)
         assert [alive[c]() for c in THREE_CANDIDATES] == [None] * 3
@@ -955,9 +994,9 @@ class TestShardedPath:
         monkeypatch.setattr(fec, "_SHARD_MIN_BYTES", 1024)
         two_files = [*ingest_flags(fixtures_dir, first, tmp_path / "two"), "--fec-file", str(second)]
         assert main(["ingest", *two_files]) == 0
-        assert len(started) == 2
+        assert len(started) == 4
         assert main(["ingest", *ingest_flags(fixtures_dir, both, tmp_path / "one")]) == 0
-        assert len(started) == 3 and all_waited(started)
+        assert len(started) == 6 and all_waited(started)
         for name in ("store.json", "ingest_summary.json"):
             assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
         assert json.loads((tmp_path / "one" / "ingest_summary.json").read_bytes())["parsed"] > 0
@@ -1016,7 +1055,7 @@ class TestShardedPath:
         capsys.readouterr()
         assert main(["ingest", *ingest_flags(fixtures_dir, path, tmp_path / "got")]) == 0
         assert capsys.readouterr().err == ""
-        assert len(started) == 1
+        assert len(started) == 2
         for name in ("store.json", "ingest_summary.json"):
             assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
         assert all_waited(started)
@@ -1046,15 +1085,15 @@ class TestShardedPath:
         monkeypatch.setattr(fec, "_SHARD_MIN_BYTES", 1024)
 
         def fail(*args):
-            raise OSError("read error in range 0")
+            raise OSError("error before the first fold")
 
-        monkeypatch.setattr(fec, "accumulate_fec_file", fail)  # a patch here never reaches a worker's interpreter
+        monkeypatch.setattr(fec, "_fold_workers", fail)  # fails at once, while every worker still parses
         code = main(["ingest", *ingest_flags(fixtures_dir, fixtures_dir / "fec_sample.txt", tmp_path / "out")])
         assert code == 2
-        assert capsys.readouterr().err == "error: read error in range 0\n"
+        assert capsys.readouterr().err == "error: error before the first fold\n"
         assert all_waited(started)
         # stopped, not left to parse their ranges to the end
-        assert [worker.returncode for worker in started] == [-signal.SIGTERM] * 2
+        assert [worker.returncode for worker in started] == [-signal.SIGTERM] * 3
 
     def test_worker_that_dies_without_a_result_is_an_error(self):
         # With its task sent but unread, the worker's exit resets the socket (ConnectionResetError) instead
@@ -1099,7 +1138,7 @@ class TestShardedPath:
             if deleted:
                 path.unlink()
             got = sharded(f"/proc/self/fd/{held.fileno()}", 2, fixture_table)
-        assert len(started) == 1
+        assert len(started) == 2
         assert_same_ingest(got, want, DateRange(date(2019, 6, 1), date(2019, 7, 20)), sums=True)
         assert all_waited(started)
 
@@ -1144,6 +1183,6 @@ class TestShardedPath:
             "stdin": subprocess.run([sys.executable, "-"], input=script("stdin", guard=True), **common),
         }
         for out, result in runs.items():
-            assert (result.returncode, result.stderr) == (0, "started a worker\n")
+            assert (result.returncode, result.stderr) == (0, "started a worker\n" * 2)
             for name in ("store.json", "ingest_summary.json"):
                 assert (tmp_path / out / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
