@@ -28,12 +28,15 @@ with replacement. Each positive gift enters its candidate's
 ``MetricsAccumulator`` through ``_push``, which buffers at most
 ``max(_CHUNK_ROWS, pairs / 4)`` rows before folding them into NumPy tables
 per candidate: the distinct (donor, day) pairs, each donor's first gift
-day and its cents that day, and each day's cents. So ingest memory and
-sorting work grow with the distinct (donor, day) pairs and donors, not
-with the number of lines. A fold adds the rows' cents to the totals, then
-sorts the pairs so far and the rows in place and keeps one of each run of
-equal pairs; its temporaries stay within three 8-byte words per row
-folded.
+day and its cents that day, and each day's cents. A buffer of at least
+``max(_CHUNK_ROWS / 4, pairs / 4)`` rows folds early once it holds at least
+twice as many rows as donors new since the last fold; such a fold cannot
+grow the tables by more than the buffer it frees, 16 bytes per row. So
+ingest memory and sorting work grow with the distinct (donor, day) pairs
+and donors, not with the number of lines. A fold adds the rows' cents to
+the totals, then sorts the pairs so far and the rows in place and keeps
+one of each run of equal pairs; its temporaries stay within three 8-byte
+words per row folded.
 ``accumulate_fec_path`` runs that kernel over a file in parallel: it cuts
 the file into byte ranges that end just after a newline byte, at most one
 per usable CPU and each at least ``_SHARD_MIN_BYTES`` long, starts one
@@ -114,7 +117,11 @@ _PLAUSIBLE_MAX = date(2021, 12, 31)
 # about 9e7 maximal gifts on one day.
 MAX_AMOUNT_DOLLARS = 1e9
 
-# Rows an accumulator buffers before folding them into its tables.
+# Rows an accumulator buffers before folding them into its tables. From a
+# quarter of this on, a buffer of at least two rows per donor new since the
+# last fold folds early: its fold adds at most one 8-byte pair per 16-byte
+# row and 16 bytes of first-gift tables per new donor, so it cannot grow
+# the accumulator.
 _CHUNK_ROWS = 1 << 16
 # Rows a fold adds to the cent totals at a time, so that step's temporaries
 # stay a few 128 KiB arrays however many rows are folded. Arrays of rows
@@ -315,7 +322,10 @@ class MetricsAccumulator:
     to an int and buffers a (donor, day, cents) row; ``add`` and
     ``accumulate_fec_file`` drop refunds and zero amounts before it. Once
     ``max(_CHUNK_ROWS, pairs // 4)`` rows are buffered, ``_reduce`` folds
-    them into three tables:
+    them into three tables, and earlier, from ``max(_CHUNK_ROWS // 4,
+    pairs // 4)`` rows on, once the rows are at least twice the donors
+    interned since the last fold (the donors the first-gift tables do not
+    hold yet):
 
     - the sorted distinct packed (donor, day) pairs, one int64 each, which
       count the donors of each day;
@@ -326,12 +336,15 @@ class MetricsAccumulator:
 
     So memory holds 8 bytes per distinct pair, 16 per donor and 8 per day,
     plus at most the buffered rows, and each buffered row pays for at most
-    five pairs sorted. A fold adds the rows' cents into the totals,
-    ``_CENTS_ROWS`` rows at a time, then sorts the pairs and the rows in
-    place as one array and keeps the first of each run of equal pairs; its
-    temporaries stay within three 8-byte words per row folded. Gifts dated
-    before any analysis window still decide who is a first-time donor
-    inside it.
+    five pairs sorted. An early fold cannot grow the first two tables by
+    more than the 16 bytes per row it frees: each row becomes at most one
+    pair, and each new donor, at most one per two rows, 16 bytes of first
+    gift. A one-time donor's rows never fold early. A fold adds the rows'
+    cents into the totals, ``_CENTS_ROWS`` rows at a time, then sorts the
+    pairs and the rows in place as one array and keeps the first of each
+    run of equal pairs; its temporaries stay within three 8-byte words per
+    row folded. Gifts dated before any analysis window still decide who is
+    a first-time donor inside it.
 
     ``finalize`` ends intake: it drops the donor-key table, keeping its
     count, before its own fold, and from then on ``add``, ``_push`` and
@@ -363,7 +376,13 @@ class MetricsAccumulator:
         rows = self._rows
         rows.append(ids.setdefault(key, len(ids)) << _DAY_BITS | day)
         self._row_cents.append(cents)
-        if len(rows) >= _CHUNK_ROWS and len(rows) >= len(self._pairs) >> 2:
+        n = len(rows)
+        # At the ceiling, max(_CHUNK_ROWS, pairs / 4) rows, or early from max(_CHUNK_ROWS / 4,
+        # pairs / 4) rows on, once the donors interned since the last fold (those without a
+        # first-gift entry yet) are at most half the rows.
+        if n >= _CHUNK_ROWS >> 2 and n >= len(self._pairs) >> 2 and (
+            n >= _CHUNK_ROWS or n >= 2 * (len(ids) - len(self._first_day))
+        ):
             self._reduce()
 
     def _reduce(self, *, pairs: np.ndarray | None = None) -> None:

@@ -502,6 +502,106 @@ class TestReduceWork:
         assert metrics.amount.values.tolist() == [n, 0, 0]
         assert sum(sorted_rows) <= 8 * n
 
+    @staticmethod
+    def record_folds(monkeypatch):
+        """Each buffered fold's (rows, pairs before, table bytes before, table bytes after).
+
+        Table bytes are 8 per distinct pair plus 16 per donor of the first-gift tables.
+        """
+        folds = []
+        reduce = MetricsAccumulator._reduce
+
+        def recorded(acc, **folded):
+            def held():
+                return 8 * len(acc._pairs) + 16 * len(acc._first_day)
+
+            rows, pairs, before = len(acc._rows), len(acc._pairs), held()
+            reduce(acc, **folded)
+            if rows:
+                folds.append((rows, pairs, before, held()))
+
+        monkeypatch.setattr(MetricsAccumulator, "_reduce", recorded)
+        return folds
+
+    def test_repeat_donor_stream_folds_before_a_full_chunk(self, monkeypatch):
+        # 100 donors giving again and again: from _CHUNK_ROWS / 4 rows on, the buffer holds more than
+        # two rows per donor new since the last fold, so it folds there and not at _CHUNK_ROWS.
+        folds = self.record_folds(monkeypatch)
+        early = fec._CHUNK_ROWS >> 2
+        records = [rec("ALPHA", f"DONOR {i % 100}", D1 + timedelta(days=i % 3), 100 + i % 7)
+                   for i in range(fec._CHUNK_ROWS)]
+        acc = MetricsAccumulator("ALPHA")
+        for r in records[:early - 1]:
+            acc.add(r)
+        assert (len(acc._rows), folds) == (early - 1, [])
+        for r in records[early - 1:]:
+            acc.add(r)
+        assert [rows for rows, *_ in folds] == [early] * 4
+        assert len(acc._rows) == 0 and len(acc._pairs) == 300
+        want, distinct = reference_metrics(records, "ALPHA", FIXTURE_RANGE)
+        got = acc.finalize(FIXTURE_RANGE).series()
+        for label, values in want.items():
+            assert got[label].values.tolist() == values.tolist(), label
+        assert len(acc.first_seen) == distinct == 100
+
+    def test_one_time_donor_stream_folds_at_a_full_chunk(self, monkeypatch):
+        # Each row a new donor: a fold would add a pair and 16 bytes of first gift per row, more than
+        # the row frees, so the buffer fills to _CHUNK_ROWS as it always has.
+        folds = self.record_folds(monkeypatch)
+        acc = MetricsAccumulator("ALPHA")
+        day = D1.toordinal()
+        for i in range(fec._CHUNK_ROWS - 1):
+            acc._push(b"DONOR %d|22903" % i, day, 100)
+        assert (len(acc._rows), folds) == (fec._CHUNK_ROWS - 1, [])
+        acc._push(b"DONOR -1|22903", day, 100)
+        assert [rows for rows, *_ in folds] == [fec._CHUNK_ROWS]
+        assert len(acc._rows) == 0 and len(acc._pairs) == fec._CHUNK_ROWS
+
+    def test_early_folds_grow_the_tables_no_more_than_the_rows_they_free(self, monkeypatch):
+        # Spells of new donors between spells of repeat gifts, so some folds meet as many as one
+        # new donor per two rows. An early fold turns each 16-byte row into at most one 8-byte
+        # pair, and each new donor, at most one per two rows, into 16 bytes of first gift.
+        monkeypatch.setattr(fec, "_CHUNK_ROWS", 2048)
+        folds = self.record_folds(monkeypatch)
+        rng = np.random.default_rng(0)
+        acc, one_fold = MetricsAccumulator("ALPHA"), MetricsAccumulator("ALPHA")
+        donors, day = 0, D1.toordinal()
+        gifts = []
+        for spell in range(80):
+            for _ in range(int(rng.integers(100, 600) if spell % 2 else rng.integers(20, 300))):
+                if spell % 2:  # one of the first 200 donors again
+                    donor = int(rng.integers(0, min(donors, 200)))
+                else:
+                    donor, donors = donors, donors + 1
+                gifts.append((b"%d|22903" % donor, day + int(rng.integers(-1, 2)), int(rng.integers(1, 500))))
+        for gift in gifts:
+            acc._push(*gift)
+        early = [(rows, before, after) for rows, pairs, before, after in folds
+                 if rows < max(fec._CHUNK_ROWS, pairs >> 2)]
+        assert len(early) >= 20
+        assert all(after - before <= 16 * rows for rows, before, after in early)
+        monkeypatch.setattr(fec, "_CHUNK_ROWS", 1 << 40)  # so the reference folds once, in finalize
+        for gift in gifts:
+            one_fold._push(*gift)
+        range_ = DateRange(D1 - timedelta(days=5), D1 + timedelta(days=5))
+        for label, series in one_fold.finalize(range_).series().items():
+            assert acc.finalize(range_).series()[label].values.tobytes() == series.values.tobytes(), label
+
+    def test_rows_sorted_grow_linearly_with_frequent_early_folds(self, monkeypatch):
+        # Each donor gives four times over three days, so every buffer holds at most one new donor
+        # per four rows and may fold early; the pairs / 4 floor still keeps the sorting linear.
+        n = 20_000
+        monkeypatch.setattr(fec, "_CHUNK_ROWS", 16)
+        folds = self.record_folds(monkeypatch)  # with no folded table, each sorts its rows and pairs
+        acc = MetricsAccumulator("ALPHA")
+        for i in range(n):
+            acc.add(DonationRecord("ALPHA", f"donor {i // 4}", "22903", D1 + timedelta(days=i % 3), 100))
+        metrics = acc.finalize(DateRange(D1, D3))
+        assert metrics.donors.values.tolist() == [n // 4] * 3  # four straight days cover all three
+        assert metrics.amount.values.sum() == n
+        assert any(rows < fec._CHUNK_ROWS for rows, *_ in folds)
+        assert sum(rows + pairs for rows, pairs, *_ in folds) <= 8 * n
+
     def test_reduce_transient_memory_is_bounded(self):
         # A fold is one in-place sort and a keep-first mask, after the rows' cents are added to the
         # per-day and first-gift totals: its temporaries stay within three words per row folded.
