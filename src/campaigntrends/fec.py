@@ -25,18 +25,11 @@ are new to the file (committee, date and amount) or are not plain ASCII
 line gives, because ``|``, CR and LF are ASCII, so the kernel counts and
 sums exactly what ``parse_fec_file`` yields from the file read as UTF-8
 with replacement. Each positive gift enters its candidate's
-``MetricsAccumulator`` through ``_push``, which buffers at most
-``max(_CHUNK_ROWS, pairs / 4)`` rows before folding them into NumPy tables
-per candidate: the distinct (donor, day) pairs, each donor's first gift
-day and its cents that day, and each day's cents. A buffer of at least
-``max(_CHUNK_ROWS / 4, pairs / 4)`` rows folds early once it holds at least
-twice as many rows as donors new since the last fold; such a fold cannot
-grow the tables by more than the buffer it frees, 16 bytes per row. So
-ingest memory and sorting work grow with the distinct (donor, day) pairs
-and donors, not with the number of lines. A fold adds the rows' cents to
-the totals, then sorts the pairs so far and the rows in place and keeps
-one of each run of equal pairs; its temporaries stay within three 8-byte
-words per row folded.
+``MetricsAccumulator``, which buffers rows and folds them into NumPy tables:
+the distinct (donor, day) pairs, each donor's first gift day and its cents
+that day, and each day's cents. So ingest memory and sorting work grow with
+the distinct pairs and donors, not with the number of lines; that class
+states the fold rules and the peak each of its memory steps lowers.
 ``accumulate_fec_path`` runs that kernel over a file in parallel: it cuts
 the file into byte ranges that end just after a newline byte, at most one
 per usable CPU and each at least ``_SHARD_MIN_BYTES`` long, starts one
@@ -46,21 +39,24 @@ a cut file itself.
 ``ingest_fec_paths`` is the ingest job from the files to the series: in
 the last file's fold it finalizes each candidate as soon as that
 candidate's tables are folded and drops its accumulator before the next
-candidate's tables arrive. One reader, ``_range_blocks``,
-cuts every range into blocks of whole lines and skips a UTF-8 BOM at the
-start of the file. The series do not depend on line order, so the result
-equals one pass over the file. A file under two ranges' worth of bytes, a
-pipe, a process allowed one CPU, or a platform without ``os.pread`` is not
-cut: it is one range 0, parsed by the ingest process itself. Each worker
+candidate's tables arrive, which lowers the benchmark's ``ingest_bulk`` peak
+the most. One reader, ``_range_blocks``, cuts every range into blocks of
+whole lines and skips a UTF-8 BOM at the start of the file. The series do
+not depend on line order, so the result equals one pass over the file. A
+file under two ranges' worth of bytes, a pipe, a process allowed one CPU,
+or a platform without ``os.pread`` is not cut: it is one range 0, parsed
+by the ingest process itself. Each worker
 is a new interpreter, started by ``subprocess``, that inherits the
 descriptor this process opened and reads its range by position, so every
 range comes from the file that was cut. A worker imports
 ``campaigntrends`` and never the caller's ``__main__``, so a script that
 ingests needs no entry-point guard and may be read from stdin. A worker
 holds the tables of its own range and drops each candidate's once it has
-sent them. While the last file's tables are folded, the ingest process
-holds one candidate's merged tables plus the tables coming in, and no
-range's own state. The committee_id,candidate_id map that assigns
+sent them, which lowers ``ingest_bulk``'s worker peak. While the last
+file's tables are folded, the ingest process holds one candidate's merged
+tables plus one worker's tables for it, freed before the candidate is
+finalized (which lowers the ingest process's peak on ``ingest_bulk``), and
+no range's own state. The committee_id,candidate_id map that assigns
 committees to candidates is a CSV read through ``store.read_csv_table``.
 """
 
@@ -340,16 +336,22 @@ class MetricsAccumulator:
     more than the 16 bytes per row it frees: each row becomes at most one
     pair, and each new donor, at most one per two rows, 16 bytes of first
     gift. A one-time donor's rows never fold early. A fold adds the rows'
-    cents into the totals, ``_CENTS_ROWS`` rows at a time, then sorts the
-    pairs and the rows in place as one array and keeps the first of each
-    run of equal pairs; its temporaries stay within three 8-byte words per
-    row folded. Gifts dated before any analysis window still decide who is
-    a first-time donor inside it.
+    cents into the totals, then sorts the pairs and the rows in place as one
+    array and keeps the first of each run of equal pairs; its temporaries
+    stay within three 8-byte words per row folded. Gifts dated before any
+    analysis window still decide who is a first-time donor inside it.
 
     ``finalize`` ends intake: it drops the donor-key table, keeping its
     count, before its own fold, and from then on ``add``, ``_push`` and
     ``_fold`` raise ``CampaignTrendsError``. The tables stay, so a repeated
     ``finalize`` and ``first_seen`` give the same results.
+
+    Each memory step lowers a benchmark peak: early folds and freeing the
+    old pair table before the sort, ``ingest_bulk``'s; adding the cents
+    ``_CENTS_ROWS`` rows at a time, a four-candidate ``campaign_pipeline``
+    ingest's; ``_fold``'s one new pair-sized array and ``finalize``'s
+    in-place bins, the ingest process's on ``ingest_bulk``; dropping the
+    donor keys, ``campaign_pipeline``'s.
     """
 
     def __init__(self, candidate_id: str) -> None:
@@ -411,9 +413,7 @@ class MetricsAccumulator:
         """Add the cents of the packed ``rows`` to the per-day and first-gift totals."""
         day = rows & _DAY_MASK
         self._cover_days(int(day.min()), int(day.max()))
-        day -= self._day_start  # in place, as below: each temporary not made lowered the peak RSS
-        np.add.at(self._day_cents, day, cents)
-        day += self._day_start
+        np.add.at(self._day_cents, day - self._day_start, cents)
         self._add_first_gifts(rows >> _DAY_BITS, day, cents)
 
     def _add_first_gifts(self, donor: np.ndarray, day: np.ndarray, cents: np.ndarray) -> None:
@@ -424,10 +424,9 @@ class MetricsAccumulator:
         """
         self._grow_donors()
         first = self._first_day
-        seen = first[donor]
-        self._first_cents[donor[day < seen]] = 0
+        self._first_cents[donor[day < first[donor]]] = 0
         np.minimum.at(first, donor, day)
-        fresh = day == np.take(first, donor, out=seen)  # the first days after the update
+        fresh = day == first[donor]  # the first days after the update
         np.add.at(self._first_cents, donor[fresh], cents[fresh])
 
     def _cover_days(self, low: int, high: int) -> None:

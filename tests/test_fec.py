@@ -481,6 +481,25 @@ def donor_identity(name, zip_):
     return normalize_donor_name(name), zip5(zip_)
 
 
+def rows_onto_table(table_pairs, buffered):
+    """An accumulator holding ``table_pairs`` distinct pairs and ``buffered`` more distinct rows.
+
+    Returns it and the cents of its donors' first gifts: each donor's first gift is its pair on D1,
+    of 100 cents in the table or of 7 among the buffered rows.
+    """
+    rng = np.random.default_rng(0)
+    i = rng.permutation(table_pairs + buffered)
+    packed = (i // 3) << fec._DAY_BITS | (D1.toordinal() + i % 3)  # all distinct
+    acc = MetricsAccumulator("ALPHA")
+    acc._donor_ids = {b"%d" % donor: donor for donor in range(len(i) // 3 + 1)}
+    acc._rows = array("q", packed[:table_pairs].tobytes())
+    acc._row_cents = array("q", np.full(table_pairs, 100, np.int64).tobytes())
+    acc._reduce()  # the table the buffered rows fold into
+    acc._rows = array("q", packed[table_pairs:].tobytes())
+    acc._row_cents = array("q", np.full(buffered, 7, np.int64).tobytes())
+    return acc, 100 * np.sum(i[:table_pairs] % 3 == 0) + 7 * np.sum(i[table_pairs:] % 3 == 0)
+
+
 class TestReduceWork:
     def test_rows_sorted_grow_linearly_with_distinct_pairs(self, monkeypatch):
         # Re-sorting the whole table every _CHUNK_ROWS rows would sort N**2 / _CHUNK_ROWS rows.
@@ -606,20 +625,8 @@ class TestReduceWork:
         # A fold is one in-place sort and a keep-first mask, after the rows' cents are added to the
         # per-day and first-gift totals: its temporaries stay within three words per row folded.
         table_pairs, buffered = 400_000, 100_000
-        rng = np.random.default_rng(0)
-        i = rng.permutation(table_pairs + buffered)
-        packed = (i // 3) << fec._DAY_BITS | (D1.toordinal() + i % 3)  # all distinct
-        acc = MetricsAccumulator("ALPHA")
-        acc._donor_ids = {b"%d" % donor: donor for donor in range(len(i) // 3 + 1)}
-        acc._rows = array("q", packed[:table_pairs].tobytes())
-        acc._row_cents = array("q", np.full(table_pairs, 100, np.int64).tobytes())
-        acc._reduce()  # the table the buffered rows fold into
-        acc._rows = array("q", packed[table_pairs:].tobytes())
-        acc._row_cents = array("q", np.full(buffered, 7, np.int64).tobytes())
-        # Each donor's first gift is its pair on D1, in the table or among the buffered rows.
-        first_cents = 100 * np.sum(i[:table_pairs] % 3 == 0) + 7 * np.sum(i[table_pairs:] % 3 == 0)
+        acc, first_cents = rows_onto_table(table_pairs, buffered)
         donors = len(acc._donor_ids)
-        del i, packed
         tracemalloc.start()
         try:
             acc._reduce()
@@ -634,6 +641,70 @@ class TestReduceWork:
         assert metrics.amount.values.sum() * 100 == 100 * table_pairs + 7 * buffered
         assert metrics.new_donors.values.tolist() == [donors, 0, 0]
         assert metrics.new_donor_amount.values.tolist() == [first_cents / 100, 0, 0]
+
+    def test_reduce_frees_the_old_table_before_the_sort(self):
+        # The concatenation holds the old table and the rows, so the fold frees both before it sorts
+        # and keeps the first of each run: its peak rises over what it held by one word per row folded,
+        # not by the concatenation plus the kept pairs.
+        table_pairs, buffered = 400_000, 100_000
+        tracemalloc.start()  # before the table is built, so that freeing it counts
+        try:
+            acc, _ = rows_onto_table(table_pairs, buffered)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            acc._reduce()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(acc._pairs) == table_pairs + buffered
+        assert peak - held <= 1.25 * 8 * (table_pairs + buffered)
+
+    def test_full_chunk_fold_into_an_empty_accumulator_is_bounded(self):
+        # The rows' cents are added _CENTS_ROWS rows at a time, so that step's temporaries stay
+        # small beside what the fold keeps: each one-time donor's pair and first gift, three words.
+        n = fec._CHUNK_ROWS
+        acc = MetricsAccumulator("ALPHA")
+        acc._donor_ids = {b"%d|22903" % donor: donor for donor in range(n)}
+        acc._rows = array("q", (np.arange(n) << fec._DAY_BITS | D1.toordinal()).tobytes())
+        acc._row_cents = array("q", np.full(n, 100, np.int64).tobytes())
+        tracemalloc.start()
+        try:
+            acc._reduce()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 8 * n  # the tables the fold grows included
+        metrics = acc.finalize(DateRange(D1, D3))
+        assert metrics.new_donors.values.tolist() == [n, 0, 0]
+        assert metrics.new_donor_amount.values.tolist() == [n, 0, 0]
+
+    def test_fold_shifts_the_pairs_in_one_new_array(self, monkeypatch):
+        # Before its own fold, _fold moves another accumulator's pairs onto this one's donor ids in one
+        # new pair-sized array, not in an index array beside the shifted copy.
+        pairs = 300_000
+        other = MetricsAccumulator("ALPHA")
+        other._donor_ids = {b"%d" % donor: donor for donor in range(pairs // 100)}
+        i = np.arange(pairs)
+        other._rows = array("q", ((i // 100) << fec._DAY_BITS | (D1.toordinal() + i % 100)).tobytes())
+        other._row_cents = array("q", np.full(pairs, 5, np.int64).tobytes())
+        other._reduce()
+        at_reduce = []
+        reduce = MetricsAccumulator._reduce
+
+        def recorded(acc, **folded):
+            at_reduce.append(tracemalloc.get_traced_memory()[1])
+            reduce(acc, **folded)
+
+        monkeypatch.setattr(MetricsAccumulator, "_reduce", recorded)
+        acc = MetricsAccumulator("ALPHA")
+        tables = other._pairs, other._first_day, other._first_cents, other._day_cents
+        tracemalloc.start()
+        try:
+            acc._fold(list(other._donor_ids), *tables)
+        finally:
+            tracemalloc.stop()
+        assert at_reduce[0] <= 1.25 * 8 * pairs
+        assert acc._pairs.tobytes() == other._pairs.tobytes()
 
 
 class TestFinalize:
@@ -674,6 +745,20 @@ class TestFinalize:
             assert again.series()[label].values.tobytes() == series.values.tobytes()
         first_seen[0] = (D1 - timedelta(days=2)).toordinal()
         assert acc.first_seen.tolist() == first_seen.tolist() == acc.first_seen.tolist()
+
+    def test_finalize_bins_the_days_in_place(self):
+        # finalize bins the days in the array that unpacks them from the pairs, and the first-gift
+        # days in one copy, not in a difference and a clipped array beside each.
+        pairs = 500_000
+        acc, _ = rows_onto_table(pairs, 0)
+        tracemalloc.start()
+        try:
+            metrics = acc.finalize(DateRange(D1, D3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * pairs
+        assert metrics.donors.values.sum() == pairs
 
 
 class TestDonorKey:
@@ -1026,17 +1111,19 @@ class TestShardedPath:
         monkeypatch.setattr(fec, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(fec, "_SHARD_MIN_BYTES", 1)
         alive = track_accumulators(monkeypatch)
-        folds, finalized = [], []
+        folds, finalized, received = [], [], []
         fold, finalize = MetricsAccumulator._fold, MetricsAccumulator.finalize
 
-        def checked_fold(acc, *tables):
+        def checked_fold(acc, keys, *tables):
             earlier = list(THREE_CANDIDATES[:THREE_CANDIDATES.index(acc.candidate_id)])
             assert finalized == earlier
             assert [alive[c]() for c in earlier] == [None] * len(earlier)
             folds.append(acc.candidate_id)
-            fold(acc, *tables)
+            received.extend(map(weakref.ref, tables))
+            fold(acc, keys, *tables)
 
         def recorded_finalize(acc, range_):
+            assert [table() for table in received] == [None] * len(received)  # the workers' tables are freed
             finalized.append(acc.candidate_id)
             return finalize(acc, range_)
 
@@ -1205,12 +1292,15 @@ class TestShardedPath:
                     [sys.executable, "-c", "import os, time; time.sleep(0.2); os._exit(3)"],
                     pass_fds=(child_conn.fileno(),),
                 )
-            with conn:
-                if task:
-                    conn.send(task)
-                with pytest.raises(CampaignTrendsError, match="exit code 3"):
-                    fec._fold_workers(
-                        [(worker, conn)], {"ALPHA": MetricsAccumulator("ALPHA")}, IngestCounters(), None)
+            try:
+                with conn:
+                    if task:
+                        conn.send(task)
+                    with pytest.raises(CampaignTrendsError, match="exit code 3"):
+                        fec._fold_workers(
+                            [(worker, conn)], {"ALPHA": MetricsAccumulator("ALPHA")}, IngestCounters(), None)
+            finally:  # waited for however _fold_workers fails, so no worker outlives the test
+                worker.wait()
             assert worker.returncode == 3
 
     def test_worker_error_reaches_the_ingest_process(self, tmp_path):
