@@ -355,11 +355,7 @@ def _cmd_report(config: AnalysisConfig) -> int:
     normalize, decoded = _read_upstream(
         fits_path, "fit", "fit record", lambda fits_doc: (
             fits_doc.get("normalize"),
-            [
-                (record["candidate"], record["metric"], record["target_df"],
-                 *store.fit_from_record(record))
-                for record in fits_doc["records"]
-            ],
+            [store.fit_from_record(record) for record in fits_doc["records"]],
         ),
     )
     if normalize != config.normalize:
@@ -389,13 +385,7 @@ def _cmd_report(config: AnalysisConfig) -> int:
                 "converged": fit.converged,
                 "df_warning": fit.df_warning,
                 "changepoints": [
-                    {
-                        "index": cp.index,
-                        "date": cp.date.isoformat(),
-                        "slope_before": cp.slope_before,
-                        "slope_after": cp.slope_after,
-                        "direction": cp.direction.value,
-                    }
+                    {**dataclasses.asdict(cp), "date": cp.date.isoformat(), "direction": cp.direction.value}
                     for cp in cps
                 ],
                 **{

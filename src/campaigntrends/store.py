@@ -161,9 +161,10 @@ def fit_to_record(
     }
 
 
-def fit_from_record(record: dict[str, Any]) -> tuple[date, TrendFit]:
-    """Decode a fit_to_record record into (start_date, TrendFit).
+def fit_from_record(record: dict[str, Any]) -> tuple[str, str, int, date, TrendFit]:
+    """Decode a fit_to_record record into (candidate, metric, target_df, start_date, TrendFit).
 
+    The inverse of fit_to_record, with the series given back as its start date.
     Every field is converted to the type fit writes (str, float, float
     arrays, bool, int); the numbers must be finite, and observed and fitted
     lists of one length of at least 3. The record is refused unless
@@ -176,6 +177,7 @@ def fit_from_record(record: dict[str, Any]) -> tuple[date, TrendFit]:
     """
     from .trendfilter import TrendFit  # only fit records need it, so an ingest worker never loads it
 
+    candidate, metric, target = str(record["candidate"]), str(record["metric"]), int(record["target_df"])
     start = parse_iso_date(record["start_date"])
     lam, gap, tol_knot = (float(record[key]) for key in ("lambda", "duality_gap", "tol_knot"))
     fitted = np.array(record["fitted"], dtype=float)
@@ -194,11 +196,10 @@ def fit_from_record(record: dict[str, Any]) -> tuple[date, TrendFit]:
         iterations=int(record["iterations"]),
         df_warning=bool(record["df_warning"]),
     )
-    candidate, metric, target = str(record["candidate"]), str(record["metric"]), int(record["target_df"])
     rebuilt = fit_to_record(candidate, metric, TimeSeries(start, observed), fit, target)
     if json.dumps(rebuilt, sort_keys=True) != json.dumps(record, sort_keys=True):
         raise ValueError("fit record differs from the record its decoded fields give")
-    return start, fit
+    return candidate, metric, target, start, fit
 
 
 def write_fits_long_csv(handle: IO[str], records: list[dict[str, Any]]) -> None:

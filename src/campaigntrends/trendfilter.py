@@ -343,7 +343,8 @@ def solve_tf(y: Sequence[float], lam: float) -> TrendFit:
     arr = _validate_series(y)
     if not (np.isfinite(lam) and lam >= 0):
         raise InvalidInputError(f"lambda must be a finite nonnegative real, got {lam}")
-    return _build_fit(next(_sweep(arr, [lam], _unconstrained_dual(arr))), _tol_knot(arr))
+    point = next(_sweep(arr, [lam], _unconstrained_dual(arr)))
+    return TrendFit(**point._asdict(), tol_knot=_tol_knot(arr), df_warning=False)
 
 
 def fit_with_target_df(y: Sequence[float], target_df: int) -> TrendFit:
@@ -373,7 +374,7 @@ def fit_with_target_df(y: Sequence[float], target_df: int) -> TrendFit:
     best: tuple[int, _Point] | None = None
     max_df_seen = 2
     for point in _sweep(arr, grid[::-1], u_free):
-        df = _bends(point.theta, tol_knot).size + 2
+        df = _bends(point.fitted, tol_knot).size + 2
         max_df_seen = max(max_df_seen, df)
         # strict improvement keeps the largest lambda among ties
         if best is None or abs(df - target_df) < best[0]:
@@ -381,7 +382,7 @@ def fit_with_target_df(y: Sequence[float], target_df: int) -> TrendFit:
             if df == target_df:
                 break
     assert best is not None
-    return _build_fit(best[1], tol_knot, df_warning=target_df > max_df_seen)
+    return TrendFit(**best[1]._asdict(), tol_knot=tol_knot, df_warning=target_df > max_df_seen)
 
 
 def oracle_solve(y: Sequence[float], lam: float, iters: int) -> np.ndarray:
@@ -439,23 +440,24 @@ class _Point(NamedTuple):
 
     lam: float
     dual: np.ndarray
-    theta: np.ndarray
-    gap: float
+    fitted: np.ndarray
+    duality_gap: float
     converged: bool
-    rounds: int
+    iterations: int
 
 
 def _sweep(y: np.ndarray, lams: Sequence[float], u_free: np.ndarray) -> Iterator[_Point]:
     """Solve at each penalty of ``lams`` in the order given, fastest when descending.
 
-    ``u_free`` is the unconstrained dual of ``y`` (_unconstrained_dual),
-    whose largest |u_j| is lambda_max; the caller solves it once per
-    series. lam = 0 gives u = 0 and lam >= lambda_max the unconstrained
-    dual, both with 0 rounds and converged. Any other penalty is reached by
-    walking the exact dual path down from lambda_max, where every
-    coordinate is free and the line is u_free (b = 0), and converges when
-    _active_set_solve verifies the walk's line and the gap is at most
-    _eps_gap(y).
+    Each _Point holds a TrendFit's solver fields, under their names; the
+    caller adds tol_knot and df_warning. ``u_free`` is the unconstrained
+    dual of ``y`` (_unconstrained_dual), whose largest |u_j| is lambda_max;
+    the caller solves it once per series. lam = 0 gives u = 0 and
+    lam >= lambda_max the unconstrained dual, both with 0 iterations and
+    converged. Any other penalty is reached by walking the exact dual path
+    down from lambda_max, where every coordinate is free and the line is
+    u_free (b = 0), and converges when _active_set_solve verifies the walk's
+    line and the gap is at most _eps_gap(y).
 
     Between two events the partition ``side`` is fixed and the dual is its
     _line. As lam falls, a free coordinate joins the bound set when it
@@ -578,16 +580,3 @@ def _active_set_solve(
             side[release] = 0.0
         line = _line(dy, side)
     return np.clip(u, -lam, lam), _MAX_ROUNDS, False, side, line
-
-
-def _build_fit(point: _Point, tol_knot: float, df_warning: bool = False) -> TrendFit:
-    return TrendFit(
-        lam=point.lam,
-        fitted=point.theta,
-        duality_gap=point.gap,
-        dual=point.dual,
-        tol_knot=tol_knot,
-        converged=point.converged,
-        iterations=point.rounds,
-        df_warning=df_warning,
-    )

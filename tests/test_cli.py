@@ -13,6 +13,7 @@ import pytest
 
 from campaigntrends import TimeSeries, fit_with_target_df, solve_tf
 from campaigntrends import config, fec
+from campaigntrends.analysis import Changepoint
 from campaigntrends.cli import _build_parser, _fit_warning, main
 from campaigntrends.store import SCHEMA_VERSION, fit_from_record, fit_to_record, validate_report
 from conftest import bendy_signal
@@ -698,10 +699,12 @@ class TestReportReadsFits:
         fits = json.loads((out_dir / "fits.json").read_text())["records"]
         report = json.loads((out_dir / "report.json").read_text())["series"]
         assert len(report) == len(fits) == 10
+        changepoint_fields = {f.name for f in dataclasses.fields(Changepoint)}
         for record, entry in zip(fits, report):
             assert (entry["candidate"], entry["metric"]) == (record["candidate"], record["metric"])
             assert entry["df"] == record["df"]
             assert [cp["date"] for cp in entry["changepoints"]] == record["knots"]
+            assert all(set(cp) == changepoint_fields for cp in entry["changepoints"])
             assert entry["converged"] == record["converged"]
             assert entry["df_warning"] == record["df_warning"]
         assert all(record["df_warning"] for record in fits)
@@ -762,8 +765,8 @@ class TestReportReadsFits:
         fit = fit_with_target_df(ts.values, target)
         assert fit.df_warning == (target == 80)
         record = json.loads(json.dumps(fit_to_record("ALPHA", "amount", ts, fit, target)))
-        start, back = fit_from_record(record)
-        assert start == ts.start_date
+        candidate, metric, back_target, start, back = fit_from_record(record)
+        assert (candidate, metric, back_target, start) == ("ALPHA", "amount", target, ts.start_date)
         for f in dataclasses.fields(fit):
             if f.name == "dual":
                 scale = float(np.max(np.abs(fit.dual)))
@@ -776,7 +779,7 @@ class TestReportReadsFits:
     def test_decoded_dual_reproduces_residual(self, fixtures_dir):
         records = json.loads((fixtures_dir / "golden" / "fits.json").read_text())["records"]
         for record in records:
-            _, fit = fit_from_record(record)
+            *_, fit = fit_from_record(record)
             observed = np.asarray(record["observed"], dtype=float)
             label = (record["candidate"], record["metric"])
             assert np.all(np.abs(fit.dual) <= fit.lam), label
@@ -788,7 +791,7 @@ class TestReportReadsFits:
         y, _ = bendy_signal(seed=32, n=40, n_knots=3)
         ts = TimeSeries(date(2019, 6, 1), y)
         fit = dataclasses.replace(solve_tf(y, 0.5), converged=False, iterations=123)
-        _, back = fit_from_record(json.loads(json.dumps(fit_to_record("A", "m", ts, fit, 5))))
+        *_, back = fit_from_record(json.loads(json.dumps(fit_to_record("A", "m", ts, fit, 5))))
         assert (back.converged, back.iterations, back.tol_knot) == (False, 123, fit.tol_knot)
 
     @pytest.mark.parametrize(

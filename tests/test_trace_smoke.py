@@ -2,6 +2,8 @@
 
 ``perfbench/trace.py`` wraps package functions by name, so renaming or
 deleting one of them breaks the traced run; this test catches that here.
+It also runs the stages untraced and requires the same exit codes and
+byte-identical outputs, so the tracer's wrappers change no result.
 """
 
 import json
@@ -11,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from campaigntrends.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,3 +44,8 @@ def test_traced_pipeline_runs(tmp_path, fixtures_dir):
     assert proc.returncode == 0, proc.stderr
     trace = json.loads(result_path.read_text(encoding="utf-8"))
     assert trace["exits"] == {"ingest": 0, "fit": 0, "report": 0}
+    plain = {stage: main([stage, "--config", str(conf), "--out", str(tmp_path / "plain")])
+             for stage in trace["exits"]}
+    assert plain == trace["exits"]
+    for name in ("store.json", "ingest_summary.json", "fits.json", "fits_long.csv", "report.json"):
+        assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "out" / name).read_bytes(), name

@@ -287,7 +287,7 @@ def assert_sweep_points_pass_dense_kkt(y):
         mu = dy - gram @ u
         tol = 1e-9 * lam
         assert point.converged, lam
-        df = trendfilter._bends(point.theta, tol_knot).size
+        df = trendfilter._bends(point.fitted, tol_knot).size
         assert df == trendfilter._bends(y - d.T @ u, tol_knot).size, lam
         assert np.max(np.abs(point.dual - u)) <= 1e-6 * lam, lam
         assert np.all(np.abs(u[free]) <= lam + tol), lam
@@ -298,7 +298,7 @@ def full_sweep(y):
     """Every point of ``y``'s full grid sweep and the df of each."""
     tol_knot = trendfilter._tol_knot(y)
     points = list(trendfilter._sweep(y, sweep_grid(y), trendfilter._unconstrained_dual(y)))
-    return points, [len(extract_segments(point.theta, tol_knot)[0]) + 2 for point in points]
+    return points, [len(extract_segments(point.fitted, tol_knot)[0]) + 2 for point in points]
 
 
 def documented_selection(y, points, dfs, target):
@@ -307,7 +307,7 @@ def documented_selection(y, points, dfs, target):
     target exceeds every df."""
     distance = [abs(df - target) for df in dfs]
     chosen = points[distance.index(min(distance))]
-    return trendfilter._build_fit(chosen, trendfilter._tol_knot(y), df_warning=target > max(dfs))
+    return trendfilter.TrendFit(**chosen._asdict(), tol_knot=trendfilter._tol_knot(y), df_warning=target > max(dfs))
 
 
 def assert_same_fit(got, want):
@@ -361,7 +361,7 @@ class TestSweep:
         # every point's optimal partition, so each verifies in its first round
         for y, _ in random_panel(seed=505, count=12, n_lo=5, n_hi=300):
             points = list(trendfilter._sweep(y, sweep_grid(y), trendfilter._unconstrained_dual(y)))
-            assert [p.rounds for p in points[1:]] == [1] * (len(points) - 1), y.size
+            assert [p.iterations for p in points[1:]] == [1] * (len(points) - 1), y.size
 
     @pytest.mark.parametrize("shape", sorted(paper_window_panel()))
     def test_paper_window_shapes_converge_in_bounded_rounds(self, shape, monkeypatch):
@@ -383,9 +383,9 @@ class TestSweep:
         assert solves <= 3 * trendfilter._GRID_SIZE, (shape, solves)
         for point in points:
             assert point.converged, (shape, point.lam)
-            assert point.gap <= trendfilter._eps_gap(y), (shape, point.lam)
-            assert point.rounds <= 500, (shape, point.lam, point.rounds)
-        assert sum(point.rounds for point in points) <= 3 * trendfilter._GRID_SIZE, shape
+            assert point.duality_gap <= trendfilter._eps_gap(y), (shape, point.lam)
+            assert point.iterations <= 500, (shape, point.lam, point.iterations)
+        assert sum(point.iterations for point in points) <= 3 * trendfilter._GRID_SIZE, shape
 
     @pytest.mark.parametrize("shape", sorted(paper_window_panel()))
     def test_paper_window_path_events_per_interval_bounded(self, shape, monkeypatch):
@@ -446,7 +446,7 @@ class TestSweep:
         for point, ref in zip(trendfilter._sweep(y, grid, u_free), default, strict=True):
             assert point.converged, (shape, point.lam)
             assert np.max(np.abs(point.dual - ref.dual)) <= 1e-6 * point.lam, (shape, point.lam)
-            rounds += point.rounds
+            rounds += point.iterations
         assert rounds <= 5 * trendfilter._GRID_SIZE, (shape, rounds)
 
 
