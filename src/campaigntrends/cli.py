@@ -354,10 +354,12 @@ def _cmd_report(config: AnalysisConfig) -> int:
     fits_path = config.out_dir / "fits.json"
     normalize, decoded = _read_upstream(
         fits_path, "fit", "fit record", lambda fits_doc: (
-            fits_doc.get("normalize"),
+            fits_doc["normalize"],
             [store.fit_from_record(record) for record in fits_doc["records"]],
         ),
     )
+    if normalize not in ("raw", "share"):
+        raise CampaignTrendsError(f"{fits_path}: fits were produced with normalize={normalize!r}; re-run fit")
     if normalize != config.normalize:
         raise CampaignTrendsError(
             f"fits were produced with normalize={normalize!r}; "
@@ -460,9 +462,6 @@ def _cmd_report(config: AnalysisConfig) -> int:
         "events": events,
         "lead_lag": lead_lag_entries,
     }
-    problems = store.validate_report(document)
-    if problems:
-        raise CampaignTrendsError(f"internal report validation failed: {problems[:3]}")
     print(f"report -> {_write(config, 'report.json', document)}")
     return _exit_with_warnings(warnings)
 

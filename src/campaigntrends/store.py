@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import functools
 import json
-import re
 from datetime import date, timedelta
 from typing import IO, TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
@@ -166,10 +165,11 @@ def fit_from_record(record: dict[str, Any]) -> tuple[str, str, int, date, TrendF
 
     The inverse of fit_to_record, with the series given back as its start date.
     Every field is converted to the type fit writes (str, float, float
-    arrays, bool, int); the numbers must be finite, and observed and fitted
-    lists of one length of at least 3. The record is refused unless
-    fit_to_record of the TrendFit built from them, which derives knots,
-    segments and df from the fitted values, writes it back exactly, as JSON.
+    arrays, bool, int); the numbers must be finite and lambda not negative,
+    and observed and fitted lists of one length of at least 3. The record is
+    refused unless fit_to_record of the TrendFit built from them, which
+    derives knots, segments and df from the fitted values, writes it back
+    exactly, as JSON.
     The dual is recovered from the residual r = observed - fitted = D^T dual,
     a lower-triangular recurrence in the dual: a double cumulative sum of r
     (its first n - 2 entries) inverts it, clipped to the box |u| <= lambda.
@@ -184,6 +184,8 @@ def fit_from_record(record: dict[str, Any]) -> tuple[str, str, int, date, TrendF
     observed = np.array(record["observed"], dtype=float)
     if not all(np.isfinite(v).all() for v in (np.array([lam, gap, tol_knot]), fitted, observed)):
         raise ValueError("fit record holds a non-finite number")
+    if lam < 0:
+        raise ValueError(f"fit record holds the negative lambda {lam!r}")
     if fitted.ndim != 1 or observed.shape != fitted.shape or fitted.size < 3:
         raise ValueError(f"fit record has {observed.size} observed and {fitted.size} fitted values")
     fit = TrendFit(
@@ -216,77 +218,29 @@ def write_fits_long_csv(handle: IO[str], records: list[dict[str, Any]]) -> None:
 def validate_report(report: dict[str, Any]) -> list[str]:
     """Check a report against the shipped schemas/report.schema.json; returns problem strings.
 
-    The schema is read at the first call and applied by a reader of the
-    JSON Schema keywords it uses (type, const, enum, required, properties,
-    items, $ref into $defs, minimum, pattern, format "date"), so no schema
-    library is needed at run time.
+    Each problem is ``report<path> <message>``, one per error that jsonschema's
+    Draft 2020-12 validator finds, formats checked; a missing key's path ends
+    in that key. No pipeline stage calls it, so none loads jsonschema, which
+    comes with the ``test`` extra.
     """
-    schema = _report_schema()
-    return _schema_problems(report, schema, "report", schema)
-
-
-@functools.cache
-def _report_schema() -> dict[str, Any]:
-    from importlib import resources  # only report reads the schema
-
-    path = resources.files(__package__) / "schemas" / "report.schema.json"
-    return json.loads(path.read_text(encoding="utf-8"))
-
-
-def _schema_problems(value: Any, schema: dict[str, Any], where: str, root: dict[str, Any]) -> list[str]:
-    """Where ``value`` breaks ``schema``, each keyword read as JSON Schema 2020-12 reads it."""
     problems = []
-    if "$ref" in schema:
-        target = root["$defs"][schema["$ref"].removeprefix("#/$defs/")]
-        problems += _schema_problems(value, target, where, root)
-    kinds = schema.get("type", [])
-    kinds = [kinds] if isinstance(kinds, str) else kinds
-    if kinds and not any(_JSON_TYPES[kind](value) for kind in kinds):
-        return [*problems, f"{where} must be of type {' or '.join(kinds)}, not {type(value).__name__}"]
-    if "const" in schema and not _json_equal(value, schema["const"]):
-        problems.append(f"{where} must be {json.dumps(schema['const'])}")
-    if "enum" in schema and not any(_json_equal(value, option) for option in schema["enum"]):
-        problems.append(f"{where} must be one of {json.dumps(schema['enum'])}")
-    if isinstance(value, dict):
-        problems += [f"{where}.{key} is missing" for key in schema.get("required", ()) if key not in value]
-        for key, sub in schema.get("properties", {}).items():
-            if key in value:
-                problems += _schema_problems(value[key], sub, f"{where}.{key}", root)
-    if isinstance(value, list) and "items" in schema:
-        for i, item in enumerate(value):
-            problems += _schema_problems(item, schema["items"], f"{where}[{i}]", root)
-    if "minimum" in schema and _JSON_TYPES["number"](value) and value < schema["minimum"]:
-        problems.append(f"{where} must be at least {schema['minimum']}")
-    if isinstance(value, str):
-        if "pattern" in schema and not re.search(schema["pattern"], value):
-            problems.append(f"{where} must match {schema['pattern']}")
-        if schema.get("format") == "date" and not _is_iso_date(value):
-            problems.append(f"{where} must be an ISO date (YYYY-MM-DD)")
+    for error in _report_validator().iter_errors(report):
+        keys = list(error.absolute_path)
+        if error.validator == "required":  # jsonschema reports a missing key at its object
+            keys += [k for k in error.validator_value if error.message.startswith(f"{k!r} ")]
+        path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+        problems.append(f"report{path} {error.message}")
     return problems
 
 
-_JSON_TYPES = {
-    "object": lambda v: isinstance(v, dict),
-    "array": lambda v: isinstance(v, list),
-    "string": lambda v: isinstance(v, str),
-    "boolean": lambda v: isinstance(v, bool),
-    "null": lambda v: v is None,
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "integer": lambda v: type(v) is int or isinstance(v, float) and v.is_integer(),
-}
+@functools.cache
+def _report_validator() -> Any:
+    import jsonschema
+    from importlib import resources
 
-
-def _json_equal(a: Any, b: Any) -> bool:
-    """Equality of scalar JSON values, the schema's const and enum values: 1 == 1.0, true != 1."""
-    return a == b and isinstance(a, bool) == isinstance(b, bool)
-
-
-def _is_iso_date(value: str) -> bool:
-    """A YYYY-MM-DD calendar date, as JSON Schema's "date" format reads it."""
-    try:
-        return date.fromisoformat(value).isoformat() == value
-    except ValueError:
-        return False
+    path = resources.files(__package__) / "schemas" / "report.schema.json"
+    schema = json.loads(path.read_text(encoding="utf-8"))
+    return jsonschema.Draft202012Validator(schema, format_checker=jsonschema.FormatChecker())
 
 
 def parse_iso_date(text: str) -> date:
@@ -295,9 +249,13 @@ def parse_iso_date(text: str) -> date:
     From Python 3.11, ``date.fromisoformat`` alone also reads ``20190601``
     and ``2019-W22-6``.
     """
-    if not _is_iso_date(text):
-        raise ValueError(f"bad date {text!r}, expected YYYY-MM-DD")
-    return date.fromisoformat(text)
+    try:
+        day = date.fromisoformat(text)
+        if day.isoformat() == text:
+            return day
+    except ValueError:
+        pass
+    raise ValueError(f"bad date {text!r}, expected YYYY-MM-DD")
 
 
 def parse_ascii_number(text: str) -> float:

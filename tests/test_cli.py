@@ -99,6 +99,9 @@ FITS_REPEATED_KEY = replace_once('"lambda": ', '"lambda": 0.0, "lambda": ')
 STORE_VERSION_1 = edit_json(lambda doc: doc.update(schema_version=1))
 FITS_VERSION_1 = edit_json(lambda doc: doc.update(schema_version=1))
 FITS_REPEATED_RECORD = edit_json(lambda doc: doc["records"].append(doc["records"][0]))
+# fit never writes a negative lambda, nor a normalize other than raw or share
+FITS_NEGATIVE_LAMBDA = edit_json(lambda doc: doc["records"][0].update({"lambda": -1.0}))
+FITS_NORMALIZE_NULL = edit_json(lambda doc: doc.update(normalize=None))
 SHARE_OVERFLOW = edit_json(lambda doc: [doc["series"][c]["amount"]["values"].__setitem__(
     slice(0, 2), [1e308, 1e308]) for c in ("ALPHA", "BRAVO")])
 
@@ -632,6 +635,9 @@ class TestPipeline:
             ("fit", "store.json", "fits.json", ALPHA_POLL_NAMES_BRAVO),
             ("fit", "store.json", "fits.json", STORE_VERSION_1),
             ("report", "fits.json", "report.json", FITS_VERSION_1),
+            ("report", "fits.json", "report.json", FITS_NEGATIVE_LAMBDA),
+            ("report", "fits.json", "report.json", edit_json(lambda doc: doc.pop("normalize"))),
+            ("report", "fits.json", "report.json", FITS_NORMALIZE_NULL),
         ],
         ids=["truncated-store", "store-without-range", "store-values-not-numbers", "truncated-fits",
              "fits-not-an-object", "fits-infinite-slope", "fits-nan-fitted", "fits-infinite-observed",
@@ -643,7 +649,7 @@ class TestPipeline:
              "store-version-true", "fits-version-float", "store-nan-value", "store-two-values",
              "fits-repeated-record", "store-repeated-key", "fits-repeated-key", "store-metric-renamed",
              "fits-poll-record-dropped", "store-series-names-another", "store-version-1",
-             "fits-version-1"],
+             "fits-version-1", "fits-negative-lambda", "fits-normalize-missing", "fits-normalize-null"],
     )
     def test_damaged_upstream_exit_2(self, pipeline, fixtures_dir, tmp_path, capsys, stage, upstream, output, damage):
         out_dir = tmp_path / "damaged"
@@ -682,6 +688,10 @@ class TestPipeline:
         elif damage is FITS_VERSION_1:
             assert "schema_version 1 is not supported" in result.stderr
             assert "re-run fit" in result.stderr
+        elif damage is FITS_NEGATIVE_LAMBDA:
+            assert "negative lambda" in result.stderr
+        elif damage is FITS_NORMALIZE_NULL:
+            assert result.stderr.endswith("; re-run fit\n")
         assert result.stderr.count("\n") == 1
         assert (out_dir / output).read_bytes() == before
 
@@ -846,7 +856,9 @@ class TestReportReadsFits:
 class TestWhatEachProcessLoads:
     """Each process loads only the modules it runs; the package import loads none."""
 
-    NOT_IN_FIT_OR_REPORT = {"campaigntrends.fec", "campaigntrends.polls", "campaigntrends.synth", "statistics"}
+    NOT_IN_FIT_OR_REPORT = {
+        "campaigntrends.fec", "campaigntrends.polls", "campaigntrends.synth", "statistics", "jsonschema",
+    }
 
     def test_package_import_loads_no_module(self):
         loaded = modules_after("import campaigntrends")
